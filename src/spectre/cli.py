@@ -76,6 +76,13 @@ def _load(path: str):
     return dsl.parse(text)
 
 
+_HAT_NOTE = (
+    "note: removed constant-coefficient linear terms by multiplying through "
+    "with the inverse of (I - linear part at the origin); solutions are "
+    "unchanged"
+)
+
+
 def _as_set_system(system, quiet: bool = False, use_hat: bool = True) -> SetSystem:
     """Series systems are translated (after an origin shift if needed)."""
     if isinstance(system, SetSystem):
@@ -87,12 +94,7 @@ def _as_set_system(system, quiet: bool = False, use_hat: bool = True) -> SetSyst
             try:
                 work = pseries.hat_transform(system)
                 if not quiet:
-                    print(
-                        "note: removed constant-coefficient linear terms "
-                        "by multiplying through with the inverse of "
-                        "(I - linear part at the origin); solutions are "
-                        "unchanged"
-                    )
+                    print(_HAT_NOTE)
             except pseries.NotApplicable:
                 if not quiet:
                     print(
@@ -185,11 +187,8 @@ def cmd_coeffs(args) -> int:
     ok, _ = pseries.is_elementary(system)
     if not ok:
         system = pseries.hat_transform(system)
-        print(
-            "note: removed constant-coefficient linear terms by "
-            "multiplying through with the inverse of (I - linear part "
-            "at the origin); solutions are unchanged"
-        )
+        if args.format != "json":
+            print(_HAT_NOTE)
     sol = pseries.fixed_point_solve(system, args.degree)
     if args.format == "json":
         doc = {
@@ -243,7 +242,9 @@ def cmd_frobenius(args) -> int:
     p = params(closure)
     g = epset.gcd_of(normalize(gens))
     conductor = p.c
-    gaps = [n for n in range(conductor) if not epset.member(closure, n)]
+    # every member below the conductor lies in the finite part
+    members = set(closure.finite_part)
+    gaps = [n for n in range(conductor) if n not in members]
     print(f"generators: {', '.join(str(x) for x in sorted(set(gens)))}")
     print(f"gcd: {g}")
     print(f"conductor: {conductor}")
@@ -306,7 +307,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: stop quietly, and send what is still
+        # buffered to the null device so the flush at exit cannot fail
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError, AttributeError):
+            pass
+        return EXIT_USAGE
     except dsl.ParseError as e:
         print(f"spectre: syntax error at {e}", file=sys.stderr)
         return EXIT_SYNTAX

@@ -430,16 +430,9 @@ def parse(text: str) -> Union[PSSystem, SetSystem]:
 # canonical printing
 
 
-def _fmt_index(e: IndexSet) -> str:
-    if isinstance(e, EnumeratedSet):
-        return e.name
-    s = format_epset(e)
-    if e.period is not None or " | " in s:
-        return f"({s})"
-    return s
-
-
-def _fmt_base(b: EPSet) -> str:
+def _fmt_base(b: IndexSet) -> str:
+    if isinstance(b, EnumeratedSet):
+        return b.name
     s = format_epset(b)
     if b.period is not None or " | " in s:
         return f"({s})"
@@ -459,7 +452,7 @@ def print_set_system(sys: SetSystem) -> str:
                 if isinstance(e, EPSet) and e == singleton(1):
                     exp_pieces.append(sys.variables[j])
                 else:
-                    exp_pieces.append(f"{_fmt_index(e)}*{sys.variables[j]}")
+                    exp_pieces.append(f"{_fmt_base(e)}*{sys.variables[j]}")
             if t.base != ZERO or not exp_pieces:
                 pieces.append(_fmt_base(t.base))
             pieces.extend(exp_pieces)

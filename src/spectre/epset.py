@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Tuple, Union
@@ -164,7 +165,9 @@ def member(a: EPSet, n: int) -> bool:
     if n < 0:
         return False
     if n < a.threshold:
-        return n in a.finite_part
+        fp = a.finite_part
+        i = bisect_left(fp, n)
+        return i < len(fp) and fp[i] == n
     if a.period is None:
         return False
     return (n % a.period) in a.residues
@@ -401,26 +404,14 @@ def params(a: EPSet) -> PeriodicityParams:
         q = math.gcd(q, math.gcd(s - m, p))
     if a.period is None:
         return PeriodicityParams(m, q, 0, a.finite_part[-1] + 1)
+    # c is the least member x such that every member >= x stays in a when
+    # the period is added; past the threshold that holds by periodicity
     c = a.threshold
-    for k in a.finite_part:
-        if _period_holds_from(a, k):
-            c = k
+    for x in reversed(a.finite_part):
+        if not member(a, x + a.period):
             break
+        c = x
     return PeriodicityParams(m, q, a.period, c)
-
-
-def _period_holds_from(a: EPSet, k: int) -> bool:
-    """True iff the canonical period shifts every member >= k back into a."""
-    p = a.period
-    for x in a.finite_part:
-        if x < k:
-            continue
-        n = x + p
-        while n < a.threshold + p:
-            if not member(a, n):
-                return False
-            n += p
-    return True
 
 
 def is_eventual_period(a: EPSet, p: int) -> bool:
@@ -508,3 +499,10 @@ class EnumeratedSet:
 IndexSet = Union[EPSet, EnumeratedSet]
 
 ENUMERATED_SETS = {"Primes": EnumeratedSet("Primes")}
+
+
+def index_members(j: IndexSet, hi: int) -> list[int]:
+    """All members of an index set in [0, hi], sorted."""
+    if isinstance(j, EnumeratedSet):
+        return j.members_upto(hi)
+    return enumerate_range(j, 0, hi)

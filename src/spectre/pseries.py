@@ -3,12 +3,20 @@ y = G(x,y), Jacobian and Neumann tests, the hat transform, and spectrum
 extraction."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .epset import EPSet, EnumeratedSet, IndexSet, POS, member, enumerate_range
+from .epset import (
+    EPSet,
+    EnumeratedSet,
+    IndexSet,
+    POS,
+    decompose,
+    index_members,
+    member,
+)
 
 
 class NotElementary(ValueError):
@@ -98,30 +106,6 @@ def s_mul(a: Series, b: Series) -> Series:
     return Series(tuple(out), nonneg=a.nonneg and b.nonneg)
 
 
-def s_scale(c, a: Series) -> Series:
-    f = Fraction(c)
-    return Series(
-        tuple(f * x for x in a.coeffs), nonneg=a.nonneg and f >= 0
-    )
-
-
-def s_pow(a: Series, n: int) -> Series:
-    result = s_const(1, a.trunc)
-    power = a
-    while n:
-        if n & 1:
-            result = s_mul(result, power)
-        n >>= 1
-        if n:
-            power = s_mul(power, power)
-    return result
-
-
-def s_eq(a: Series, b: Series) -> bool:
-    n = min(a.trunc, b.trunc)
-    return a.coeffs[: n + 1] == b.coeffs[: n + 1]
-
-
 # ---------------------------------------------------------------------------
 # system syntax
 
@@ -189,141 +173,356 @@ class PSSystem:
         return len(self.variables)
 
 
-def _index_members_upto(j: IndexSet, hi: int) -> list[int]:
-    if isinstance(j, EnumeratedSet):
-        return j.members_upto(hi)
-    return enumerate_range(j, 0, hi)
-
-
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one order-by-order engine
+#
+# Each node of an expression keeps a coefficient list of length n+1.
+# Coefficient d of a node is computed from coefficients <= d of its children
+# and < d of itself, so one sweep over d = 0..n evaluates every node, each
+# coefficient once.  Coefficients are plain ints until a rational constant
+# or an inexact division makes them Fractions; the Series handed out hold
+# Fractions.
+
+
+def _exact(v):
+    """v as an int when it is an integral Fraction, else unchanged."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _div(v, k: int):
+    """The exact quotient v / k, an int when k divides v."""
+    if type(v) is int:
+        q, r = divmod(v, k)
+        return Fraction(v, k) if r else q
+    return _exact(v / k)
+
+
+def _conv(a: list, va: int, b: list, vb: int, d: int):
+    """Coefficient d of a*b, where a[i] = 0 for i < va and b[i] = 0 for
+    i < vb."""
+    if d < va + vb:
+        return 0
+    return sum(map(mul, a[va : d - vb + 1], reversed(b[vb : d - va + 1])))
+
+
+def _monomial(expr: SysExpr) -> Optional[Tuple[object, int]]:
+    """(coefficient, x-degree) when expr is a constant times a power of x."""
+    if isinstance(expr, Const):
+        return _exact(Fraction(expr.value)), 0
+    if isinstance(expr, X):
+        return 1, 1
+    if isinstance(expr, Pow):
+        m = _monomial(expr.base)
+        if m is not None:
+            return m[0] ** expr.exp, m[1] * expr.exp
+    return None
+
+
+class _Node:
+    """Coefficients c of one subexpression; val is a lower bound on its
+    valuation (n+1 when it is zero); touch tells whether c[d] depends on
+    coefficient d of the unknowns."""
+
+    __slots__ = ("c", "val", "touch")
+
+    def __init__(self, c: list, val: int, touch: bool = False):
+        self.c = c
+        self.val = val
+        self.touch = touch
+
+
+class _Engine:
+    """Compiles expressions into nodes and an ordered list of steps; step
+    f(d) fills coefficient d of one node.  Running every step for
+    d = 0, 1, ..., n evaluates all nodes, children before parents."""
+
+    def __init__(self, n: int, var_node):
+        self.n = n
+        self.var_node = var_node  # variable index -> _Node
+        self.steps: list = []  # (step, touch)
+        self.zero = _Node([0] * (n + 1), n + 1)
+        self._nodes: Dict[object, _Node] = {}
+        self._divisors: Optional[list] = None
+
+    def run(self, d: int) -> None:
+        for step, _ in self.steps:
+            step(d)
+
+    def node(self, expr: SysExpr) -> _Node:
+        got = self._nodes.get(expr)
+        if got is None:
+            got = self._nodes[expr] = self._build(expr)
+        return got
+
+    def _build(self, expr: SysExpr) -> _Node:
+        m = _monomial(expr)
+        if m is not None:
+            return self._monomial(*m)
+        if isinstance(expr, Var):
+            return self.var_node(expr.index)
+        if isinstance(expr, Add):
+            return self._sum([self.node(t) for t in expr.terms])
+        if isinstance(expr, Mul):
+            coef, shift, nodes = 1, 0, []
+            for f in expr.factors:
+                m = _monomial(f)
+                if m is None:
+                    nodes.append(self.node(f))
+                else:
+                    coef, shift = coef * m[0], shift + m[1]
+            if not nodes:
+                return self._monomial(coef, shift)
+            out = nodes[0]
+            for f in nodes[1:]:
+                out = self._mul(out, f)
+            return self._scaled(out, coef, shift)
+        if isinstance(expr, Pow):
+            return self._power(self.node(expr.base), expr.exp)
+        if isinstance(expr, Construct):
+            a = self.node(expr.arg)
+            if a.val == 0:
+                self._check_arg(expr.kind, a)
+            if expr.kind == "Seq":
+                return self._seq(a, expr.index)
+            if expr.kind == "MSet":
+                return self._mset(a, expr.index)
+            raise UnsupportedCoefficients(
+                f"{expr.kind} has spectrum-only semantics; no coefficient evaluation"
+            )
+        raise TypeError(f"not a system expression: {expr!r}")
+
+    def _new(self, val: int, touch: bool, step_of) -> _Node:
+        """A node with coefficients c, filled by step_of(c)."""
+        c = [0] * (self.n + 1)
+        self.steps.append((step_of(c), touch))
+        return _Node(c, val, touch)
+
+    def _monomial(self, coef, k: int) -> _Node:
+        if not coef or k > self.n:
+            return self.zero
+        c = [0] * (self.n + 1)
+        c[k] = coef
+        return _Node(c, k)
+
+    def _check_arg(self, kind: str, a: _Node) -> None:
+        ac = a.c
+
+        def step(d):
+            if d == 0 and ac[0]:
+                raise CompositionAtNonzeroConstant(
+                    f"{kind} argument has constant term {ac[0]}"
+                )
+
+        # rerun with the unknowns' constant terms once they are known
+        self.steps.append((step, a.touch))
+
+    def _sum(self, nodes: list) -> _Node:
+        nodes = [t for t in nodes if t.val <= self.n]
+        if not nodes:
+            return self.zero
+        if len(nodes) == 1:
+            return nodes[0]
+        lists = [t.c for t in nodes]
+
+        def step_of(c):
+            def step(d):
+                c[d] = sum([t[d] for t in lists])
+
+            return step
+
+        return self._new(
+            min(t.val for t in nodes), any(t.touch for t in nodes), step_of
+        )
+
+    def _scaled(self, a: _Node, coef, k: int) -> _Node:
+        """coef * x^k * a."""
+        if coef == 1 and k == 0:
+            return a
+        if not coef or a.val + k > self.n:
+            return self.zero
+        ac = a.c
+
+        def step_of(c):
+            def step(d):
+                if d >= k:
+                    c[d] = coef * ac[d - k]
+
+            return step
+
+        return self._new(a.val + k, a.touch and k == 0, step_of)
+
+    def _mul(self, a: _Node, b: _Node) -> _Node:
+        """a * b, one convolution per degree."""
+        key = ("mul", id(a), id(b))
+        got = self._nodes.get(key)
+        if got is not None:
+            return got
+        va, vb = a.val, b.val
+        if va + vb > self.n:
+            return self.zero
+        ac, bc = a.c, b.c
+
+        def step_of(c):
+            def step(d):
+                c[d] = _conv(ac, va, bc, vb, d)
+
+            return step
+
+        touch = (a.touch and vb == 0) or (b.touch and va == 0)
+        got = self._nodes[key] = self._new(va + vb, touch, step_of)
+        return got
+
+    def _power(self, a: _Node, e: int) -> _Node:
+        """a^e as a chain of binary products (square and multiply)."""
+        if e == 0:
+            return self._monomial(1, 0)
+        if e == 1:
+            return a
+        key = ("pow", id(a), e)
+        got = self._nodes.get(key)
+        if got is None:
+            half = self._power(a, e // 2)
+            got = self._mul(half, half)
+            if e % 2:
+                got = self._mul(got, a)
+            self._nodes[key] = got
+        return got
+
+    def _seq(self, a: _Node, j: IndexSet) -> _Node:
+        """Sum of a^i over i in j: powers for finite members, and for each
+        block s + p*N the series T = a^s + a^p * T."""
+        va = max(a.val, 1)  # a has no constant term
+        top = self.n // va  # a^i vanishes to degree n for i > top
+        if isinstance(j, EnumeratedSet):
+            fins, blocks = j.members_upto(top), []
+        else:
+            fins, blocks = decompose(j)
+        terms = [self._power(a, i) for i in fins if i <= top]
+        for s, p in blocks:
+            if s <= top:
+                terms.append(self._geometric(self._power(a, s), self._power(a, p)))
+        return self._sum(terms)
+
+    def _geometric(self, head: _Node, ratio: _Node) -> _Node:
+        """T = head + ratio * T, for ratio without constant term."""
+        if head.val > self.n:
+            return self.zero
+        vh, vr = head.val, max(ratio.val, 1)
+        hc, rc = head.c, ratio.c
+
+        def step_of(c):
+            def step(d):
+                c[d] = hc[d] + _conv(rc, vr, c, vh, d)
+
+            return step
+
+        return self._new(vh, head.touch or (ratio.touch and vh == 0), step_of)
+
+    def _mset(self, a: _Node, j: IndexSet) -> _Node:
+        """Multisets of a with part count in j."""
+        n = self.n
+        va = max(a.val, 1)
+        if va > n:
+            return self.zero
+        ac = a.c
+        if isinstance(j, EPSet) and j == POS:
+            # exp(sum_m a(x^m)/m) - 1 by the log-derivative recurrence
+            # d*b_d = sum_i q_i*b_{d-i} with b_0 = 1, q_i = sum_{e|i} e*a_e
+            if self._divisors is None:
+                self._divisors = [[] for _ in range(n + 1)]
+                for e in range(1, n + 1):
+                    for m in range(e, n + 1, e):
+                        self._divisors[m].append(e)
+            divisors = self._divisors
+            q = [0] * (n + 1)
+
+            def step_of(b):
+                def step(d):
+                    if d >= va:
+                        q[d] = sum([e * ac[e] for e in divisors[d]])
+                        b[d] = _div(q[d] + _conv(q, va, b, va, d), d)
+
+                return step
+
+            return self._new(va, a.touch, step_of)
+        # h[t] counts multisets of exactly t parts:
+        # t*h_t = sum_{m=1..t} a(x^m) * h_{t-m}, with h_0 = 1 and h_1 = a
+        if isinstance(j, EPSet) and j.period is None:
+            t_max = j.finite_part[-1] if j.finite_part else 0
+        else:
+            t_max = n
+        wanted = [t for t in index_members(j, min(t_max, n // va)) if t >= 1]
+        if not wanted:
+            return self.zero
+        t_top = wanted[-1]
+        h = [None, ac] + [[0] * (n + 1) for _ in range(2, t_top + 1)]
+        high = [h[t] for t in wanted if t >= 2]
+
+        def step_of(rest):
+            def step(d):
+                for t in range(2, min(t_top, d // va) + 1):
+                    acc = ac[d // t] if d % t == 0 else 0  # m = t
+                    for m in range(1, t):
+                        prev = h[t - m]
+                        hi = (d - (t - m) * va) // m
+                        if hi >= va:
+                            acc += sum(
+                                map(
+                                    mul,
+                                    ac[va : hi + 1],
+                                    reversed(prev[d - hi * m : d - va * m + 1 : m]),
+                                )
+                            )
+                    h[t][d] = _div(acc, t)
+                rest[d] = sum([ht[d] for ht in high])
+
+            return step
+
+        rest = self._new(2 * va, False, step_of) if high else self.zero
+        return self._sum([a, rest] if wanted[0] == 1 else [rest])
+
+
+def _nonneg(expr: SysExpr, env: Sequence[Series], n: int) -> bool:
+    """Whether the value of expr is tracked as non-negative under env."""
+    if isinstance(expr, Var):
+        return env[expr.index].nonneg
+    if isinstance(expr, (Add, Mul)):
+        parts = expr.terms if isinstance(expr, Add) else expr.factors
+        return all(_nonneg(t, env, n) for t in parts)
+    if isinstance(expr, Pow):
+        return expr.exp == 0 or _nonneg(expr.base, env, n)
+    if isinstance(expr, Construct):
+        if (
+            expr.kind == "Seq"
+            and expr.index != POS
+            and not any(index_members(expr.index, n))
+        ):
+            return True  # at most the empty sequence
+        return _nonneg(expr.arg, env, n)
+    return True  # constants are non-negative
+
+
+def _series(c: list, nonneg: bool = True) -> Series:
+    return Series(tuple(map(Fraction, c)), nonneg)
 
 
 def evaluate(expr: SysExpr, env: Sequence[Series], n: int) -> Series:
     """Exact coefficients of expr under env up to degree n."""
-    if isinstance(expr, Const):
-        return s_const(expr.value, n)
-    if isinstance(expr, X):
-        return s_x(n)
-    if isinstance(expr, Var):
-        s = env[expr.index]
+
+    def var_node(i: int) -> _Node:
+        s = env[i]
         if s.trunc < n:
             raise ValueError("environment series truncated below target degree")
-        return Series(s.coeffs[: n + 1], s.nonneg)
-    if isinstance(expr, Add):
-        out = s_zero(n)
-        for t in expr.terms:
-            out = s_add(out, evaluate(t, env, n))
-        return out
-    if isinstance(expr, Mul):
-        out = s_const(1, n)
-        for f in expr.factors:
-            out = s_mul(out, evaluate(f, env, n))
-        return out
-    if isinstance(expr, Pow):
-        return s_pow(evaluate(expr.base, env, n), expr.exp)
-    if isinstance(expr, Construct):
-        a = evaluate(expr.arg, env, n)
-        if a.coeffs[0] != 0:
-            raise CompositionAtNonzeroConstant(
-                f"{expr.kind} argument has constant term {a.coeffs[0]}"
-            )
-        if expr.kind == "Seq":
-            return _seq_eval(a, expr.index, n)
-        if expr.kind == "MSet":
-            return _mset_eval(a, expr.index, n)
-        raise UnsupportedCoefficients(
-            f"{expr.kind} has spectrum-only semantics; no coefficient evaluation"
-        )
-    raise TypeError(f"not a system expression: {expr!r}")
+        c = [_exact(v) for v in s.coeffs[: n + 1]]
+        return _Node(c, next((d for d, v in enumerate(c) if v), n + 1))
 
-
-def _seq_eval(a: Series, j: IndexSet, n: int) -> Series:
-    if isinstance(j, EPSet) and j == POS:
-        # unrestricted: S = a*(1 + S), solved by the convolution recurrence
-        out = [Fraction(0)] * (n + 1)
-        for d in range(1, n + 1):
-            acc = a.coeffs[d]
-            for i in range(1, d):
-                if a.coeffs[i]:
-                    acc += a.coeffs[i] * out[d - i]
-            out[d] = acc
-        return Series(tuple(out), nonneg=a.nonneg)
-    out = s_zero(n)
-    js = _index_members_upto(j, n)
-    if not js:
-        return out
-    power = s_pow(a, js[0])
-    prev = js[0]
-    for jj in js:
-        if jj != prev:
-            power = s_mul(power, s_pow(a, jj - prev))
-            prev = jj
-        out = s_add(out, power)
-    return out
-
-
-def _mset_eval(a: Series, j: IndexSet, n: int) -> Series:
-    """Multisets with part-count in j, by the bivariate marker method.
-
-    h[t] below is the series counting multisets with exactly t parts; it
-    satisfies the exponential recurrence of exp(sum_m t^m A(x^m)/m).
-    """
-    if isinstance(j, EPSet) and j == POS:
-        # unrestricted: exp(sum_m a(x^m)/m) - 1 via the log-derivative
-        # recurrence k*b_k = sum_j j*p_j*b_{k-j}
-        p = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            for i, c in enumerate(a.coeffs):
-                if c and i * m <= n:
-                    p[i * m] += c / m
-        b = [Fraction(0)] * (n + 1)
-        b[0] = Fraction(1)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if p[i]:
-                    acc += i * p[i] * b[k - i]
-            b[k] = acc / k
-        b[0] = Fraction(0)
-        return Series(tuple(b), nonneg=a.nonneg)
-    if isinstance(j, EPSet) and j.period is not None:
-        t_max = n
-    elif isinstance(j, EnumeratedSet):
-        t_max = n
-    else:
-        js = _index_members_upto(j, n)
-        t_max = max(js) if js else 0
-    t_max = min(t_max, n)
-    # substituted series a(x^m), sparse by degree
-    subs: Dict[int, Dict[int, Fraction]] = {}
-    for m in range(1, t_max + 1):
-        d = {}
-        for i, c in enumerate(a.coeffs):
-            if c and i * m <= n:
-                d[i * m] = c / m
-        subs[m] = d
-    h: list[Dict[int, Fraction]] = [{0: Fraction(1)}]
-    for t in range(1, t_max + 1):
-        acc: Dict[int, Fraction] = {}
-        for m in range(1, t + 1):
-            sm = subs[m]
-            if not sm:
-                continue
-            prev = h[t - m]
-            for d1, c1 in sm.items():
-                for d2, c2 in prev.items():
-                    d = d1 + d2
-                    if d <= n:
-                        acc[d] = acc.get(d, Fraction(0)) + m * c1 * c2
-        h.append({d: c / t for d, c in acc.items()})
-    wanted = set(_index_members_upto(j, t_max))
-    out = [Fraction(0)] * (n + 1)
-    for t in range(1, t_max + 1):
-        if t in wanted:
-            for d, c in h[t].items():
-                out[d] += c
-    return Series(tuple(out), nonneg=a.nonneg)
+    engine = _Engine(n, var_node)
+    root = engine.node(expr)
+    for d in range(n + 1):
+        engine.run(d)
+    return _series(root.c, _nonneg(expr, env, n))
 
 
 # ---------------------------------------------------------------------------
@@ -423,24 +622,41 @@ def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
     ok, diags = is_elementary(sys)
     if not ok:
         raise NotElementary("; ".join(diags))
-    # each iteration advances the valid degree by at least one, so iterate
-    # i only needs to be evaluated at degree min(i+1, n)
-    env: Tuple[Series, ...] = tuple(s_zero(0) for _ in range(sys.k))
-    for i in range(n + 1):
-        d = min(i + 1, n)
-        padded = tuple(
-            s
-            if s.trunc >= d
-            else Series(s.coeffs + (Fraction(0),) * (d - s.trunc), s.nonneg)
-            for s in env
-        )
-        new = tuple(evaluate(rhs, padded, d) for rhs in sys.right_sides)
-        if d == n and all(
-            s.trunc == n and s_eq(a, s) for a, s in zip(new, env)
-        ):
-            return new
-        env = new
-    return env
+    # constant terms first: zero, unless a Seq over an index set with 0
+    # supplies one
+    consts = _solve_orders(sys, 0, [0] * sys.k)
+    vals = [0 if y[0] else 1 for y in consts]
+    return tuple(_series(y) for y in _solve_orders(sys, n, vals))
+
+
+def _solve_orders(sys: PSSystem, n: int, vals: Sequence[int]) -> list[list]:
+    """Coefficients of the solution, one degree at a time; vals[i] is a
+    lower bound on the valuation of unknown i.
+
+    Coefficient d of a right side does not depend on coefficient d of the
+    unknowns (the origin Jacobian is zero), so each degree is evaluated
+    once with y_d = 0, which yields y_d, and the nodes that read y_d are
+    evaluated again.  The loop repeats while that changes a right side,
+    which happens only when a constant term couples unknowns."""
+    ys = [[0] * (n + 1) for _ in range(sys.k)]
+    engine = _Engine(n, lambda i: _Node(ys[i], vals[i], True))
+    roots = [engine.node(rhs).c for rhs in sys.right_sides]
+    again = [step for step, touch in engine.steps if touch]
+    for d in range(n + 1):
+        engine.run(d)
+        for _ in range(sys.k + 1):
+            new = [r[d] for r in roots]
+            if all(y[d] == v for y, v in zip(ys, new)):
+                break
+            for y, v in zip(ys, new):
+                y[d] = v
+            for step in again:
+                step(d)
+        else:
+            raise NotElementary(
+                f"coefficient {d} of the solution does not settle"
+            )
+    return ys
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .epset import (
     format_epset,
     gcd_of,
     has_positive,
+    index_members,
     is_subset,
     member,
     normalize,
@@ -302,7 +303,6 @@ def star_index(e: IndexSet, y: EPSet, cap: int = 64) -> EPSet:
     if y.is_empty:
         return EMPTY
     acc = EMPTY
-    hi = None
     for x in e.members_upto(10 ** 9, cap=cap):
         acc = union(acc, nstar(x, y))
     return acc
@@ -466,12 +466,6 @@ def _mask_nstar(n: int, b: int, full: int) -> int:
     return result
 
 
-def _index_members(e: IndexSet, h: int) -> list[int]:
-    if isinstance(e, EnumeratedSet):
-        return e.members_upto(h)
-    return enumerate_range(e, 0, h)
-
-
 def _mask_star(e: IndexSet, y: int, h: int, full: int) -> int:
     if y == 0:
         return 1 if _index_contains_zero(e) else 0
@@ -485,7 +479,7 @@ def _mask_star(e: IndexSet, y: int, h: int, full: int) -> int:
         else:
             idx = list(range(e.finite_part[-1] + 1))
         return _mask_star_sorted(idx, y0, h, full)
-    return _mask_star_sorted(_index_members(e, h), y, h, full)
+    return _mask_star_sorted(index_members(e, h), y, h, full)
 
 
 def _mask_star_sorted(elems: list[int], y: int, h: int, full: int) -> int:
@@ -774,7 +768,6 @@ def solve_seeded(sys: SetSystem, horizon: int, seed_sets: Sequence[EPSet]) -> li
     seed = [_mask_of(s, horizon) & full & ~1 for s in seed_sets]
     vec = seed
     for _ in range(horizon + sys.k + 2):
-        base_masks = None
         new = []
         for i, eq in enumerate(sys.equations):
             acc = 0

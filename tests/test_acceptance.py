@@ -113,6 +113,13 @@ def test_criterion_05_frobenius_conductors():
         brute = oracle.brute_set_op("natstar", None, vec(normalize([b1, b2]), h), h)
         assert vec(closure, h) == brute
         checked += 1
+    # a large pair: Sylvester's conductor and (b1-1)(b2-1)/2 gaps
+    closure = nat_closure(normalize([97, 101]))
+    pp = params(closure)
+    assert pp.c == 96 * 100 == 9600
+    assert pp.p == pp.q == 1
+    gaps = [n for n in range(pp.c) if not member(closure, n)]
+    assert len(gaps) == 4800 and gaps[-1] == 9599
 
 
 def test_criterion_06_blue_red_hat_transform():

@@ -36,6 +36,33 @@ class TestFrobenius:
         assert code == 3
         assert "positive" in err
 
+    def test_large_pair(self, capsys):
+        code, out, _ = run(capsys, "frobenius", "97", "101")
+        assert code == 0
+        assert "conductor: 9600" in out
+        gaps = json.loads(out.split("gaps: ")[1].splitlines()[0])
+        assert len(gaps) == 4800 and gaps[-1] == 9599
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_quiet_exit(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdout", _ClosedPipe())
+        code = cli.main(["frobenius", "3", "5"])
+        monkeypatch.undo()
+        _, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert err == ""
+
 
 class TestSolve:
     def test_postage_text(self, capsys):
@@ -94,6 +121,22 @@ class TestCoeffs:
         )
         doc = json.loads(out)
         assert doc["series"]["T"] == ["0", "1", "0", "1", "0", "2", "0", "5"]
+
+    def test_json_hatted_is_valid(self, capsys):
+        code, out, err = run(
+            capsys, "coeffs", fx("bluered.spec"), "--degree", "6", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        # B = x + 6x^4 + ..., R = x + 4x^3 + ..., T = B + R
+        assert doc["series"]["B"][:5] == ["0", "1", "0", "0", "6"]
+        assert doc["series"]["T"][:4] == ["0", "2", "0", "4"]
+        assert "note:" not in out and err == ""
+
+    def test_text_hatted_notes_rewrite(self, capsys):
+        code, out, _ = run(capsys, "coeffs", fx("bluered.spec"), "--degree", "6")
+        assert code == 0
+        assert out.startswith("note: removed constant-coefficient linear terms")
 
     def test_sets_file_rejected(self, capsys):
         code, _, err = run(capsys, "coeffs", fx("paths.spec"))

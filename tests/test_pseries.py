@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectre import oracle, pseries
-from spectre.epset import POS, normalize
+from spectre import dsl, oracle, pseries
+from spectre.epset import ENUMERATED_SETS, POS, index_members, normalize
 from spectre.pseries import (
     Add,
     CompositionAtNonzeroConstant,
@@ -39,6 +40,8 @@ from spectre.pseries import (
     spectrum_extract,
     zero_components,
 )
+
+from conftest import fixture_text
 
 F = Fraction
 
@@ -143,6 +146,89 @@ class TestFixedPoint:
     def test_non_elementary_rejected(self):
         with pytest.raises(NotElementary):
             fixed_point_solve(half_linear_system(), 5)
+
+    def test_constant_terms_from_empty_sequences(self):
+        # A = Seq[N](x) = 1/(1-x) has constant term 1, and B = x + A^2
+        # reads coefficient d of A at degree d
+        seq = Construct("Seq", normalize((), [(0, 1)]), X())
+        sys_ = PSSystem(("A", "B"), (seq, Add((X(), Pow(Var(0), 2)))))
+        a, b = fixed_point_solve(sys_, 8)
+        assert a.coeffs == tuple(frac_list(*[1] * 9))
+        assert b.coeffs == tuple(frac_list(1, 3, 3, 4, 5, 6, 7, 8, 9))
+        # Y = x + x*Seq[N](Y) = x + x/(1-Y): x plus x times the large
+        # Schroeder numbers
+        sys_ = PSSystem(
+            ("Y",),
+            (Add((X(), Mul((X(), Construct("Seq", seq.index, Var(0)))))),),
+        )
+        (y,) = fixed_point_solve(sys_, 8)
+        assert y.coeffs == tuple(frac_list(0, 2, 2, 6, 22, 90, 394, 1806, 8558))
+        # Y = 1/(1-x) + Y^2 has no power-series solution
+        sys_ = PSSystem(("Y",), (Add((seq, Pow(Var(0), 2))),))
+        with pytest.raises(NotElementary):
+            fixed_point_solve(sys_, 4)
+        # Y = 1/(1-x) + x*MSet(Y) applies MSet to a constant term 1
+        sys_ = PSSystem(
+            ("Y",), (Add((seq, Mul((X(), Construct("MSet", POS, Var(0)))))),)
+        )
+        with pytest.raises(CompositionAtNonzeroConstant):
+            fixed_point_solve(sys_, 4)
+
+    def test_catalan_high_degree(self):
+        n = 256
+        (sol,) = fixed_point_solve(dsl.parse(fixture_text("binary.spec")), n)
+        want = [0] * (n + 1)
+        for k in range((n - 1) // 2 + 1):
+            want[2 * k + 1] = comb(2 * k, k) // (k + 1)
+        assert list(sol.coeffs) == want
+        assert all(type(c) is Fraction for c in sol.coeffs)
+
+    def test_linear43_high_degree(self):
+        # T = x + x^2 + x^3*T, so T = (x + x^2) / (1 - x^3)
+        n = 300
+        (sol,) = fixed_point_solve(dsl.parse(fixture_text("linear43.spec")), n)
+        assert list(sol.coeffs) == [int(d % 3 != 0) for d in range(n + 1)]
+
+    def test_rational_constants(self):
+        # A = x/2 + (1/3) x B^2 ; B = x A + (2/5) x^2 A B
+        sys_ = PSSystem(
+            ("A", "B"),
+            (
+                Add(
+                    (
+                        Mul((Const(F(1, 2)), X())),
+                        Mul((Const(F(1, 3)), X(), Pow(Var(1), 2))),
+                    )
+                ),
+                Add(
+                    (
+                        Mul((X(), Var(0))),
+                        Mul((Const(F(2, 5)), Pow(X(), 2), Var(0), Var(1))),
+                    )
+                ),
+            ),
+        )
+        n = 20
+        a, b = fixed_point_solve(sys_, n)
+        x = [0, 1]
+        mul = lambda *fs: _fold_mul(fs, n)
+        want_a = oracle.naive_add(
+            mul([F(1, 2)], x), mul([F(1, 3)], x, b.coeffs, b.coeffs), n
+        )
+        want_b = oracle.naive_add(
+            mul(x, a.coeffs), mul([F(2, 5)], x, x, a.coeffs, b.coeffs), n
+        )
+        assert list(a.coeffs) == want_a and list(b.coeffs) == want_b
+        assert a.coeffs[1] == F(1, 2) and b.coeffs[2] == F(1, 2)
+        assert any(c.denominator > 1 for c in a.coeffs + b.coeffs)
+        assert all(type(c) is Fraction for c in a.coeffs + b.coeffs)
+
+
+def _fold_mul(factors, n):
+    out = [F(1)]
+    for f in factors:
+        out = oracle.naive_mul(out, f, n)
+    return out
 
 
 class TestOriginData:
@@ -330,6 +416,30 @@ class TestProperties:
         n = 10
         got = s_mul(a, b)
         assert list(got.coeffs) == oracle.naive_mul(a.coeffs, b.coeffs, n)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            normalize((), [(2, 2)]),
+            normalize([3], [(5, 3)]),
+            ENUMERATED_SETS["Primes"],
+        ],
+        ids=["2+2*N", "{3}|5+3*N", "Primes"],
+    )
+    def test_infinite_index_sets_vs_oracle(self, index):
+        rng = random.Random(17)
+        n = 14
+        sparse = s_from([0, 0, 1, 0, 2, 1], n)  # valuation 2
+        for a in [sparse] + [
+            s_from([0] + [rng.choice((0, 0, 1, 2)) for _ in range(n)], n)
+            for _ in range(8)
+        ]:
+            seq = evaluate(Construct("Seq", index, Var(0)), (a,), n)
+            sizes = set(index_members(index, n + 1))
+            assert list(seq.coeffs) == oracle.naive_seq(a.coeffs, n, sizes)
+            mset = evaluate(Construct("MSet", index, Var(0)), (a,), n)
+            sizes = set(index_members(index, n))
+            assert list(mset.coeffs) == oracle.naive_euler(a.coeffs, n, sizes)
 
     def test_seq_unrestricted_is_geometric(self):
         rng = random.Random(9)
