@@ -93,7 +93,7 @@ def _as_set_system(system, quiet: bool = False, use_hat: bool = True) -> SetSyst
         if not ok:
             try:
                 work = pseries.hat_transform(system)
-                if not quiet:
+                if work != system and not quiet:
                     print(_HAT_NOTE)
             except pseries.NotApplicable:
                 if not quiet:
@@ -186,9 +186,10 @@ def cmd_coeffs(args) -> int:
         raise ValueError("coeffs requires a series-mode file")
     ok, _ = pseries.is_elementary(system)
     if not ok:
-        system = pseries.hat_transform(system)
-        if args.format != "json":
+        hatted = pseries.hat_transform(system)
+        if hatted != system and args.format != "json":
             print(_HAT_NOTE)
+        system = hatted
     sol = pseries.fixed_point_solve(system, args.degree)
     if args.format == "json":
         doc = {

@@ -79,15 +79,24 @@ def _divisors(n: int) -> list[int]:
 
 def normalize(finite: Iterable[int], blocks: Iterable[Tuple[int, int]] = ()) -> EPSet:
     """Canonical EPSet denoting finite ∪ ⋃ (start_i + step_i·ℕ)."""
-    fin = set()
-    for n in finite:
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"negative element {n}")
-        fin.add(n)
+    fin = [int(n) for n in finite]
+    if fin and min(fin) < 0:
+        raise ValueError(f"negative element {min(fin)}")
+    blocks = [(int(s), int(p)) for s, p in blocks]
+    if not blocks:
+        fp = tuple(n for n, _ in itertools.groupby(sorted(fin)))
+        return EPSet(fp, fp[-1] + 1 if fp else 0)
+    mem = bytearray(max(fin) + 1 if fin else 0)
+    for n in fin:
+        mem[n] = 1
+    return _canonical(mem, blocks)
+
+
+def _canonical(mem: bytearray, blocks: Iterable[Tuple[int, int]]) -> EPSet:
+    """Canonical EPSet of the n with mem[n] == 1 together with at least one
+    progression start + step·ℕ; extends mem in place."""
     best: dict[Tuple[int, int], int] = {}
     for s, p in blocks:
-        s, p = int(s), int(p)
         if s < 0 or p <= 0:
             raise ValueError(f"bad progression ({s},{p})")
         key = (p, s % p)
@@ -95,23 +104,18 @@ def normalize(finite: Iterable[int], blocks: Iterable[Tuple[int, int]] = ()) -> 
             best[key] = s
     blist = [(s, p) for (p, _), s in best.items()]
 
-    if not blist:
-        fp = tuple(sorted(fin))
-        return EPSet(fp, fp[-1] + 1 if fp else 0)
-
     big = 1
     for _, p in blist:
         big = big * p // math.gcd(big, p)
-    start_m = max(max(s for s, _ in blist), max(fin) + 1 if fin else 0)
+    start_m = max(max(s for s, _ in blist), len(mem))
     size = start_m + big
-    mem = bytearray(size)
-    for n in fin:
-        mem[n] = 1
+    mem.extend(bytes(size - len(mem)))
     for s, p in blist:
-        for n in range(s, size, p):
-            mem[n] = 1
+        mem[s::p] = b"\x01" * len(range(s, size, p))
 
-    occupied = {n % big for n in range(start_m, start_m + big) if mem[n]}
+    occupied = {
+        (start_m + i) % big for i in itertools.compress(range(big), mem[start_m:])
+    }
     period = big
     for d in _divisors(big):
         if all(((r + d) % big) in occupied for r in occupied):
@@ -131,8 +135,30 @@ def normalize(finite: Iterable[int], blocks: Iterable[Tuple[int, int]] = ()) -> 
     thr = t0
     while (thr % period) not in res:
         thr += 1
-    fp = tuple(n for n in range(thr) if mem[n])
+    fp = tuple(itertools.compress(range(thr), mem))
     return EPSet(fp, thr, period, tuple(sorted(res)))
+
+
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _membership(m: int) -> bytes:
+    """Byte n is 1 iff bit n of m >= 0 is set; linear in the length of m."""
+    return format(m, "b").encode()[::-1].translate(_BIT_DIGITS)
+
+
+def _bits(m: int) -> list[int]:
+    """Positions of the set bits of m >= 0, ascending."""
+    digits = _membership(m)
+    return list(itertools.compress(range(len(digits)), digits))
+
+
+def _mask(elems: Iterable[int], size: int) -> int:
+    """The bitmask with bits elems set, all of them below size."""
+    digits = bytearray(b"0") * size
+    for n in elems:
+        digits[n] = 49  # "1"
+    return int(digits[::-1], 2)
 
 
 EMPTY = normalize(())
@@ -218,6 +244,8 @@ def shift(a: EPSet, t: int) -> EPSet:
 
 
 def union(a: EPSet, b: EPSet) -> EPSet:
+    if a.is_empty or b.is_empty:
+        return b if a.is_empty else a
     fa, ba = decompose(a)
     fb, bb = decompose(b)
     return normalize(fa + fb, ba + bb)
@@ -229,38 +257,47 @@ def _pair_step_closure(p1: int, p2: int) -> EPSet:
     return _natstar(normalize((p1, p2)))
 
 
+def _least_per_residue(fins: Tuple[int, ...], p: int) -> Iterable[int]:
+    """The least member of each residue class mod p of a sorted tuple."""
+    least: dict[int, int] = {}
+    for x in fins:
+        least.setdefault(x % p, x)
+    return least.values()
+
+
 def sumset(a: EPSet, b: EPSet) -> EPSet:
     """Elementwise sums {x+y}; empty if either side is empty."""
     if a.is_empty or b.is_empty:
         return EMPTY
+    if a == ZERO or b == ZERO:
+        return b if a == ZERO else a
     fa, ba = decompose(a)
     fb, bb = decompose(b)
     # pairwise sums of the finite parts via bitmask shifts
-    fins: set[int] = set()
+    acc = 0
     if fa and fb:
-        abits = 0
-        for x in fa:
-            abits |= 1 << x
-        acc = 0
+        abits = _mask(fa, fa[-1] + 1)
         for y in fb:
             acc |= abits << y
-        while acc:
-            low = acc & -acc
-            fins.add(low.bit_length() - 1)
-            acc ^= low
-    blocks = []
-    for x in fa:
-        blocks.extend((x + s, p) for s, p in bb)
-    for y in fb:
-        blocks.extend((s + y, p) for s, p in ba)
+    if not ba and not bb:
+        fp = tuple(_bits(acc))
+        return EPSet(fp, fp[-1] + 1)
+    mem = bytearray(_membership(acc))
+    # a finite member x adds x + s + p*N, which the least member of its
+    # residue class mod p already contains
+    blocks = [(x + s, p) for s, p in bb for x in _least_per_residue(fa, p)]
+    blocks += [(y + s, p) for s, p in ba for y in _least_per_residue(fb, p)]
     for s1, p1 in ba:
         for s2, p2 in bb:
             clo = _pair_step_closure(p1, p2)
             cf, cb = decompose(clo)
             off = s1 + s2
-            fins.update(c + off for c in cf)
+            if cf:
+                mem.extend(bytes(max(0, cf[-1] + off + 1 - len(mem))))
+                for c in cf:
+                    mem[c + off] = 1
             blocks.extend((s + off, p) for s, p in cb)
-    return normalize(fins, blocks)
+    return _canonical(mem, blocks)
 
 
 def scalar_mul(n: int, b: EPSet) -> EPSet:
@@ -359,8 +396,9 @@ def _natstar(b: EPSet) -> EPSet:
         zeros = ~reach & mask
         cond = zeros.bit_length()  # one past the largest non-member
         if limit + 1 - cond >= n1:
-            elems = [n * g for n in range(cond) if (reach >> n) & 1]
-            return normalize(elems, [(cond * g, g)])
+            mem = bytearray(cond * g)
+            mem[::g] = _membership(reach)[:cond]
+            return _canonical(mem, [(cond * g, g)])
         limit *= 2
 
 

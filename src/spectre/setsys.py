@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from . import epset
@@ -15,18 +15,16 @@ from .epset import (
     EnumeratedSet,
     IndexSet,
     PeriodicityParams,
+    decompose,
     enumerate_range,
     format_epset,
-    gcd_of,
     has_positive,
-    index_members,
     is_subset,
     member,
     normalize,
     nstar,
     params,
     scalar_mul,
-    shift,
     singleton,
     star,
     sumset,
@@ -103,6 +101,10 @@ class GammaTerm:
 
     def uses(self, j: int) -> bool:
         return _index_has_positive(self.exponents[j])
+
+    def factors(self) -> list[Tuple[int, IndexSet]]:
+        """(j, exponents[j]) for every variable j not absent."""
+        return [(j, e) for j, e in enumerate(self.exponents) if not _is_zero_only(e)]
 
     def min_weight(self) -> int:
         return sum(_index_min(e) for e in self.exponents)
@@ -312,17 +314,18 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], cap: int = 64) -> list[EPSe
     """One application of Gamma to a vector of EPSets."""
     out = []
     for eq in sys.equations:
-        acc = EMPTY
+        fins: list[int] = []
+        blocks: list[Tuple[int, int]] = []
         for t in eq:
             v = t.base
-            for j, e in enumerate(t.exponents):
-                if _is_zero_only(e):
-                    continue
+            for j, e in t.factors():
                 v = sumset(v, star_index(e, vec[j], cap=cap))
                 if v.is_empty:
                     break
-            acc = union(acc, v)
-        out.append(acc)
+            f, b = decompose(v)
+            fins += f
+            blocks += b
+        out.append(normalize(fins, blocks))
     return out
 
 
@@ -425,30 +428,17 @@ def q_vector(sys: SetSystem, cap: int = 64, window: int = 8) -> list[int]:
 
 
 def _mask_of(a: EPSet, h: int) -> int:
-    m = 0
-    for n in enumerate_range(a, 0, h):
-        m |= 1 << n
-    return m
-
-
-def _mask_to_set(m: int) -> set[int]:
-    out = set()
-    while m:
-        low = m & -m
-        out.add(low.bit_length() - 1)
-        m ^= low
-    return out
+    return epset._mask(enumerate_range(a, 0, h), h + 1)
 
 
 def _mask_sum(a: int, b: int, full: int) -> int:
-    if a == 0 or b == 0:
-        return 0
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    if a & (a - 1) == 0:  # empty or a single member
+        return (b << a.bit_length() - 1) & full if a else 0
     out = 0
-    x = a
-    while x:
-        low = x & -x
-        out |= b << (low.bit_length() - 1)
-        x ^= low
+    for n in epset._bits(a):
+        out |= b << n
     return out & full
 
 
@@ -466,53 +456,53 @@ def _mask_nstar(n: int, b: int, full: int) -> int:
     return result
 
 
+def _mask_natstar(b: int, full: int) -> int:
+    """All finite sums of members of b, by doubling the number of summands."""
+    acc = b | 1
+    while True:
+        nxt = _mask_sum(acc, acc, full)
+        if nxt == acc:
+            return acc
+        acc = nxt
+
+
 def _mask_star(e: IndexSet, y: int, h: int, full: int) -> int:
+    """e * y: finite and enumerated members of e by an incremental walk,
+    each block s + p*N in closed form as s-fold(y) + N*(p-fold(y))."""
     if y == 0:
         return 1 if _index_contains_zero(e) else 0
-    if y == 1:  # y = {0}
-        return 1
-    if y & 1:
-        # argument contains 0: fold it into a downward-closed index set
-        y0 = y & ~1
-        if isinstance(e, EnumeratedSet) or e.period is not None:
-            idx = list(range(h + 1))
-        else:
-            idx = list(range(e.finite_part[-1] + 1))
-        return _mask_star_sorted(idx, y0, h, full)
-    return _mask_star_sorted(index_members(e, h), y, h, full)
-
-
-def _mask_star_sorted(elems: list[int], y: int, h: int, full: int) -> int:
-    out = 0
-    cur = 1
-    prev = 0
-    for e in elems:
-        if e == 0:
-            out |= 1
-            continue
-        cur = _mask_sum(cur, _mask_nstar(e - prev, y, full), full)
-        prev = e
+    if isinstance(e, EnumeratedSet):
+        # members past h add nothing, as 0 is in no solution of a basic system
+        fins, blocks = e.members_upto(h), []
+    else:
+        fins, blocks = decompose(e)
+    out, cur, prev = 0, 1, 0
+    for x in fins:
+        cur = _mask_sum(cur, _mask_nstar(x - prev, y, full), full)
+        prev = x
         if cur == 0:
             break
         out |= cur
+    for s, p in blocks:
+        tail = _mask_natstar(_mask_nstar(p, y, full), full)
+        out |= _mask_sum(_mask_nstar(s, y, full), tail, full)
     return out
 
 
 def _kleene(sys: SetSystem, h: int, seed: Optional[Sequence[int]] = None) -> list[int]:
     full = (1 << (h + 1)) - 1
     vec = list(seed) if seed is not None else [0] * sys.k
-    base_masks = [[_mask_of(t.base, h) for t in eq] for eq in sys.equations]
+    terms = [[(_mask_of(t.base, h), t.factors()) for t in eq] for eq in sys.equations]
     rounds = 0
     limit = h * sys.k + sys.k + 2
     while True:
         new = []
-        for i, eq in enumerate(sys.equations):
+        for eq in terms:
             acc = 0
-            for ti, t in enumerate(eq):
-                v = base_masks[i][ti]
-                for j, e in enumerate(t.exponents):
-                    if _is_zero_only(e):
-                        continue
+            for v, factors in eq:
+                if any(vec[j] == 0 and not _index_contains_zero(e) for j, e in factors):
+                    continue  # a factor is still empty
+                for j, e in factors:
                     v = _mask_sum(v, _mask_star(e, vec[j], h, full), full)
                     if v == 0:
                         break
@@ -527,7 +517,7 @@ def _kleene(sys: SetSystem, h: int, seed: Optional[Sequence[int]] = None) -> lis
 
 
 # ---------------------------------------------------------------------------
-# closed forms and certificates
+# exact least solutions by Newton iteration, one strong component at a time
 
 CERT_LINEAR = "CertifiedLinear"
 CERT_DOUBLING = "CertifiedDoubling"
@@ -559,46 +549,24 @@ def linear_closed_form(g0: EPSet, g1: EPSet) -> EPSet:
     return sumset(g0, epset._natstar(g1))
 
 
-def _term_linear_parts(t: GammaTerm, k: int):
-    """For a linear term return (constant_part, {var: coefficient}), else None.
-
-    Linear means: at most one variable used, with exponent set inside {0,1}.
-    """
+def _is_linear(t: GammaTerm, k: int) -> bool:
+    """At most one variable used, with an exponent set inside {0,1}."""
     used = [j for j in range(k) if t.uses(j)]
     if not used:
-        return t.base, {}
-    if len(used) > 1:
-        return None
-    j = used[0]
-    e = t.exponents[j]
-    if isinstance(e, EnumeratedSet):
-        return None
-    zero_one = normalize((0, 1))
-    if not is_subset(e, zero_one):
-        return None
-    const = t.base if member(e, 0) else EMPTY
-    return const, {j: t.base}
+        return True
+    e = t.exponents[used[0]]
+    return len(used) == 1 and isinstance(e, EPSet) and is_subset(e, normalize((0, 1)))
 
 
-def _solve_linear_subsystem(sys: SetSystem, vars_subset: set[int]) -> dict[int, EPSet]:
-    """Gauss-Jordan elimination over the (union, sum, closure) algebra."""
-    idx = sorted(vars_subset)
-    pos = {v: n for n, v in enumerate(idx)}
-    n = len(idx)
-    c = [[EMPTY] * n for _ in range(n)]
-    d = [EMPTY] * n
-    for row, v in enumerate(idx):
-        for t in sys.equations[v]:
-            parts = _term_linear_parts(t, sys.k)
-            assert parts is not None
-            const, coeffs = parts
-            if not const.is_empty:
-                d[row] = union(d[row], const)
-            for j, coef in coeffs.items():
-                c[row][pos[j]] = union(c[row][pos[j]], coef)
+def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
+    """Least solution of X_i = d_i | U_j (c_ij + X_j) by Gauss-Jordan
+    elimination over the (union, sum, closure) algebra; consumes c and d."""
+    n = len(d)
     for i in range(n):
         if not c[i][i].is_empty:
-            clo = epset._natstar(c[i][i])
+            # uncached: each Newton step brings new entries, and their
+            # closures can have large finite parts
+            clo = epset._natstar.__wrapped__(c[i][i])
             d[i] = sumset(clo, d[i])
             for j in range(n):
                 if j != i and not c[i][j].is_empty:
@@ -614,7 +582,80 @@ def _solve_linear_subsystem(sys: SetSystem, vars_subset: set[int]) -> dict[int, 
             for j in range(n):
                 if not c[i][j].is_empty:
                     c[l][j] = union(c[l][j], sumset(coef, c[i][j]))
-    return {v: d[pos[v]] for v in idx}
+    return d
+
+
+def _derivative(e: EPSet) -> EPSet:
+    """{x - 1 : x in e, x >= 1}, the index set of d(e*Y)/dY."""
+    fins, blocks = decompose(e)
+    return normalize(
+        [x - 1 for x in fins if x], [(s - 1 if s else p - 1, p) for s, p in blocks]
+    )
+
+
+def _jacobian(sys: SetSystem, nu: Sequence[EPSet]) -> list[list[EPSet]]:
+    """Entry (i, j) is the union, over the families of equation i that use
+    Y_j, of the base, the other factors at nu and (E_j - 1)*nu_j."""
+    k = sys.k
+    c = [[EMPTY] * k for _ in range(k)]
+    for i, eq in enumerate(sys.equations):
+        for t in eq:
+            factors = {j: star(e, nu[j]) for j, e in t.factors()}
+            for j, e in t.factors():
+                v = sumset(t.base, star(_derivative(e), nu[j]))
+                for l, f in factors.items():
+                    if l != j:
+                        v = sumset(v, f)
+                c[i][j] = union(c[i][j], v)
+    return c
+
+
+def _newton(sys: SetSystem) -> list[EPSet]:
+    """Least solution of a system without enumerated index sets.
+
+    Each step replaces nu by the least solution of X = Gamma(nu) | J(nu) X,
+    starting from Gamma(0). Over a commutative idempotent semiring, here
+    (union, sum, closure), k equations reach their least fixed point in at
+    most k steps (Hopkins & Kozen, LICS 1999; Esparza, Kiefer & Luttenberger,
+    J. ACM 2010), and nu = Gamma(nu) proves it.
+    """
+    nu = gamma_eval(sys, [EMPTY] * sys.k)
+    for _ in range(sys.k + 1):
+        image = gamma_eval(sys, nu)
+        if image == nu:
+            return nu
+        nu = _solve_linear(_jacobian(sys, nu), image)
+    raise AssertionError(f"Newton iteration did not settle in {sys.k} steps")
+
+
+def _component_system(
+    sys: SetSystem, comp: Sequence[int], values: Sequence[EPSet]
+) -> SetSystem:
+    """The equations of comp alone, with the values of the variables
+    outside it folded into the family bases."""
+    pos = {v: n for n, v in enumerate(comp)}
+    eqs = []
+    for i in comp:
+        terms = []
+        for t in sys.equations[i]:
+            base = t.base
+            exps = [ZERO] * len(comp)
+            for j, e in t.factors():
+                if j in pos:
+                    exps[pos[j]] = e
+                else:
+                    base = sumset(base, star(e, values[j]))
+            if not base.is_empty:
+                terms.append(GammaTerm(base, tuple(exps)))
+        eqs.append(tuple(terms))
+    return SetSystem(tuple(sys.variables[i] for i in comp), tuple(eqs))
+
+
+def _components(dg: Digraph) -> list[Tuple[int, ...]]:
+    """Strong components, with each variable outside every cycle on its
+    own, every component after all the components it reaches."""
+    comps = {tuple(sorted(dg.component(i) or {i})) for i in range(dg.n)}
+    return sorted(comps, key=lambda c: (sum(dg.reaches(c[0], j) for j in range(dg.n)), c))
 
 
 def _infer_epset_from_mask(mask: int, h: int) -> EPSet:
@@ -623,34 +664,25 @@ def _infer_epset_from_mask(mask: int, h: int) -> EPSet:
     The tail on the upper half of the window must be periodic with some
     period at most h/4; otherwise the horizon is declared too small.
     """
-    bits = [(mask >> n) & 1 for n in range(h + 1)]
-    if not any(bits):
-        return EMPTY
-    top = max(n for n in range(h + 1) if bits[n])
-    if top < h // 2:
-        return normalize([n for n in range(h + 1) if bits[n]])
-    period = None
-    for p in range(1, h // 4 + 1):
-        if all(bits[n] == bits[n + p] for n in range(h // 2, h + 1 - p)):
-            period = p
-            break
+    members = epset._bits(mask)
+    if not members or members[-1] < h // 2:
+        return normalize(members)
+    bits = format(mask, "b")[::-1].ljust(h + 1, "0")
+    half = h // 2
+    period = next(
+        (p for p in range(1, h // 4 + 1) if bits[half : h + 1 - p] == bits[half + p :]),
+        None,
+    )
     if period is None:
         raise HorizonTooSmall(
             f"no tail period up to {h // 4} fits the horizon-{h} truncation"
         )
-    t = h // 2
+    t = half
     while t > 0 and bits[t - 1] == bits[t - 1 + period]:
         t -= 1
-    fins = [n for n in range(t) if bits[n]]
-    blocks = []
-    for r in range(period):
-        first = next((n for n in range(t, t + period) if n % period == r % period and bits[n]), None)
-        if first is not None:
-            blocks.append((first, period))
-    cand = normalize(fins, blocks)
-    if _mask_of(cand, h) != mask:
-        raise AssertionError("closed-form inference disagrees with truncation")
-    return cand
+    fins = [n for n in members if n < t]
+    blocks = [(n, period) for n in range(t, t + period) if bits[n] == "1"]
+    return normalize(fins, blocks)
 
 
 def _doubling_condition(sys: SetSystem, dg: Digraph, i: int) -> bool:
@@ -675,7 +707,15 @@ def solve(
     cap: int = 64,
     window: int = 8,
 ) -> SpectrumSolution:
-    """Least solution of Y = Gamma(Y), truncated and in closed form."""
+    """Least solution of Y = Gamma(Y), in closed form and truncated.
+
+    Strong components are solved exactly by Newton iteration, below first;
+    those reaching an enumerated index set are read off the truncation
+    (Heuristic). Certificates follow the structure: CertifiedLinear if every
+    equation reached is linear, CertifiedDoubling if the component in the
+    reduced system meets the doubling condition, else
+    CertifiedFiniteConvergence. The truncated Kleene solution checks all.
+    """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     cls = classify(sys)
@@ -684,78 +724,51 @@ def solve(
     masks = _kleene(sys, horizon)
     dg = dependency(sys)
     k = sys.k
-    notes: list[str] = []
-
-    linear_eq = [
-        all(_term_linear_parts(t, k) is not None for t in eq) for eq in sys.equations
+    reached = [[j for j in range(k) if dg.reaches(i, j)] for i in range(k)]
+    heuristic = [
+        any(isinstance(e, EnumeratedSet) for j in r for t in sys.equations[j] for e in t.exponents)
+        for r in reached
     ]
-    linear_vars = {
-        i
-        for i in range(k)
-        if all(linear_eq[j] for j in range(k) if dg.reaches(i, j))
-    }
-    linear_closed: dict[int, EPSet] = {}
-    if linear_vars:
-        closure_set = {
-            j for i in linear_vars for j in range(k) if dg.reaches(i, j)
-        }
-        linear_closed = _solve_linear_subsystem(sys, closure_set)
+    linear = [all(_is_linear(t, k) for j in r for t in sys.equations[j]) for r in reached]
+    live = [i for i in range(k) if i not in cls.empties]
+    doubling = set()
+    if live:
+        red = reduce(sys)
+        rdg = dependency(red)
+        doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
 
-    fixpoint_tried = False
-    fixpoint_vec: Optional[list[EPSet]] = None
-
-    def try_symbolic_fixpoint() -> Optional[list[EPSet]]:
-        # Kleene iteration on EPSets; abandoned as soon as iterates grow
-        # past a size budget (non-converging iterates explode quickly).
-        if sys.has_enumerated():
-            return None
-        vec = [EMPTY] * k
-        for _ in range(2 * k + 8):
-            nxt = gamma_eval(sys, vec, cap=cap)
-            if nxt == vec:
-                return vec
-            if any(
-                len(a.finite_part) > 64 or a.threshold > 4 * horizon for a in nxt
-            ):
-                return None
-            vec = nxt
-        return None
+    closed = [EMPTY] * k
+    for comp in _components(dg):
+        if heuristic[comp[0]]:
+            for i in comp:
+                closed[i] = _infer_epset_from_mask(masks[i], horizon)
+        else:
+            for i, v in zip(comp, _newton(_component_system(sys, comp, closed))):
+                closed[i] = v
 
     out = []
     for i in range(k):
-        closed: Optional[EPSet] = None
-        cert = CERT_HEURISTIC
-        if i in linear_vars:
-            closed = linear_closed[i]
-            cert = CERT_LINEAR
-        if closed is None and _doubling_condition(sys, dg, i):
-            cand = _infer_epset_from_mask(masks[i], horizon)
-            if has_positive(cand):
-                rhs_base = nstar(2, cand)
-                for r in range(0, horizon // 4 + 1):
-                    if is_subset(shift(rhs_base, r), cand):
-                        epset.certify_doubling(cand, r, 2)
-                        closed = cand
-                        cert = CERT_DOUBLING
-                        break
-        if closed is None:
-            if not fixpoint_tried:
-                fixpoint_tried = True
-                fixpoint_vec = try_symbolic_fixpoint()
-            if fixpoint_vec is not None:
-                closed = fixpoint_vec[i]
-                cert = CERT_FINITE
-        if closed is None:
-            closed = _infer_epset_from_mask(masks[i], horizon)
+        pp = params(closed[i])
+        if heuristic[i]:
             cert = CERT_HEURISTIC
-        if _mask_of(closed, horizon) != masks[i]:
+        elif linear[i]:
+            cert = CERT_LINEAR
+        elif i in doubling:
+            if pp.p != pp.q:
+                raise AssertionError(
+                    f"{sys.variables[i]} meets the doubling condition but p != q"
+                )
+            cert = CERT_DOUBLING
+        else:
+            cert = CERT_FINITE
+        if _mask_of(closed[i], horizon) != masks[i]:
             raise AssertionError(
                 f"closed form for {sys.variables[i]} disagrees with truncation"
             )
-        trunc = tuple(bool((masks[i] >> n) & 1) for n in range(horizon + 1))
-        out.append(
-            VariableSolution(sys.variables[i], closed, trunc, cert, params(closed))
-        )
+        bits = format(masks[i], "b")[::-1].ljust(horizon + 1, "0")
+        trunc = tuple(b == "1" for b in bits)
+        out.append(VariableSolution(sys.variables[i], closed[i], trunc, cert, pp))
+    notes = []
     if sys.has_enumerated():
         notes.append("enumeration-based index sets present; results uncertified")
     return SpectrumSolution(horizon, tuple(out), cls, tuple(notes))
@@ -764,27 +777,8 @@ def solve(
 def solve_seeded(sys: SetSystem, horizon: int, seed_sets: Sequence[EPSet]) -> list[set[int]]:
     """Iterate from an arbitrary positive-set seed vector; returns the
     stabilized truncations (for uniqueness experiments)."""
-    full = (1 << (horizon + 1)) - 1
-    seed = [_mask_of(s, horizon) & full & ~1 for s in seed_sets]
-    vec = seed
-    for _ in range(horizon + sys.k + 2):
-        new = []
-        for i, eq in enumerate(sys.equations):
-            acc = 0
-            for t in eq:
-                v = _mask_of(t.base, horizon)
-                for j, e in enumerate(t.exponents):
-                    if _is_zero_only(e):
-                        continue
-                    v = _mask_sum(v, _mask_star(e, vec[j], horizon, full), full)
-                    if v == 0:
-                        break
-                acc |= v
-            new.append(acc)
-        if new == vec:
-            break
-        vec = new
-    return [_mask_to_set(m) for m in vec]
+    seed = [_mask_of(s, horizon) & ~1 for s in seed_sets]
+    return [set(epset._bits(m)) for m in _kleene(sys, horizon, seed=seed)]
 
 
 def nonuniqueness_probe(

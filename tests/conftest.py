@@ -1,8 +1,10 @@
 import random
 from pathlib import Path
 
-from spectre import epset, oracle
+from spectre import epset
 from spectre.epset import EPSet, normalize
+
+import oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from spectre import compile as compile_mod
-from spectre import dsl, epset, oracle, pseries, setsys
+from spectre import dsl, epset, pseries, setsys
 from spectre.epset import (
     EMPTY,
     NAT,
@@ -32,6 +32,7 @@ from spectre.epset import (
 from spectre.pseries import neumann_check
 from spectre.setsys import GammaTerm, SetSystem, term
 
+import oracle
 from conftest import (
     fixture_text,
     members,

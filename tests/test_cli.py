@@ -226,3 +226,14 @@ class TestColor:
         monkeypatch.setenv("SPECTRE_COLOR", "0")
         _, out, _ = run(capsys, "check", fx("binary.spec"))
         assert "\x1b" not in out
+
+
+class TestHatNote:
+    @pytest.mark.parametrize("command", ["solve", "coeffs"])
+    def test_no_note_when_nothing_was_rewritten(self, capsys, tmp_path, command):
+        # only the constant term is at fault, so the rewrite changes nothing
+        spec = tmp_path / "constant.spec"
+        spec.write_text("vars Y;\nmode series;\nY = 1 + x*Y;\n")
+        code, out, _ = run(capsys, command, str(spec))
+        assert code == 3
+        assert "note:" not in out

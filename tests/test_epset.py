@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectre import epset, oracle
+from spectre import epset
 from spectre.epset import (
     EMPTY,
     NAT,
@@ -29,6 +29,7 @@ from spectre.epset import (
     union,
 )
 
+import oracle
 from conftest import members, vec
 
 ODDS = normalize((), [(1, 2)])

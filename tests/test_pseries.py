@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectre import dsl, oracle, pseries
+from spectre import dsl, pseries
 from spectre.epset import ENUMERATED_SETS, POS, index_members, normalize
 from spectre.pseries import (
     Add,
@@ -41,6 +41,7 @@ from spectre.pseries import (
     zero_components,
 )
 
+import oracle
 from conftest import fixture_text
 
 F = Fraction

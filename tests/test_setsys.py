@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectre import epset, oracle, setsys
+from spectre import dsl, epset, setsys
 from spectre.epset import (
     EMPTY,
     NAT,
     ZERO,
     ENUMERATED_SETS,
+    format_epset,
     member,
     normalize,
     params,
@@ -20,6 +21,7 @@ from spectre.epset import (
 )
 from spectre.setsys import (
     CERT_DOUBLING,
+    CERT_HEURISTIC,
     CERT_LINEAR,
     GammaTerm,
     SetSystem,
@@ -39,6 +41,7 @@ from spectre.setsys import (
     term,
 )
 
+import oracle
 from conftest import members, random_nonempty_epset
 
 ODDS = normalize((), [(1, 2)])
@@ -324,7 +327,11 @@ class TestNonuniqueness:
 # randomized cross-checks (small; the larger sweeps are in test_acceptance)
 
 
-def random_elementary_system(rng: random.Random, k: int) -> SetSystem:
+def random_elementary_system(
+    rng: random.Random, k: int, periodic: bool = False
+) -> SetSystem:
+    """Exponent sets are finite subsets of {0..5}, or with periodic=True
+    also eventually periodic sets, with or without 0."""
     names = tuple(f"Y{i}" for i in range(k))
     eqs = []
     for _ in range(k):
@@ -337,6 +344,12 @@ def random_elementary_system(rng: random.Random, k: int) -> SetSystem:
             for _ in range(k):
                 if rng.random() < 0.55:
                     exps.append(ZERO)
+                elif periodic and rng.random() < 0.5:
+                    exps.append(
+                        random_nonempty_epset(
+                            rng, max_elem=5, max_period=3, infinite_prob=0.7
+                        )
+                    )
                 else:
                     elems = sorted(
                         rng.sample(range(6), rng.randint(1, 3))
@@ -386,3 +399,63 @@ class TestRandomSystems:
             ]
             seeded = solve_seeded(sys_, h, seeds)
             assert [set(s) for s in seeded] == base
+
+
+# ---------------------------------------------------------------------------
+# exact solving: closed forms that a finite truncation cannot show
+
+
+def sets_system(*equations: str) -> SetSystem:
+    names = [eq.split("=")[0].strip() for eq in equations]
+    return dsl.parse(f"vars {', '.join(names)};\nmode sets;\n" + "\n".join(equations))
+
+
+class TestExactSolve:
+    def test_member_past_the_horizon(self):
+        # at the default horizon 512 every truncation looks like 1+2*N
+        sol = solve(sets_system("Y = {1} | {1} + {2}*Y | {10000};"))
+        v = sol.variables[0]
+        odds = ",".join(str(n) for n in range(1, 9998, 2))
+        assert format_epset(v.closed_form) == "{" + odds + "} | 9999+1*N"
+        assert v.certificate == CERT_DOUBLING
+        assert (v.params.m, v.params.q, v.params.p, v.params.c) == (1, 1, 1, 9999)
+
+    @pytest.mark.parametrize(
+        "equations, h, last_gaps",
+        [
+            (("Y0 = {7} | {6} + (3+3*N)*Y0;",), 450, [406]),
+            (
+                (
+                    "Y0 = ({2,3} | 8+4*N) + {0,1,4}*Y0;",
+                    "Y1 = {8} + {0}*Y1 | {1,2} + {4}*Y1;",
+                ),
+                700,
+                [1, 607],
+            ),
+        ],
+    )
+    def test_tail_starts_past_half_the_horizon(self, equations, h, last_gaps):
+        sys_ = sets_system(*equations)
+        sol = solve(sys_, horizon=512)
+        brute = oracle.brute_fixpoint(sys_, h)
+        for v, b, gap in zip(sol.variables, brute, last_gaps):
+            assert members(v.closed_form, h) == oracle.vec_members(b)
+            assert v.params.c == gap + 1
+
+    def test_periodic_index_sets_vs_oracle(self):
+        # closed forms solved at horizon 24 hold far past it
+        rng = random.Random(2718)
+        h = 96
+        for _ in range(30):
+            sys_ = random_elementary_system(rng, rng.randint(1, 3), periodic=True)
+            sol = solve(sys_, horizon=24)
+            brute = oracle.brute_fixpoint(sys_, h)
+            for v, b in zip(sol.variables, brute):
+                assert members(v.closed_form, h) == oracle.vec_members(b), sys_
+                if v.certificate == CERT_DOUBLING:
+                    assert v.params.p == v.params.q
+
+    def test_enumerated_components_are_heuristic(self):
+        sol = solve(structured_pair_system(), horizon=128)
+        assert [v.certificate for v in sol.variables] == [CERT_HEURISTIC] * 2
+        assert sol.notes
