@@ -6,11 +6,16 @@ solved closed forms, and the mode-specific reports (parameter table and
 dependency digraph for set systems, counting-series coefficients for
 series systems).  Useful as a smoke test and as a worked tour of the
 tool's output formats.
+
+Exits 1 if any command reports an internal error (exit code 4).  Semantic
+errors (exit code 3) are reported but do not fail the run: some fixtures
+are known to be out of scope for some commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import pathlib
 import sys
 
@@ -19,7 +24,8 @@ from spectre import PSSystem, cli, dsl
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_one(path: pathlib.Path, degree: int) -> None:
+def run_one(path: pathlib.Path, degree: int) -> list[int]:
+    """Run every applicable command on one fixture; returns the exit codes."""
     system = dsl.parse(path.read_text())
     mode = "series" if isinstance(system, PSSystem) else "sets"
     banner = f"{path.name} ({mode} mode, {len(system.variables)} variables)"
@@ -34,12 +40,15 @@ def run_one(path: pathlib.Path, degree: int) -> None:
             ["compile", str(path)],
             ["coeffs", str(path), "--degree", str(degree)],
         ]
+    codes = []
     for argv in commands:
         print(f"$ spectre {' '.join(argv)}")
         code = cli.main(argv)
         if code:
             print(f"(exit code {code})")
         print()
+        codes.append(code)
+    return codes
 
 
 def main(argv=None) -> int:
@@ -61,9 +70,12 @@ def main(argv=None) -> int:
     if not paths:
         print(f"no .spec files found in {args.fixtures}", file=sys.stderr)
         return 1
+    codes = collections.Counter()
     for path in paths:
-        run_one(path, args.degree)
-    return 0
+        codes.update(run_one(path, args.degree))
+    summary = ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items()))
+    print(f"{sum(codes.values())} commands: {summary}")
+    return 1 if codes[cli.EXIT_INTERNAL] else 0
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 syntax error in the input file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -120,8 +121,10 @@ def cmd_check(args) -> int:
             print(_bad("elementary: no"))
             for d in diags:
                 print(f"  {d}")
-            system = pseries.hat_transform(system)
-            print("(zero-component check uses the origin-shifted system)")
+            hatted = pseries.hat_transform(system)
+            if hatted != system:
+                print("(zero-component check uses the origin-shifted system)")
+            system = hatted
         zeros = pseries.zero_components(system)
         if zeros:
             names = ", ".join(system.variables[i] for i in sorted(zeros))
@@ -144,12 +147,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     system = _as_set_system(_load(args.file), quiet=args.format == "json")
-    sol = setsys.solve(
-        system,
-        horizon=args.horizon,
-        cap=args.enumeration_cap,
-        window=args.stabilization_window,
-    )
+    sol = setsys.solve(system, horizon=args.horizon)
     if args.format == "json":
         doc = setsys.solution_json(sol)
         doc["horizon"] = sol.horizon
@@ -164,12 +162,7 @@ def cmd_solve(args) -> int:
 
 def cmd_params(args) -> int:
     system = _as_set_system(_load(args.file))
-    sol = setsys.solve(
-        system,
-        horizon=args.horizon,
-        cap=args.enumeration_cap,
-        window=args.stabilization_window,
-    )
+    sol = setsys.solve(system, horizon=args.horizon)
     print(f"{'var':<8} {'min':>6} {'gcd':>6} {'period':>6} {'onset':>6}")
     for v in sol.variables:
         m = "inf" if v.params.m == math.inf else str(v.params.m)
@@ -259,8 +252,9 @@ def cmd_frobenius(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--horizon", type=int, default=512)
-    p.add_argument("--enumeration-cap", type=int, default=64)
-    p.add_argument("--stabilization-window", type=int, default=8)
+    # accepted so that existing command lines keep working
+    p.add_argument("--enumeration-cap", type=int, default=64, help="no effect")
+    p.add_argument("--stabilization-window", type=int, default=8, help="no effect")
 
 
 def build_parser() -> _Parser:
@@ -304,9 +298,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use: parse_args leaves it unchanged, so
+    every call of main in a process can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

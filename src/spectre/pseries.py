@@ -529,63 +529,50 @@ def evaluate(expr: SysExpr, env: Sequence[Series], n: int) -> Series:
 # origin data: constant terms and Jacobian
 
 
-def _const_at_origin(expr: SysExpr) -> Fraction:
+def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
+    """Constant term of expr and the nonzero entries j: d expr / d y_j,
+    both at x=0, y=0, in one walk."""
     if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, (X, Var)):
-        return Fraction(0)
-    if isinstance(expr, Add):
-        return sum((_const_at_origin(t) for t in expr.terms), Fraction(0))
-    if isinstance(expr, Mul):
-        out = Fraction(1)
-        for f in expr.factors:
-            out *= _const_at_origin(f)
-        return out
-    if isinstance(expr, Pow):
-        return _const_at_origin(expr.base) ** expr.exp
-    if isinstance(expr, Construct):
-        if _const_at_origin(expr.arg) != 0:
-            raise CompositionAtNonzeroConstant(
-                f"{expr.kind} argument has a non-zero constant term"
-            )
-        return Fraction(0)
-    raise TypeError(repr(expr))
-
-
-def _dy_at_origin(expr: SysExpr, j: int) -> Fraction:
-    """d expr / d y_j evaluated at x=0, y=0."""
-    if isinstance(expr, (Const, X)):
-        return Fraction(0)
+        return expr.value, {}
+    if isinstance(expr, X):
+        return Fraction(0), {}
     if isinstance(expr, Var):
-        return Fraction(1) if expr.index == j else Fraction(0)
+        return Fraction(0), {expr.index: Fraction(1)}
     if isinstance(expr, Add):
-        return sum((_dy_at_origin(t, j) for t in expr.terms), Fraction(0))
+        const, row = Fraction(0), {}
+        for t in expr.terms:
+            c, r = _origin(t)
+            const += c
+            for j, v in r.items():
+                row[j] = row.get(j, 0) + v
+        return const, row
     if isinstance(expr, Mul):
-        out = Fraction(0)
-        for i, f in enumerate(expr.factors):
-            part = _dy_at_origin(f, j)
-            if part:
-                for l, g in enumerate(expr.factors):
-                    if l != i:
-                        part *= _const_at_origin(g)
-            out += part
-        return out
+        # product rule, one factor at a time: (P f)' = P' f(0) + P(0) f'
+        const, row = Fraction(1), {}
+        for f in expr.factors:
+            c, r = _origin(f)
+            row = {j: v * c for j, v in row.items()} if c else {}
+            if const:
+                for j, v in r.items():
+                    row[j] = row.get(j, 0) + const * v
+            const *= c
+        return const, row
     if isinstance(expr, Pow):
+        c, r = _origin(expr.base)
         if expr.exp == 0:
-            return Fraction(0)
-        b0 = _const_at_origin(expr.base)
-        return expr.exp * b0 ** (expr.exp - 1) * _dy_at_origin(expr.base, j)
+            return Fraction(1), {}
+        scale = expr.exp * c ** (expr.exp - 1)
+        return c ** expr.exp, ({j: scale * v for j, v in r.items()} if scale else {})
     if isinstance(expr, Construct):
-        if _const_at_origin(expr.arg) != 0:
+        c, r = _origin(expr.arg)
+        if c != 0:
             raise CompositionAtNonzeroConstant(
                 f"{expr.kind} argument has a non-zero constant term"
             )
         weight_one = (
             isinstance(expr.index, EPSet) and member(expr.index, 1)
         )
-        if not weight_one:
-            return Fraction(0)
-        return _dy_at_origin(expr.arg, j)
+        return Fraction(0), (r if weight_one else {})
     raise TypeError(repr(expr))
 
 
@@ -593,27 +580,24 @@ RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
 def jacobian_at_origin(sys: PSSystem) -> RatMatrix:
-    return tuple(
-        tuple(_dy_at_origin(rhs, j) for j in range(sys.k))
-        for rhs in sys.right_sides
-    )
+    rows = [_origin(rhs)[1] for rhs in sys.right_sides]
+    return tuple(tuple(row.get(j, Fraction(0)) for j in range(sys.k)) for row in rows)
 
 
 def is_elementary(sys: PSSystem) -> Tuple[bool, list[str]]:
     """(verdict, diagnostics): constant terms and origin Jacobian all zero."""
-    diags = []
-    for name, rhs in zip(sys.variables, sys.right_sides):
-        c = _const_at_origin(rhs)
-        if c != 0:
-            diags.append(f"{name}: constant term {c}")
-    jac = jacobian_at_origin(sys)
-    for i, row in enumerate(jac):
-        for j, v in enumerate(row):
-            if v != 0:
-                diags.append(
-                    f"{sys.variables[i]}: linear term {v}*{sys.variables[j]}"
-                    " with constant coefficient"
-                )
+    origin = [_origin(rhs) for rhs in sys.right_sides]
+    diags = [
+        f"{name}: constant term {c}"
+        for name, (c, _) in zip(sys.variables, origin)
+        if c != 0
+    ]
+    for name, (_, row) in zip(sys.variables, origin):
+        for j in sorted(row):
+            diags.append(
+                f"{name}: linear term {row[j]}*{sys.variables[j]}"
+                " with constant coefficient"
+            )
     return (not diags, diags)
 
 
@@ -693,28 +677,10 @@ def mat_inverse(m: RatMatrix) -> Optional[RatMatrix]:
     return tuple(tuple(row[k:]) for row in a)
 
 
-def spectral_radius_estimate(m: RatMatrix, iters: int = 500) -> float:
-    """Advisory float estimate of the largest eigenvalue magnitude of a
-    non-negative matrix (power iteration on M + I, shifted back)."""
-    k = len(m)
-    mf = [[float(v) for v in row] for row in m]
-    v = [1.0] * k
-    lam = 0.0
-    for _ in range(iters):
-        w = [sum(mf[i][j] * v[j] for j in range(k)) + v[i] for i in range(k)]
-        norm = max(abs(x) for x in w)
-        if norm == 0:
-            return 0.0
-        lam = norm
-        v = [x / norm for x in w]
-    return max(lam - 1.0, 0.0)
-
-
 @dataclass(frozen=True)
 class NeumannResult:
     verdict: str  # NonnegInverse | Singular | NegativeEntries
     inverse: Optional[RatMatrix]
-    rho_estimate: float
 
 
 def neumann_check(m: RatMatrix) -> NeumannResult:
@@ -723,13 +689,12 @@ def neumann_check(m: RatMatrix) -> NeumannResult:
         for v in row:
             if v < 0:
                 raise ValueError("matrix must be entrywise non-negative")
-    rho = spectral_radius_estimate(m)
     inv = mat_inverse(mat_sub(mat_identity(len(m)), m))
     if inv is None:
-        return NeumannResult("Singular", None, rho)
+        return NeumannResult("Singular", None)
     if any(v < 0 for row in inv for v in row):
-        return NeumannResult("NegativeEntries", inv, rho)
-    return NeumannResult("NonnegInverse", inv, rho)
+        return NeumannResult("NegativeEntries", inv)
+    return NeumannResult("NonnegInverse", inv)
 
 
 # polynomial expansion: dict (xdeg, ytuple) -> coefficient

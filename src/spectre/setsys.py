@@ -701,12 +701,7 @@ def _doubling_condition(sys: SetSystem, dg: Digraph, i: int) -> bool:
     return False
 
 
-def solve(
-    sys: SetSystem,
-    horizon: int = 512,
-    cap: int = 64,
-    window: int = 8,
-) -> SpectrumSolution:
+def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     """Least solution of Y = Gamma(Y), in closed form and truncated.
 
     Strong components are solved exactly by Newton iteration, below first;

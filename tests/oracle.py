@@ -11,6 +11,17 @@ from typing import Sequence
 
 import numpy as np
 
+from spectre.pseries import (
+    Add,
+    CompositionAtNonzeroConstant,
+    Const,
+    Construct,
+    Mul,
+    Pow,
+    Var,
+    X,
+)
+
 BoolVec = list  # membership array on [0, H]
 
 
@@ -236,3 +247,90 @@ def naive_series(op: str, *args) -> list[Fraction]:
     if op == "seq":
         return naive_seq(args[0], n)
     raise ValueError(op)
+
+
+# ---------------------------------------------------------------------------
+# origin data of series right sides, one recursive walk per entry
+
+
+def const_at_origin(expr) -> Fraction:
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, (X, Var)):
+        return Fraction(0)
+    if isinstance(expr, Add):
+        return sum((const_at_origin(t) for t in expr.terms), Fraction(0))
+    if isinstance(expr, Mul):
+        out = Fraction(1)
+        for f in expr.factors:
+            out *= const_at_origin(f)
+        return out
+    if isinstance(expr, Pow):
+        return const_at_origin(expr.base) ** expr.exp
+    if isinstance(expr, Construct):
+        if const_at_origin(expr.arg) != 0:
+            raise CompositionAtNonzeroConstant(
+                f"{expr.kind} argument has a non-zero constant term"
+            )
+        return Fraction(0)
+    raise TypeError(repr(expr))
+
+
+def dy_at_origin(expr, j: int) -> Fraction:
+    """d expr / d y_j evaluated at x=0, y=0."""
+    if isinstance(expr, (Const, X)):
+        return Fraction(0)
+    if isinstance(expr, Var):
+        return Fraction(1) if expr.index == j else Fraction(0)
+    if isinstance(expr, Add):
+        return sum((dy_at_origin(t, j) for t in expr.terms), Fraction(0))
+    if isinstance(expr, Mul):
+        out = Fraction(0)
+        for i, f in enumerate(expr.factors):
+            part = dy_at_origin(f, j)
+            if part:
+                for l, g in enumerate(expr.factors):
+                    if l != i:
+                        part *= const_at_origin(g)
+            out += part
+        return out
+    if isinstance(expr, Pow):
+        if expr.exp == 0:
+            return Fraction(0)
+        b0 = const_at_origin(expr.base)
+        return expr.exp * b0 ** (expr.exp - 1) * dy_at_origin(expr.base, j)
+    if isinstance(expr, Construct):
+        if const_at_origin(expr.arg) != 0:
+            raise CompositionAtNonzeroConstant(
+                f"{expr.kind} argument has a non-zero constant term"
+            )
+        # weight one: 1 is in a (non-enumerated) index set
+        if hasattr(expr.index, "members_upto") or 1 not in _epset_members(expr.index, 1):
+            return Fraction(0)
+        return dy_at_origin(expr.arg, j)
+    raise TypeError(repr(expr))
+
+
+def jacobian_at_origin(system) -> tuple:
+    return tuple(
+        tuple(dy_at_origin(rhs, j) for j in range(system.k))
+        for rhs in system.right_sides
+    )
+
+
+def is_elementary(system) -> tuple[bool, list[str]]:
+    """(verdict, diagnostics): every constant term first, then the
+    Jacobian entries row by row."""
+    diags = []
+    for name, rhs in zip(system.variables, system.right_sides):
+        c = const_at_origin(rhs)
+        if c != 0:
+            diags.append(f"{name}: constant term {c}")
+    for i, row in enumerate(jacobian_at_origin(system)):
+        for j, v in enumerate(row):
+            if v != 0:
+                diags.append(
+                    f"{system.variables[i]}: linear term {v}*{system.variables[j]}"
+                    " with constant coefficient"
+                )
+    return (not diags, diags)

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -237,3 +238,73 @@ class TestHatNote:
         code, out, _ = run(capsys, command, str(spec))
         assert code == 3
         assert "note:" not in out
+
+    def test_check_names_no_shift_when_nothing_was_rewritten(self, capsys, tmp_path):
+        spec = tmp_path / "constant.spec"
+        spec.write_text("vars Y;\nmode series;\nY = 1 + x*Y;\n")
+        code, out, _ = run(capsys, "check", str(spec))
+        assert code == 3
+        assert "elementary: no" in out
+        assert "origin-shifted" not in out
+
+    def test_check_names_the_shift(self, capsys):
+        code, out, _ = run(capsys, "check", fx("bluered.spec"))
+        assert code == 0
+        assert "(zero-component check uses the origin-shifted system)" in out
+
+
+class TestInertOptions:
+    def test_solve_json_unchanged(self, capsys):
+        argv = ["solve", fx("structured.spec"), "--format", "json"]
+        plain = run(capsys, *argv)
+        inert = run(
+            capsys, *argv, "--enumeration-cap", "1", "--stabilization-window", "1"
+        )
+        assert plain[0] == 0
+        assert inert == plain
+
+
+class TestParserReuse:
+    """main may be called repeatedly in one process; it builds its parser
+    once and every call still gets its own defaults."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        build = cli.build_parser
+
+        def counting():
+            count.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        return count
+
+    def test_defaults_per_call(self, capsys, builds):
+        f = fx("paths.spec")
+        code, out, _ = run(capsys, "solve", f, "--horizon", "64", "--format", "json")
+        assert code == 0 and json.loads(out)["horizon"] == 64
+        code, out, _ = run(capsys, "solve", f, "--format", "json")
+        assert code == 0 and json.loads(out)["horizon"] == 512
+        code, out, _ = run(capsys, "coeffs", fx("binary.spec"), "--degree", "7")
+        assert code == 0 and "T: [0, 1, 0, 1, 0, 2, 0, 5]" in out
+        code, out, _ = run(capsys, "coeffs", fx("binary.spec"))
+        assert code == 0 and len(out.split("[")[1].split(",")) == 33
+        assert len(builds) == 1
+
+    def test_usage_error_then_valid(self, capsys, builds):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["frobenius"])
+        assert ei.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+        code, out, err = run(capsys, "frobenius", "3", "5")
+        assert code == 0 and err == ""
+        assert out == (
+            "generators: 3, 5\n"
+            "gcd: 1\n"
+            "conductor: 8\n"
+            "gaps: [1, 2, 4, 7]\n"
+            "closure: {0,3,5,6} | 8+1*N\n"
+        )
+        assert len(builds) == 1

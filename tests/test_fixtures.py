@@ -1,4 +1,7 @@
 """Every bundled fixture through every command that applies to it."""
+import importlib.util
+import shutil
+
 import pytest
 
 from spectre import cli, dsl
@@ -42,3 +45,34 @@ def test_fixture_command(capsys, name, command):
     if code == cli.EXIT_INTERNAL:
         pytest.fail(f"internal error: {err}")
     assert code == cli.EXIT_OK, err
+
+
+def _tour():
+    """scripts/run_fixtures.py, loaded as a module."""
+    path = FIXTURES.parent / "scripts" / "run_fixtures.py"
+    spec = importlib.util.spec_from_file_location("run_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTourScript:
+    def test_counts_exit_codes(self, capsys, tmp_path):
+        shutil.copy(FIXTURES / "postage.spec", tmp_path)
+        assert _tour().main(["--fixtures", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "4 commands: exit 0: 4"
+
+    def test_internal_error_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        shutil.copy(FIXTURES / "postage.spec", tmp_path)
+        codes = iter([0, cli.EXIT_INTERNAL, cli.EXIT_SEMANTIC, 0])
+        monkeypatch.setattr(cli, "main", lambda argv: next(codes))
+        assert _tour().main(["--fixtures", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "4 commands: exit 0: 2, exit 3: 1, exit 4: 1"
+
+    def test_semantic_errors_do_not_fail_the_run(self, capsys, tmp_path, monkeypatch):
+        shutil.copy(FIXTURES / "postage.spec", tmp_path)
+        monkeypatch.setattr(cli, "main", lambda argv: cli.EXIT_SEMANTIC)
+        assert _tour().main(["--fixtures", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "4 commands: exit 3: 4"

@@ -42,7 +42,7 @@ from spectre.pseries import (
 )
 
 import oracle
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text, random_series_system
 
 F = Fraction
 
@@ -255,6 +255,94 @@ class TestOriginData:
         assert ok and not diags
         ok, diags = is_elementary(half_linear_system())
         assert not ok and len(diags) == 1
+
+
+def _outcome(f, sys_):
+    try:
+        return ("ok", f(sys_))
+    except CompositionAtNonzeroConstant as e:
+        return ("raises", str(e))
+
+
+def _origin_inputs():
+    """Series systems whose origin data is compared with the reference."""
+    for path in sorted(FIXTURES.glob("*.spec")):
+        sys_ = dsl.parse(path.read_text())
+        if isinstance(sys_, PSSystem):
+            yield path.name, sys_
+    # the random systems of test_compile and of criterion 10
+    for seed, count in ((5150, 20), (101010, 50)):
+        rng = random.Random(seed)
+        for i in range(count):
+            yield f"random-{seed}-{i}", random_series_system(rng, rng.randint(1, 3))
+    y0, y1 = Var(0), Var(1)
+    lin = Add((y0, Mul((Const(F(2, 3)), y1)), X()))
+    indices = {
+        "N+": POS,
+        "N": normalize([0], [(1, 1)]),
+        "{1,4}": normalize([1, 4]),
+        "{2}": normalize([2]),
+        "2+2*N": normalize((), [(2, 2)]),
+        "{0}": normalize([0]),
+        "Primes": ENUMERATED_SETS["Primes"],
+    }
+    for kind in ("Seq", "MSet", "Cycle"):
+        for name, idx in indices.items():
+            rhs = Add((Mul((Const(F(1, 2)), Construct(kind, idx, lin))), Pow(y1, 2)))
+            yield f"{kind}[{name}]", PSSystem(("A", "B"), (rhs, Mul((X(), y0))))
+    yield "y^0", PSSystem(("A",), (Add((Pow(y0, 0), Mul((X(), y0)))),))
+    yield "(1+A)^0 * A", PSSystem(("A",), (Mul((Pow(Add((Const(F(1)), y0)), 0), y0)),))
+    yield "(1/2+A+B)^3", PSSystem(
+        ("A", "B"), (Pow(Add((Const(F(1, 2)), y0, y1)), 3), Mul((Const(F(3)), y0, y1)))
+    )
+    yield "B*(2+A)*(1/3+B)", PSSystem(
+        ("A", "B"),
+        (Mul((y1, Add((Const(F(2)), y0)), Add((Const(F(1, 3)), y1)))), Add((X(), y0))),
+    )
+    yield "Seq[N+](1+A)", PSSystem(("A",), (Construct("Seq", POS, Add((Const(F(1)), y0))),))
+    yield "MSet[N+](Seq[{2}](x+1))", PSSystem(
+        ("A", "B"),
+        (y1, Construct("MSet", POS, Add((y0, Construct("Seq", normalize([2]), Add((X(), Const(F(1))))))))),
+    )
+    yield "Seq[N+](2) in second equation", PSSystem(
+        ("A", "B"), (Add((Const(F(1)), y0)), Mul((y1, Construct("Seq", POS, Const(F(2)))))),
+    )
+
+
+_ORIGIN_INPUTS = list(_origin_inputs())
+
+
+class TestOriginReference:
+    """is_elementary and jacobian_at_origin against the recursive
+    reference in oracle: values, Fraction types, diagnostics in order,
+    and the raised exception."""
+
+    @pytest.mark.parametrize(
+        "sys_", [s for _, s in _ORIGIN_INPUTS], ids=[n for n, _ in _ORIGIN_INPUTS]
+    )
+    def test_matches_reference(self, sys_):
+        assert _outcome(is_elementary, sys_) == _outcome(oracle.is_elementary, sys_)
+        got = _outcome(jacobian_at_origin, sys_)
+        assert got == _outcome(oracle.jacobian_at_origin, sys_)
+        if got[0] == "ok":
+            assert all(type(v) is Fraction for row in got[1] for v in row)
+
+    def test_inputs_cover_every_outcome(self):
+        outcomes = [_outcome(is_elementary, s) for _, s in _ORIGIN_INPUTS]
+        assert ("ok", (True, [])) in outcomes
+        assert any(o[0] == "ok" and not o[1][0] for o in outcomes)
+        assert any(o[0] == "raises" for o in outcomes)
+
+    def test_ill_posed_construct_under_power_zero(self):
+        # The reference Jacobian skips the base of a power 0; the one-pass
+        # walk checks it, as is_elementary and evaluate always did.
+        sys_ = PSSystem(
+            ("A",), (Add((X(), Pow(Construct("Seq", POS, Const(F(1))), 0))),)
+        )
+        assert oracle.jacobian_at_origin(sys_) == ((F(0),),)
+        for check in (jacobian_at_origin, is_elementary, oracle.is_elementary):
+            with pytest.raises(CompositionAtNonzeroConstant):
+                check(sys_)
 
 
 class TestNeumann:
