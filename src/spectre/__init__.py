@@ -44,7 +44,6 @@ from .pseries import (
     PSSystem,
     Series,
     fixed_point_solve,
-    hat_transform,
     is_elementary,
     jacobian_at_origin,
     neumann_check,

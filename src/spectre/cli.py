@@ -11,11 +11,10 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import compile as compile_mod
 from . import dsl, epset, pseries, setsys
-from .epset import EPSet, format_epset, nat_closure, normalize, params
+from .epset import format_epset, nat_closure, normalize, params
 from .pseries import PSSystem
 from .setsys import SetSystem
 
@@ -30,11 +29,11 @@ SEMANTIC_ERRORS = (
     setsys.NotReduced,
     setsys.NotBasic,
     setsys.HorizonTooSmall,
+    setsys.EnumeratedExponent,
     compile_mod.CompileUnsupported,
     pseries.NotElementary,
     pseries.UnsupportedCoefficients,
     pseries.MixedSigns,
-    pseries.NotApplicable,
     pseries.CompositionAtNonzeroConstant,
     epset.EmptyOrZeroOnly,
     epset.HypothesisFails,
@@ -73,37 +72,26 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
-    text = _read(path)
-    return dsl.parse(text)
+    return dsl.parse(_read(path))
 
 
-_HAT_NOTE = (
-    "note: removed constant-coefficient linear terms by multiplying through "
-    "with the inverse of (I - linear part at the origin); solutions are "
-    "unchanged"
-)
-
-
-def _as_set_system(system, quiet: bool = False, use_hat: bool = True) -> SetSystem:
-    """Series systems are translated (after an origin shift if needed)."""
+def _as_set_system(system) -> SetSystem:
+    """Series systems are translated directly, as compile prints them."""
     if isinstance(system, SetSystem):
         return system
-    work = system
-    if use_hat:
-        ok, _ = pseries.is_elementary(system)
-        if not ok:
-            try:
-                work = pseries.hat_transform(system)
-                if work != system and not quiet:
-                    print(_HAT_NOTE)
-            except pseries.NotApplicable:
-                if not quiet:
-                    print(
-                        "note: system is not in shift-eligible form; "
-                        "reporting the least solution of the direct "
-                        "translation"
-                    )
-    return compile_mod.compile_system(work).system
+    return compile_mod.compile_system(system).system
+
+
+def _ill_posed_note(system) -> str:
+    """The note for solve and params on a series system whose linear part
+    at the origin has no non-negative inverse, else ''."""
+    verdict = system.linear_part.verdict if isinstance(system, PSSystem) else None
+    if verdict in (None, "NonnegInverse"):
+        return ""
+    return (
+        f"note: linear part at the origin: {verdict}; reporting the least "
+        "solution of the direct translation"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,40 +102,35 @@ def cmd_check(args) -> int:
     system = _load(args.file)
     if isinstance(system, PSSystem):
         print(f"mode: series  variables: {', '.join(system.variables)}")
-        ok, diags = pseries.is_elementary(system)
-        if ok:
-            print(_ok("elementary: yes"))
-        else:
+        linear = system.linear_part
+        if linear.diagnostics:
             print(_bad("elementary: no"))
-            for d in diags:
+            for d in linear.diagnostics:
                 print(f"  {d}")
-            hatted = pseries.hat_transform(system)
-            if hatted != system:
-                print("(zero-component check uses the origin-shifted system)")
-            system = hatted
-        zeros = pseries.zero_components(system)
-        if zeros:
-            names = ", ".join(system.variables[i] for i in sorted(zeros))
-            print(f"identically zero: {names}")
         else:
-            print("identically zero: none")
+            print(_ok("elementary: yes"))
+        if linear.verdict:
+            print(f"linear part at the origin: {linear.verdict}")
+        zeros = sorted(pseries.zero_components(system))
+        names = ", ".join(system.variables[i] for i in zeros) or "none"
+        print(f"identically zero: {names}")
         return EXIT_OK
     print(f"mode: sets  variables: {', '.join(system.variables)}")
     cls = setsys.classify(system)
     print(f"basic: {'yes' if cls.is_basic else 'no'}")
     print(f"elementary: {'yes' if cls.is_elementary else 'no'}")
     print(f"reduced: {'yes' if cls.is_reduced else 'no'}")
-    if cls.empties:
-        names = ", ".join(system.variables[i] for i in sorted(cls.empties))
-        print(f"empty components: {names}")
-    else:
-        print("empty components: none")
+    names = ", ".join(system.variables[i] for i in sorted(cls.empties)) or "none"
+    print(f"empty components: {names}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    system = _as_set_system(_load(args.file), quiet=args.format == "json")
-    sol = setsys.solve(system, horizon=args.horizon)
+    system = _load(args.file)
+    note = _ill_posed_note(system)
+    if note and args.format == "text":
+        print(note)
+    sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     if args.format == "json":
         doc = setsys.solution_json(sol)
         doc["horizon"] = sol.horizon
@@ -161,8 +144,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_params(args) -> int:
-    system = _as_set_system(_load(args.file))
-    sol = setsys.solve(system, horizon=args.horizon)
+    system = _load(args.file)
+    note = _ill_posed_note(system)
+    if note:
+        print(note)
+    sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     print(f"{'var':<8} {'min':>6} {'gcd':>6} {'period':>6} {'onset':>6}")
     for v in sol.variables:
         m = "inf" if v.params.m == math.inf else str(v.params.m)
@@ -177,12 +163,6 @@ def cmd_coeffs(args) -> int:
     system = _load(args.file)
     if not isinstance(system, PSSystem):
         raise ValueError("coeffs requires a series-mode file")
-    ok, _ = pseries.is_elementary(system)
-    if not ok:
-        hatted = pseries.hat_transform(system)
-        if hatted != system and args.format != "json":
-            print(_HAT_NOTE)
-        system = hatted
     sol = pseries.fixed_point_solve(system, args.degree)
     if args.format == "json":
         doc = {
@@ -201,7 +181,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_digraph(args) -> int:
-    system = _as_set_system(_load(args.file), use_hat=False)
+    system = _as_set_system(_load(args.file))
     if args.format == "dot":
         print(setsys.digraph_dot(system))
         return EXIT_OK

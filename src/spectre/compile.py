@@ -8,12 +8,10 @@ from typing import Optional, Sequence, Tuple
 from . import pseries, setsys
 from .epset import (
     EMPTY,
-    POS,
     ZERO,
     EPSet,
     EnumeratedSet,
     IndexSet,
-    format_epset,
     singleton,
     star,
     sumset,
@@ -30,7 +28,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import GammaTerm, SetSystem, SystemClassification
+from .setsys import GammaTerm, SetSystem, SystemClassification, exponent_sum
 
 
 class CompileUnsupported(ValueError):
@@ -52,29 +50,12 @@ def _zeros(k: int) -> Tuple[IndexSet, ...]:
     return (ZERO,) * k
 
 
-def _exp_sum(a: IndexSet, b: IndexSet) -> IndexSet:
-    if isinstance(a, EPSet) and a == ZERO:
-        return b
-    if isinstance(b, EPSet) and b == ZERO:
-        return a
-    if isinstance(a, EPSet) and isinstance(b, EPSet):
-        return sumset(a, b)
-    raise CompileUnsupported(
-        "cannot combine an enumerated index set with another exponent"
-    )
-
-
 def _mul_families(fa: Sequence[Family], fb: Sequence[Family]) -> list[Family]:
-    out = []
-    for base_a, exps_a in fa:
-        for base_b, exps_b in fb:
-            out.append(
-                (
-                    sumset(base_a, base_b),
-                    tuple(_exp_sum(x, y) for x, y in zip(exps_a, exps_b)),
-                )
-            )
-    return out
+    return [
+        (sumset(base_a, base_b), tuple(map(exponent_sum, exps_a, exps_b)))
+        for base_a, exps_a in fa
+        for base_b, exps_b in fb
+    ]
 
 
 def _is_pure_var(fams: Sequence[Family], k: int) -> Optional[int]:
@@ -193,25 +174,17 @@ def compile_system(sys: PSSystem) -> CompileReport:
 class EquivReport:
     ok: bool
     first_mismatch: Optional[Tuple[str, int]]
-    hat_applied: bool
     degree: int
 
 
 def spectral_equivalence_check(sys: PSSystem, n: int) -> EquivReport:
     """Spectrum of the series solution vs. the set-system solution on [0,n]."""
-    hat_applied = False
-    work = sys
-    ok, _ = pseries.is_elementary(sys)
-    if not ok:
-        work = pseries.hat_transform(sys)
-        hat_applied = True
-    series_sol = pseries.fixed_point_solve(work, n)
+    series_sol = pseries.fixed_point_solve(sys, n)
     supports = [pseries.spectrum_extract(s).support for s in series_sol]
-    report = compile_system(work)
-    set_sol = setsys.solve(report.system, horizon=n)
+    set_sol = setsys.solve(compile_system(sys).system, horizon=n)
     for i, v in enumerate(set_sol.variables):
         trunc_support = {d for d in range(n + 1) if v.truncation[d]}
         if trunc_support != supports[i]:
             diff = sorted(trunc_support ^ supports[i])
-            return EquivReport(False, (v.name, diff[0]), hat_applied, n)
-    return EquivReport(True, None, hat_applied, n)
+            return EquivReport(False, (v.name, diff[0]), n)
+    return EquivReport(True, None, n)

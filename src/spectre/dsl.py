@@ -25,7 +25,6 @@ from .epset import (
     IndexSet,
     ZERO,
     format_epset,
-    member,
     normalize,
     singleton,
     sumset,
@@ -42,7 +41,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import GammaTerm, SetSystem
+from .setsys import GammaTerm, SetSystem, exponent_sum
 from .epset import POS
 
 CONSTRUCT_NAMES = ("Seq", "MSet", "Cycle", "DCycle")
@@ -322,14 +321,14 @@ class _Parser:
             if t.kind == "NAME" and t.text in self.variables:
                 self.next()
                 j = self.variables.index(t.text)
-                exps[j] = _exp_add(exps[j], singleton(1))
+                exps[j] = exponent_sum(exps[j], singleton(1))
             else:
                 atom = self.parse_setatom()
                 if self.at_punct("*") and self.peek(1).kind == "NAME" and self.peek(1).text in self.variables:
                     self.next()
                     vt = self.next()
                     j = self.variables.index(vt.text)
-                    exps[j] = _exp_add(exps[j], atom)
+                    exps[j] = exponent_sum(exps[j], atom)
                 else:
                     if isinstance(atom, EnumeratedSet):
                         raise ParseError(
@@ -409,16 +408,6 @@ class _Parser:
                 return Var(self.variables.index(name))
             raise ParseError(f"unknown name {name!r}", t.line, t.col)
         raise ParseError("expected an expression", t.line, t.col)
-
-
-def _exp_add(a: IndexSet, b: IndexSet) -> IndexSet:
-    if isinstance(a, EPSet) and a == ZERO:
-        return b
-    if isinstance(b, EPSet) and b == ZERO:
-        return a
-    if isinstance(a, EPSet) and isinstance(b, EPSet):
-        return sumset(a, b)
-    raise ValueError("cannot combine enumerated exponent sets")
 
 
 def parse(text: str) -> Union[PSSystem, SetSystem]:

@@ -42,10 +42,6 @@ class EPSet:
     def is_empty(self) -> bool:
         return not self.finite_part and self.period is None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.period is None
-
     def __repr__(self) -> str:
         return f"EPSet[{format_epset(self)}]"
 

@@ -1,9 +1,15 @@
 """Truncated exact power series, fixed points of non-negative systems
-y = G(x,y), Jacobian and Neumann tests, the hat transform, and spectrum
-extraction."""
+y = G(x,y), origin data with the Neumann test, and spectrum extraction.
+
+One order-by-order engine evaluates expressions and solves systems.  A
+system whose linear part J at the origin is nonzero is solved as it
+stands: each degree d >= 1 takes one exact linear solve,
+y_d = (I - M)^-1 r_d, so no polynomial rewrite is needed and constructs
+may appear anywhere."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -33,10 +39,6 @@ class UnsupportedCoefficients(ValueError):
 
 class MixedSigns(ValueError):
     """Spectrum requested of a series not tracked as non-negative."""
-
-
-class NotApplicable(ValueError):
-    """Hat transform is not available for this system."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,11 @@ class PSSystem:
     @property
     def k(self) -> int:
         return len(self.variables)
+
+    @cached_property
+    def linear_part(self) -> "LinearPart":
+        """Origin data and well-posedness verdict, read once per system."""
+        return _linear_part(self)
 
 
 # ---------------------------------------------------------------------------
@@ -579,33 +586,55 @@ def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
 RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
+@dataclass(frozen=True)
+class LinearPart:
+    """Origin data of y = G(x, y): the constant terms G(0, 0), the
+    Jacobian J = dG/dy at x = 0, y = 0, the diagnostics that name their
+    nonzero entries, and the verdict of neumann_check on J (None when
+    J = 0).  The system is well posed when its constant terms vanish and
+    J = 0 or (I - J)^-1 exists and is non-negative."""
+
+    constants: Tuple[Fraction, ...]
+    jacobian: RatMatrix
+    diagnostics: Tuple[str, ...]
+    verdict: Optional[str]
+
+    def require_well_posed(self) -> None:
+        if any(self.constants):
+            raise NotElementary("; ".join(self.diagnostics))
+        if self.verdict not in (None, "NonnegInverse"):
+            raise NotElementary(f"origin Jacobian check failed: {self.verdict}")
+
+
+def _linear_part(sys: PSSystem) -> LinearPart:
+    origin = [_origin(rhs) for rhs in sys.right_sides]
+    names = sys.variables
+    diags = [f"{name}: constant term {c}" for name, (c, _) in zip(names, origin) if c]
+    for name, (_, row) in zip(names, origin):
+        for j in sorted(row):
+            diags.append(
+                f"{name}: linear term {row[j]}*{names[j]} with constant coefficient"
+            )
+    jac = tuple(
+        tuple(row.get(j, Fraction(0)) for j in range(sys.k)) for _, row in origin
+    )
+    verdict = neumann_check(jac).verdict if any(row for _, row in origin) else None
+    return LinearPart(tuple(c for c, _ in origin), jac, tuple(diags), verdict)
+
+
 def jacobian_at_origin(sys: PSSystem) -> RatMatrix:
-    rows = [_origin(rhs)[1] for rhs in sys.right_sides]
-    return tuple(tuple(row.get(j, Fraction(0)) for j in range(sys.k)) for row in rows)
+    return sys.linear_part.jacobian
 
 
 def is_elementary(sys: PSSystem) -> Tuple[bool, list[str]]:
     """(verdict, diagnostics): constant terms and origin Jacobian all zero."""
-    origin = [_origin(rhs) for rhs in sys.right_sides]
-    diags = [
-        f"{name}: constant term {c}"
-        for name, (c, _) in zip(sys.variables, origin)
-        if c != 0
-    ]
-    for name, (_, row) in zip(sys.variables, origin):
-        for j in sorted(row):
-            diags.append(
-                f"{name}: linear term {row[j]}*{sys.variables[j]}"
-                " with constant coefficient"
-            )
-    return (not diags, diags)
+    diags = sys.linear_part.diagnostics
+    return (not diags, list(diags))
 
 
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
-    """Unique solution of an elementary system, truncated at degree n."""
-    ok, diags = is_elementary(sys)
-    if not ok:
-        raise NotElementary("; ".join(diags))
+    """Unique solution of a well-posed system, truncated at degree n."""
+    sys.linear_part.require_well_posed()
     # constant terms first: zero, unless a Seq over an index set with 0
     # supplies one
     consts = _solve_orders(sys, 0, [0] * sys.k)
@@ -617,34 +646,70 @@ def _solve_orders(sys: PSSystem, n: int, vals: Sequence[int]) -> list[list]:
     """Coefficients of the solution, one degree at a time; vals[i] is a
     lower bound on the valuation of unknown i.
 
-    Coefficient d of a right side does not depend on coefficient d of the
-    unknowns (the origin Jacobian is zero), so each degree is evaluated
-    once with y_d = 0, which yields y_d, and the nodes that read y_d are
-    evaluated again.  The loop repeats while that changes a right side,
-    which happens only when a constant term couples unknowns."""
+    Degree 0 is evaluated with y_0 = 0 and again while that changes a
+    right side.  For d >= 1, coefficient d of the right sides is
+    r_d + M*y_d: r_d is their value with y_d = 0, and M is the Jacobian
+    at x = 0 and at the constant terms of the solution, the same at every
+    degree.  So y_d = (I - M)^-1 r_d, and then the nodes that read y_d
+    are evaluated again.  When M = 0, y_d is r_d itself."""
     ys = [[0] * (n + 1) for _ in range(sys.k)]
     engine = _Engine(n, lambda i: _Node(ys[i], vals[i], True))
     roots = [engine.node(rhs).c for rhs in sys.right_sides]
     again = [step for step, touch in engine.steps if touch]
-    for d in range(n + 1):
+
+    def put(d: int, values: list) -> list:
+        """Coefficient d of the right sides once y_d = values."""
+        for y, v in zip(ys, values):
+            y[d] = v
+        for step in again:
+            step(d)
+        return [r[d] for r in roots]
+
+    engine.run(0)
+    got = [r[0] for r in roots]
+    for _ in range(sys.k + 1):
+        if got == [y[0] for y in ys]:
+            break
+        got = put(0, got)
+    else:
+        raise NotElementary("coefficient 0 of the solution does not settle")
+    inverse = None
+    for d in range(1, n + 1):
         engine.run(d)
-        for _ in range(sys.k + 1):
-            new = [r[d] for r in roots]
-            if all(y[d] == v for y, v in zip(ys, new)):
-                break
-            for y, v in zip(ys, new):
-                y[d] = v
-            for step in again:
-                step(d)
-        else:
-            raise NotElementary(
-                f"coefficient {d} of the solution does not settle"
+        y_d = [r[d] for r in roots]
+        if d == 1:
+            inverse = _inverse_linear_part(put, y_d)
+        if inverse is not None:
+            y_d = [_exact(sum(map(mul, row, y_d))) for row in inverse]
+        if put(d, y_d) != y_d:
+            raise AssertionError(
+                f"coefficient {d} of the right sides differs from the solution"
             )
     return ys
 
 
+def _inverse_linear_part(put, r_1: list) -> Optional[list]:
+    """(I - M)^-1, or None when M = 0.  Column j of M is the change of
+    coefficient 1 of the right sides when y_1 goes from 0 to e_j.  Read
+    off the engine, M also holds the linear terms that a Seq over an index
+    set with 0 contributes, which the origin data does not see."""
+    k = len(r_1)
+    if put(1, [1] * k) == r_1:  # M >= 0, so M*(1,...,1) = 0 only when M = 0
+        return None
+    cols = [
+        [a - b for a, b in zip(put(1, [int(i == j) for i in range(k)]), r_1)]
+        for j in range(k)
+    ]
+    res = neumann_check(tuple(tuple(map(Fraction, row)) for row in zip(*cols)))
+    if res.verdict != "NonnegInverse":
+        raise NotElementary(
+            f"Jacobian at the constant terms of the solution: {res.verdict}"
+        )
+    return [[_exact(v) for v in row] for row in res.inverse]
+
+
 # ---------------------------------------------------------------------------
-# matrices and the hat transform
+# matrices and the Neumann test
 
 
 def mat_identity(k: int) -> RatMatrix:
@@ -697,126 +762,6 @@ def neumann_check(m: RatMatrix) -> NeumannResult:
     return NeumannResult("NonnegInverse", inv)
 
 
-# polynomial expansion: dict (xdeg, ytuple) -> coefficient
-
-
-def _poly_expand(expr: SysExpr, k: int) -> Dict[Tuple[int, Tuple[int, ...]], Fraction]:
-    zero_y = (0,) * k
-    if isinstance(expr, Const):
-        return {(0, zero_y): expr.value} if expr.value else {}
-    if isinstance(expr, X):
-        return {(1, zero_y): Fraction(1)}
-    if isinstance(expr, Var):
-        u = [0] * k
-        u[expr.index] = 1
-        return {(0, tuple(u)): Fraction(1)}
-    if isinstance(expr, Add):
-        out: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-        for t in expr.terms:
-            for key, c in _poly_expand(t, k).items():
-                out[key] = out.get(key, Fraction(0)) + c
-        return {key: c for key, c in out.items() if c}
-    if isinstance(expr, Mul):
-        out = {(0, zero_y): Fraction(1)}
-        for f in expr.factors:
-            out = _poly_mul(out, _poly_expand(f, k))
-        return out
-    if isinstance(expr, Pow):
-        pb = _poly_expand(expr.base, k)
-        out = {(0, zero_y): Fraction(1)}
-        for _ in range(expr.exp):
-            out = _poly_mul(out, pb)
-        return out
-    if isinstance(expr, Construct):
-        raise NotApplicable(
-            "hat transform supports polynomial right sides only"
-        )
-    raise TypeError(repr(expr))
-
-
-def _poly_mul(a, b):
-    out: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-    for (d1, u1), c1 in a.items():
-        for (d2, u2), c2 in b.items():
-            key = (d1 + d2, tuple(x + y for x, y in zip(u1, u2)))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {key: c for key, c in out.items() if c}
-
-
-def poly_to_ast(poly: Dict[Tuple[int, Tuple[int, ...]], Fraction], k: int) -> SysExpr:
-    """Canonical AST for a polynomial: terms sorted by total degree, then
-    x-degree, then exponent vector."""
-    keys = sorted(poly, key=lambda key: (key[0] + sum(key[1]), key[0], key[1]))
-    terms = []
-    for d, u in keys:
-        c = poly[(d, u)]
-        if not c:
-            continue
-        factors: list[SysExpr] = []
-        if c != 1 or (d == 0 and not any(u)):
-            factors.append(Const(c))
-        if d == 1:
-            factors.append(X())
-        elif d > 1:
-            factors.append(Pow(X(), d))
-        for j, e in enumerate(u):
-            if e == 1:
-                factors.append(Var(j))
-            elif e > 1:
-                factors.append(Pow(Var(j), e))
-        if len(factors) == 1:
-            terms.append(factors[0])
-        else:
-            terms.append(Mul(tuple(factors)))
-    if not terms:
-        return Const(Fraction(0))
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
-
-
-def hat_transform(sys: PSSystem) -> PSSystem:
-    """Equivalent elementary system (I-J)^{-1} (G - J y)."""
-    jac = jacobian_at_origin(sys)
-    if all(v == 0 for row in jac for v in row):
-        return sys
-    res = neumann_check(jac)
-    if res.verdict != "NonnegInverse":
-        raise NotApplicable(f"origin Jacobian check failed: {res.verdict}")
-    k = sys.k
-    polys = []
-    for i, rhs in enumerate(sys.right_sides):
-        p = dict(_poly_expand(rhs, k))
-        for j in range(k):
-            if jac[i][j]:
-                u = [0] * k
-                u[j] = 1
-                key = (0, tuple(u))
-                p[key] = p.get(key, Fraction(0)) - jac[i][j]
-                if not p[key]:
-                    del p[key]
-        polys.append(p)
-    inv = res.inverse
-    new_rhs = []
-    for i in range(k):
-        acc: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
-        for j in range(k):
-            f = inv[i][j]
-            if not f:
-                continue
-            for key, c in polys[j].items():
-                acc[key] = acc.get(key, Fraction(0)) + f * c
-        acc = {key: c for key, c in acc.items() if c}
-        if any(c < 0 for c in acc.values()):
-            raise NotApplicable("hat transform produced a negative coefficient")
-        new_rhs.append(poly_to_ast(acc, k))
-    out = PSSystem(sys.variables, tuple(new_rhs))
-    ok, diags = is_elementary(out)
-    if not ok:
-        raise AssertionError("hat transform failed to produce an elementary system")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # zero components and spectra
 
@@ -865,9 +810,7 @@ def _min_degree(expr: SysExpr, d: Sequence[Optional[int]]) -> Optional[int]:
 
 def zero_components(sys: PSSystem) -> set[int]:
     """Indices whose solution series is identically zero."""
-    ok, diags = is_elementary(sys)
-    if not ok:
-        raise NotElementary("; ".join(diags))
+    sys.linear_part.require_well_posed()
     d: list[Optional[int]] = [None] * sys.k
     for _ in range(sys.k):
         d = [_min_degree(rhs, d) for rhs in sys.right_sides]

@@ -50,8 +50,26 @@ class HorizonTooSmall(ValueError):
     """The truncation horizon cannot support closed-form inference."""
 
 
+class EnumeratedExponent(ValueError):
+    """An enumerated index set summed with another exponent."""
+
+
 def _is_zero_only(e: IndexSet) -> bool:
     return isinstance(e, EPSet) and e == ZERO
+
+
+def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
+    """Exponent set of one variable in the product of two terms that use
+    it with exponent sets a and b."""
+    if _is_zero_only(a):
+        return b
+    if _is_zero_only(b):
+        return a
+    if isinstance(a, EPSet) and isinstance(b, EPSet):
+        return sumset(a, b)
+    raise EnumeratedExponent(
+        "cannot combine an enumerated index set with another exponent"
+    )
 
 
 def _index_min(e: IndexSet) -> int:

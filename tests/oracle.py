@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -18,8 +18,11 @@ from spectre.pseries import (
     Construct,
     Mul,
     Pow,
+    PSSystem,
+    SysExpr,
     Var,
     X,
+    neumann_check,
 )
 
 BoolVec = list  # membership array on [0, H]
@@ -334,3 +337,131 @@ def is_elementary(system) -> tuple[bool, list[str]]:
                     " with constant coefficient"
                 )
     return (not diags, diags)
+
+
+# ---------------------------------------------------------------------------
+# the hat transform: the polynomial rewrite (I-J)^{-1} (G - J y), the
+# reference for the series engine's linear solve per degree.  It reads the
+# origin data above and takes (I-J)^{-1} from pseries.neumann_check.
+# Polynomials are dicts (xdeg, ytuple) -> coefficient.
+
+
+class NotApplicable(ValueError):
+    """Hat transform is not available for this system."""
+
+
+def _poly_expand(expr: SysExpr, k: int) -> Dict[Tuple[int, Tuple[int, ...]], Fraction]:
+    zero_y = (0,) * k
+    if isinstance(expr, Const):
+        return {(0, zero_y): expr.value} if expr.value else {}
+    if isinstance(expr, X):
+        return {(1, zero_y): Fraction(1)}
+    if isinstance(expr, Var):
+        u = [0] * k
+        u[expr.index] = 1
+        return {(0, tuple(u)): Fraction(1)}
+    if isinstance(expr, Add):
+        out: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
+        for t in expr.terms:
+            for key, c in _poly_expand(t, k).items():
+                out[key] = out.get(key, Fraction(0)) + c
+        return {key: c for key, c in out.items() if c}
+    if isinstance(expr, Mul):
+        out = {(0, zero_y): Fraction(1)}
+        for f in expr.factors:
+            out = _poly_mul(out, _poly_expand(f, k))
+        return out
+    if isinstance(expr, Pow):
+        pb = _poly_expand(expr.base, k)
+        out = {(0, zero_y): Fraction(1)}
+        for _ in range(expr.exp):
+            out = _poly_mul(out, pb)
+        return out
+    if isinstance(expr, Construct):
+        raise NotApplicable(
+            "hat transform supports polynomial right sides only"
+        )
+    raise TypeError(repr(expr))
+
+
+def _poly_mul(a, b):
+    out: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
+    for (d1, u1), c1 in a.items():
+        for (d2, u2), c2 in b.items():
+            key = (d1 + d2, tuple(x + y for x, y in zip(u1, u2)))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def poly_to_ast(poly: Dict[Tuple[int, Tuple[int, ...]], Fraction], k: int) -> SysExpr:
+    """Canonical AST for a polynomial: terms sorted by total degree, then
+    x-degree, then exponent vector."""
+    keys = sorted(poly, key=lambda key: (key[0] + sum(key[1]), key[0], key[1]))
+    terms = []
+    for d, u in keys:
+        c = poly[(d, u)]
+        if not c:
+            continue
+        factors: list[SysExpr] = []
+        if c != 1 or (d == 0 and not any(u)):
+            factors.append(Const(c))
+        if d == 1:
+            factors.append(X())
+        elif d > 1:
+            factors.append(Pow(X(), d))
+        for j, e in enumerate(u):
+            if e == 1:
+                factors.append(Var(j))
+            elif e > 1:
+                factors.append(Pow(Var(j), e))
+        if len(factors) == 1:
+            terms.append(factors[0])
+        else:
+            terms.append(Mul(tuple(factors)))
+    if not terms:
+        return Const(Fraction(0))
+    if len(terms) == 1:
+        return terms[0]
+    return Add(tuple(terms))
+
+
+def hat_transform(sys: PSSystem) -> PSSystem:
+    """Equivalent elementary system (I-J)^{-1} (G - J y)."""
+    jac = jacobian_at_origin(sys)
+    if all(v == 0 for row in jac for v in row):
+        return sys
+    res = neumann_check(jac)
+    if res.verdict != "NonnegInverse":
+        raise NotApplicable(f"origin Jacobian check failed: {res.verdict}")
+    k = sys.k
+    polys = []
+    for i, rhs in enumerate(sys.right_sides):
+        p = dict(_poly_expand(rhs, k))
+        for j in range(k):
+            if jac[i][j]:
+                u = [0] * k
+                u[j] = 1
+                key = (0, tuple(u))
+                p[key] = p.get(key, Fraction(0)) - jac[i][j]
+                if not p[key]:
+                    del p[key]
+        polys.append(p)
+    inv = res.inverse
+    new_rhs = []
+    for i in range(k):
+        acc: Dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
+        for j in range(k):
+            f = inv[i][j]
+            if not f:
+                continue
+            for key, c in polys[j].items():
+                acc[key] = acc.get(key, Fraction(0)) + f * c
+        acc = {key: c for key, c in acc.items() if c}
+        if any(c < 0 for c in acc.values()):
+            raise NotApplicable("hat transform produced a negative coefficient")
+        new_rhs.append(poly_to_ast(acc, k))
+    out = PSSystem(sys.variables, tuple(new_rhs))
+    ok, diags = is_elementary(out)
+    if not ok:
+        raise AssertionError("hat transform failed to produce an elementary system")
+    return out

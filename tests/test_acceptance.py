@@ -143,9 +143,9 @@ def test_criterion_06_blue_red_hat_transform():
         (F(0), F(1), F(0)),
         (F(1), F(1), F(1)),
     )
-    hatted = pseries.hat_transform(sys_)
+    hatted = oracle.hat_transform(sys_)
     # third equation: 2x + 3x*y1*y2^2 + 3x*y1^2*y2 + x*y3^2
-    assert hatted.right_sides[2] == pseries.poly_to_ast(
+    assert hatted.right_sides[2] == oracle.poly_to_ast(
         {
             (1, (0, 0, 0)): F(2),
             (1, (1, 2, 0)): F(3),
@@ -155,6 +155,10 @@ def test_criterion_06_blue_red_hat_transform():
         3,
     )
     assert pseries.is_elementary(hatted)[0]
+    # the original system, solved degree by degree, has the same solution
+    assert pseries.fixed_point_solve(sys_, 24) == pseries.fixed_point_solve(
+        hatted, 24
+    )
 
 
 def test_criterion_07_nonuniqueness_and_hat_uniqueness():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from spectre import cli, dsl
+from spectre import cli, dsl, pseries
 
 from conftest import FIXTURES
 
@@ -84,10 +84,10 @@ class TestSolve:
         assert doc["horizon"] == 512
         assert doc["classification"]["elementary"] is True
 
-    def test_series_input_hatted_with_notice(self, capsys):
+    def test_series_input_translated_directly(self, capsys):
         code, out, _ = run(capsys, "solve", fx("bluered.spec"))
         assert code == 0
-        assert "note: removed constant-coefficient linear terms" in out
+        assert "note:" not in out
         assert "B = {1,4} | 6+1*N" in out
         assert "R = {1,3} | 5+1*N" in out
         assert "T = {1} | 3+1*N" in out
@@ -134,10 +134,11 @@ class TestCoeffs:
         assert doc["series"]["T"][:4] == ["0", "2", "0", "4"]
         assert "note:" not in out and err == ""
 
-    def test_text_hatted_notes_rewrite(self, capsys):
+    def test_text_has_no_note(self, capsys):
         code, out, _ = run(capsys, "coeffs", fx("bluered.spec"), "--degree", "6")
         assert code == 0
-        assert out.startswith("note: removed constant-coefficient linear terms")
+        assert out.startswith("B: [0, 1, 0, 0, 6, ")
+        assert "note:" not in out
 
     def test_sets_file_rejected(self, capsys):
         code, _, err = run(capsys, "coeffs", fx("paths.spec"))
@@ -247,10 +248,83 @@ class TestHatNote:
         assert "elementary: no" in out
         assert "origin-shifted" not in out
 
-    def test_check_names_the_shift(self, capsys):
+    def test_check_prints_the_verdict(self, capsys):
         code, out, _ = run(capsys, "check", fx("bluered.spec"))
         assert code == 0
-        assert "(zero-component check uses the origin-shifted system)" in out
+        assert "linear part at the origin: NonnegInverse\nidentically zero: none\n" in out
+        assert "origin-shifted" not in out
+
+    @pytest.mark.parametrize("command", ["check", "coeffs"])
+    def test_constant_and_linear_terms(self, capsys, tmp_path, command):
+        spec = tmp_path / "constant.spec"
+        spec.write_text("vars Y;\nmode series;\nY = 1 + x + 1/2*Y;\n")
+        code, _, err = run(capsys, command, str(spec))
+        assert (code, err) == (
+            3,
+            "spectre: Y: constant term 1; Y: linear term 1/2*Y with constant coefficient\n",
+        )
+
+    @pytest.mark.parametrize(
+        "rhs, verdict", [("x^2 + Y", "Singular"), ("x + 2*Y", "NegativeEntries")]
+    )
+    def test_ill_posed(self, capsys, tmp_path, rhs, verdict):
+        spec = tmp_path / "ill.spec"
+        spec.write_text(f"vars Y;\nmode series;\nY = {rhs};\n")
+        failed = f"spectre: origin Jacobian check failed: {verdict}\n"
+        code, out, err = run(capsys, "check", str(spec))
+        assert (code, err) == (3, failed)
+        assert out.endswith(f"linear part at the origin: {verdict}\n")
+        code, out, err = run(capsys, "coeffs", str(spec))
+        assert (code, out, err) == (3, "", failed)
+        note = f"note: linear part at the origin: {verdict}; reporting the"
+        for command in ("solve", "params"):
+            code, out, _ = run(capsys, command, str(spec))
+            assert code == 0 and out.startswith(note)
+        code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
+        assert "note:" not in out
+
+
+class TestOriginWalks:
+    @pytest.mark.parametrize("command", ["check", "coeffs", "solve", "params"])
+    def test_one_walk_per_right_side(self, capsys, monkeypatch, command):
+        real, depth, walks = pseries._origin, [0], []
+
+        def counting(expr):
+            if not depth[0]:
+                walks.append(expr)
+            depth[0] += 1
+            try:
+                return real(expr)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(pseries, "_origin", counting)
+        code, _, _ = run(capsys, command, fx("bluered.spec"))
+        assert code == 0
+        bluered = dsl.parse((FIXTURES / "bluered.spec").read_text())
+        assert walks == list(bluered.right_sides)
+
+
+class TestEnumeratedExponents:
+    """An enumerated index set cannot be summed with another exponent of
+    the same variable, in a set term or in a compiled product."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("solve", "vars Y; mode sets; Y = {1} + Primes*Y + Primes*Y;"),
+            ("compile", "vars Y; mode series; Y = x + x*MSet[Primes](Y)*MSet[Primes](Y);"),
+        ],
+        ids=["set-term", "series-product"],
+    )
+    def test_semantic_error(self, capsys, tmp_path, command, text):
+        spec = tmp_path / "enumerated.spec"
+        spec.write_text(text)
+        code, _, err = run(capsys, command, str(spec))
+        assert code == 3
+        assert err == (
+            "spectre: cannot combine an enumerated index set with another exponent\n"
+        )
 
 
 class TestInertOptions:

@@ -12,16 +12,15 @@ from conftest import FIXTURES
 COMMANDS = ("check", "solve", "params", "digraph")
 SERIES_COMMANDS = ("compile", "coeffs")
 
-# Out of scope until series systems get one normal form (ROADMAP item 3):
-# composite construct arguments and constructs inside the hat transform.
+# Out of scope until composite construct arguments get auxiliary variables
+# and Cycle gets coefficients (ROADMAP item 1).
 KNOWN_SEMANTIC_ERRORS = {
     ("compton", "solve"): "Cycle with an infinite index set over a composite argument",
     ("compton", "params"): "Cycle with an infinite index set over a composite argument",
     ("compton", "digraph"): "Cycle with an infinite index set over a composite argument",
     ("compton", "compile"): "Cycle with an infinite index set over a composite argument",
     ("compton", "coeffs"): "Cycle has spectrum-only semantics",
-    ("structured", "check"): "hat transform supports polynomial right sides only",
-    ("structured", "coeffs"): "hat transform supports polynomial right sides only",
+    ("structured", "coeffs"): "Cycle has spectrum-only semantics",
 }
 
 
@@ -33,7 +32,7 @@ def cases():
             known = KNOWN_SEMANTIC_ERRORS.get((path.stem, command))
             if known:
                 marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError, reason=f"ROADMAP item 3: {known}"
+                    strict=True, raises=AssertionError, reason=f"ROADMAP item 1: {known}"
                 )
             yield pytest.param(path.name, command, marks=marks, id=f"{path.stem}-{command}")
 
@@ -62,6 +61,11 @@ class TestTourScript:
         assert _tour().main(["--fixtures", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "4 commands: exit 0: 4"
+
+    def test_bundled_fixtures(self, capsys):
+        assert _tour().main([]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "28 commands: exit 0: 24, exit 3: 4"
 
     def test_internal_error_fails_the_run(self, capsys, tmp_path, monkeypatch):
         shutil.copy(FIXTURES / "postage.spec", tmp_path)

@@ -15,7 +15,6 @@ from spectre.pseries import (
     Construct,
     MixedSigns,
     Mul,
-    NotApplicable,
     NotElementary,
     Pow,
     PSSystem,
@@ -25,12 +24,10 @@ from spectre.pseries import (
     X,
     evaluate,
     fixed_point_solve,
-    hat_transform,
     is_elementary,
     jacobian_at_origin,
     mat_inverse,
     neumann_check,
-    poly_to_ast,
     s_add,
     s_const,
     s_from,
@@ -42,6 +39,7 @@ from spectre.pseries import (
 )
 
 import oracle
+from oracle import NotApplicable, hat_transform, poly_to_ast
 from conftest import FIXTURES, fixture_text, random_series_system
 
 F = Fraction
@@ -145,8 +143,10 @@ class TestFixedPoint:
         assert env[2].coeffs == tuple(frac_list(0, 2, 0, 0, 0, 0, 0))
 
     def test_non_elementary_rejected(self):
-        with pytest.raises(NotElementary):
-            fixed_point_solve(half_linear_system(), 5)
+        # y = x^2 + y: I - J is singular
+        sys_ = PSSystem(("Y",), (Add((Pow(X(), 2), Var(0))),))
+        with pytest.raises(NotElementary, match="check failed: Singular"):
+            fixed_point_solve(sys_, 5)
 
     def test_constant_terms_from_empty_sequences(self):
         # A = Seq[N](x) = 1/(1-x) has constant term 1, and B = x + A^2
@@ -174,6 +174,23 @@ class TestFixedPoint:
         )
         with pytest.raises(CompositionAtNonzeroConstant):
             fixed_point_solve(sys_, 4)
+
+    def test_linear_terms_of_empty_sequences(self):
+        # Seq[N](x) = 1/(1-x) has constant term 1, which the origin data
+        # does not see: these linear terms are read off the engine
+        def solve(text):
+            return [y.coeffs for y in fixed_point_solve(dsl.parse(text), 6)]
+
+        # A = x + B/(1-x), B = x^2: a nilpotent linear part
+        a, b = solve("vars A, B; mode series; A = x + Seq[N](x)*B; B = x^2;")
+        assert a == tuple(frac_list(0, 1, 1, 1, 1, 1, 1))
+        assert b == tuple(frac_list(0, 0, 1, 0, 0, 0, 0))
+        # B = x + B/(2(1-x)) = 2x(1-x)/(1-2x)
+        _, b = solve("vars A, B; mode series; A = Seq[N](x); B = x + 1/2*A*B;")
+        assert b == tuple(frac_list(0, 2, 2, 4, 8, 16, 32))
+        # Y = x + Y/(1-x): I - M is singular
+        with pytest.raises(NotElementary, match="constant terms of the solution: Singular"):
+            solve("vars Y; mode series; Y = x + Seq[N](x)*Y;")
 
     def test_catalan_high_degree(self):
         n = 256
@@ -422,6 +439,71 @@ class TestHat:
             hat_transform(sys_)
 
 
+def _linear_system(rng: random.Random, constructs: bool) -> PSSystem:
+    """Random series system with constant-coefficient linear terms c*Y_j
+    beside terms that carry a factor x.  With constructs=True, Seq and
+    MSet over a variable appear too, with or without a factor x, so they
+    may add to the linear part."""
+    k = rng.randint(1, 3)
+    indices = (POS, normalize([2]), normalize([1, 3]), normalize((), [(2, 2)]))
+    rhs = []
+    for _ in range(k):
+        terms = [X()] if rng.random() < 0.7 else []
+        for _ in range(rng.randint(0, 2)):
+            factors = [X()]
+            for j in range(k):
+                e = rng.choice((0, 0, 1, 2))
+                if e:
+                    factors.append(Var(j) if e == 1 else Pow(Var(j), e))
+            terms.append(Mul(tuple(factors)) if len(factors) > 1 else X())
+        for j in range(k):
+            if rng.random() < 0.3:
+                c = rng.choice((F(1, 3), F(1, 2), F(1, 2), F(1), F(2)))
+                terms.append(Var(j) if c == 1 else Mul((Const(c), Var(j))))
+        if constructs and rng.random() < 0.8:
+            kind = rng.choice(("Seq", "MSet"))
+            arg = Construct(kind, rng.choice(indices), Var(rng.randrange(k)))
+            terms.append(arg if rng.random() < 0.5 else Mul((X(), arg)))
+        if not terms:
+            terms.append(Pow(X(), 2))
+        rhs.append(terms[0] if len(terms) == 1 else Add(tuple(terms)))
+    return PSSystem(tuple(f"Y{i}" for i in range(k)), tuple(rhs))
+
+
+class TestDirectLinearSolve:
+    """Systems with a nonzero linear part at the origin, solved degree by
+    degree, against the hat transform in oracle where it applies."""
+
+    def test_half_linear(self):
+        sys_ = half_linear_system()
+        assert fixed_point_solve(sys_, 12) == fixed_point_solve(hat_transform(sys_), 12)
+
+    def test_random_systems(self):
+        n = 8
+        rng = random.Random(20240)
+        seen = {"rewritten": 0, "construct": 0, "ill-posed": 0}
+        for i in range(1200):
+            sys_ = _linear_system(rng, constructs=i % 2 == 1)
+            verdict = neumann_check(oracle.jacobian_at_origin(sys_)).verdict
+            if verdict != "NonnegInverse":
+                seen["ill-posed"] += 1
+                with pytest.raises(NotElementary, match=f"check failed: {verdict}"):
+                    fixed_point_solve(sys_, n)
+                continue
+            sol = fixed_point_solve(sys_, n)
+            try:
+                hatted = hat_transform(sys_)
+            except NotApplicable as e:
+                assert "polynomial right sides only" in str(e)
+                seen["construct"] += 1
+                for rhs, y in zip(sys_.right_sides, sol):
+                    assert evaluate(rhs, sol, n).coeffs == y.coeffs
+            else:
+                seen["rewritten"] += hatted != sys_
+                assert sol == fixed_point_solve(hatted, n)
+        assert min(seen.values()) >= 150, seen
+
+
 class TestZeroComponents:
     def test_mutually_zero(self):
         sys_ = PSSystem(
@@ -434,8 +516,10 @@ class TestZeroComponents:
         assert zero_components(binary_tree_system()) == set()
 
     def test_requires_elementary(self):
-        with pytest.raises(NotElementary):
-            zero_components(half_linear_system())
+        # y = x + 2y: (I - J)^-1 = -1
+        sys_ = PSSystem(("Y",), (Add((X(), Mul((Const(F(2)), Var(0))))),))
+        with pytest.raises(NotElementary, match="check failed: NegativeEntries"):
+            zero_components(sys_)
 
 
 class TestSpectrum:
