@@ -119,14 +119,13 @@ def _canonical(mem: bytearray, blocks: Iterable[Tuple[int, int]]) -> EPSet:
             break
     res = frozenset(r % period for r in occupied)
 
-    # minimal point from which the residue pattern describes membership
-    t0 = start_m
-    while t0 > 0:
-        n = t0 - 1
-        if bool(mem[n]) == ((n % period) in res):
-            t0 = n
-        else:
-            break
+    # minimal point from which the residue pattern describes membership:
+    # one past the last n below start_m with mem[n] != mem[n + period],
+    # since from start_m on membership repeats with the period
+    diff = int.from_bytes(mem[:start_m], "little") ^ int.from_bytes(
+        mem[period : start_m + period], "little"
+    )
+    t0 = (diff.bit_length() + 7) // 8
     # advance to the first member of the periodic tail
     thr = t0
     while (thr % period) not in res:
@@ -149,12 +148,74 @@ def _bits(m: int) -> list[int]:
     return list(itertools.compress(range(len(digits)), digits))
 
 
-def _mask(elems: Iterable[int], size: int) -> int:
-    """The bitmask with bits elems set, all of them below size."""
+def _mask(
+    elems: Iterable[int], size: int, blocks: Iterable[Tuple[int, int]] = ()
+) -> int:
+    """The bitmask with bits elems set, all of them below size, and the
+    bits s, s + p, s + 2p, ... below size of each (s, p) in blocks."""
     digits = bytearray(b"0") * size
     for n in elems:
         digits[n] = 49  # "1"
+    for s, p in blocks:
+        digits[s::p] = b"1" * len(range(s, size, p))
     return int(digits[::-1], 2)
+
+
+def _positions(m: int, count: int) -> list[int]:
+    """_bits(m) for an m with count set bits. _bits passes over every
+    binary digit, so when fewer than about one digit in 16 is set, the
+    set bits are isolated one at a time instead."""
+    if 16 * count >= m.bit_length() + 64:
+        return _bits(m)
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _smear(b: int, n: int) -> int:
+    """b | b << 1 | ... | b << (n - 1), by doubling the covered shifts."""
+    width = 1
+    while 2 * width <= n:
+        b |= b << width
+        width *= 2
+    return b | b << (n - width) if width < n else b
+
+
+def _mask_sum(a: int, b: int) -> int:
+    """The bitmask of {x + y : bit x of a and bit y of b set}.
+
+    Shifts the denser operand once per member of the sparser one; or, when
+    an operand is a few long runs of consecutive members, smears the other
+    once per run. A run of length n costs about log2(n) doublings plus a
+    placement shift and an OR, and the cheaper method is taken.
+    """
+    ca, cb = a.bit_count(), b.bit_count()
+    if ca > cb:
+        a, b, ca, cb = b, a, cb, ca
+    if ca <= 1:  # empty or a single member
+        return b << a.bit_length() - 1 if a else 0
+    # bit set at each run start and one past each run end
+    ta, tb = a ^ (a << 1), b ^ (b << 1)
+    ra, rb = ta.bit_count() // 2, tb.bit_count() // 2
+    sa = ra * ((ca // ra).bit_length() + 2)
+    sb = rb * ((cb // rb).bit_length() + 2)
+    out = 0
+    if min(sa, sb) < ca:
+        if sb < sa:
+            a, b, ta, ra = b, a, tb, rb
+        bounds = _positions(ta, 2 * ra)
+        smears: dict[int, int] = {}
+        for s, e in zip(bounds[0::2], bounds[1::2]):
+            if e - s not in smears:
+                smears[e - s] = _smear(b, e - s)
+            out |= smears[e - s] << s
+        return out
+    for n in _positions(a, ca):
+        out |= b << n
+    return out
 
 
 EMPTY = normalize(())
@@ -269,12 +330,8 @@ def sumset(a: EPSet, b: EPSet) -> EPSet:
         return b if a == ZERO else a
     fa, ba = decompose(a)
     fb, bb = decompose(b)
-    # pairwise sums of the finite parts via bitmask shifts
-    acc = 0
-    if fa and fb:
-        abits = _mask(fa, fa[-1] + 1)
-        for y in fb:
-            acc |= abits << y
+    # pairwise sums of the finite parts
+    acc = _mask_sum(_mask(fa, fa[-1] + 1), _mask(fb, fb[-1] + 1)) if fa and fb else 0
     if not ba and not bb:
         fp = tuple(_bits(acc))
         return EPSet(fp, fp[-1] + 1)
@@ -497,7 +554,7 @@ def _primes() -> Iterator[int]:
     known = [2]
     n = 3
     while True:
-        if all(n % p for p in known if p * p <= n):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, known)):
             known.append(n)
             yield n
         n += 2

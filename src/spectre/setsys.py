@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -16,7 +17,6 @@ from .epset import (
     IndexSet,
     PeriodicityParams,
     decompose,
-    enumerate_range,
     format_epset,
     has_positive,
     is_subset,
@@ -446,18 +446,13 @@ def q_vector(sys: SetSystem, cap: int = 64, window: int = 8) -> list[int]:
 
 
 def _mask_of(a: EPSet, h: int) -> int:
-    return epset._mask(enumerate_range(a, 0, h), h + 1)
+    """The bitmask of the members of a in [0, h]."""
+    fins, blocks = decompose(a)
+    return epset._mask(fins[: bisect_right(fins, h)], h + 1, blocks)
 
 
 def _mask_sum(a: int, b: int, full: int) -> int:
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    if a & (a - 1) == 0:  # empty or a single member
-        return (b << a.bit_length() - 1) & full if a else 0
-    out = 0
-    for n in epset._bits(a):
-        out |= b << n
-    return out & full
+    return epset._mask_sum(a, b) & full
 
 
 def _mask_nstar(n: int, b: int, full: int) -> int:
@@ -508,6 +503,8 @@ def _mask_star(e: IndexSet, y: int, h: int, full: int) -> int:
 
 
 def _kleene(sys: SetSystem, h: int, seed: Optional[Sequence[int]] = None) -> list[int]:
+    """Fixed point of the truncation of Gamma to [0, h], iterated from seed
+    (by default the empty vector, which gives the least one)."""
     full = (1 << (h + 1)) - 1
     vec = list(seed) if seed is not None else [0] * sys.k
     terms = [[(_mask_of(t.base, h), t.factors()) for t in eq] for eq in sys.equations]
@@ -728,13 +725,15 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     equation reached is linear, CertifiedDoubling if the component in the
     reduced system meets the doubling condition, else
     CertifiedFiniteConvergence. The truncated Kleene solution checks all.
+    In an elementary system bit n of Gamma(Y) depends only on bits 1..n-1
+    of Y, so the truncation has one positive fixed point: Kleene starts
+    from the exact answers, and one round confirms them when they are right.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     cls = classify(sys)
     if not cls.is_basic:
         raise NotBasic("system does not map positive-sets into positive-sets")
-    masks = _kleene(sys, horizon)
     dg = dependency(sys)
     k = sys.k
     reached = [[j for j in range(k) if dg.reaches(i, j)] for i in range(k)]
@@ -750,14 +749,22 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
         rdg = dependency(red)
         doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
 
+    # exact components never reach a Heuristic one
     closed = [EMPTY] * k
-    for comp in _components(dg):
+    comps = _components(dg)
+    for comp in comps:
+        if not heuristic[comp[0]]:
+            for i, v in zip(comp, _newton(_component_system(sys, comp, closed))):
+                closed[i] = v
+    forms = [0 if heuristic[i] else _mask_of(closed[i], horizon) for i in range(k)]
+    # a non-elementary system can have several fixed points: start from 0
+    seed = [m & ~1 for m in forms] if cls.is_elementary else None
+    masks = _kleene(sys, horizon, seed=seed)
+    for comp in comps:
         if heuristic[comp[0]]:
             for i in comp:
                 closed[i] = _infer_epset_from_mask(masks[i], horizon)
-        else:
-            for i, v in zip(comp, _newton(_component_system(sys, comp, closed))):
-                closed[i] = v
+                forms[i] = _mask_of(closed[i], horizon)
 
     out = []
     for i in range(k):
@@ -774,24 +781,16 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
             cert = CERT_DOUBLING
         else:
             cert = CERT_FINITE
-        if _mask_of(closed[i], horizon) != masks[i]:
+        if forms[i] != masks[i]:
             raise AssertionError(
                 f"closed form for {sys.variables[i]} disagrees with truncation"
             )
-        bits = format(masks[i], "b")[::-1].ljust(horizon + 1, "0")
-        trunc = tuple(b == "1" for b in bits)
+        trunc = tuple(map(bool, epset._membership(masks[i]).ljust(horizon + 1, b"\0")))
         out.append(VariableSolution(sys.variables[i], closed[i], trunc, cert, pp))
     notes = []
     if sys.has_enumerated():
         notes.append("enumeration-based index sets present; results uncertified")
     return SpectrumSolution(horizon, tuple(out), cls, tuple(notes))
-
-
-def solve_seeded(sys: SetSystem, horizon: int, seed_sets: Sequence[EPSet]) -> list[set[int]]:
-    """Iterate from an arbitrary positive-set seed vector; returns the
-    stabilized truncations (for uniqueness experiments)."""
-    seed = [_mask_of(s, horizon) & ~1 for s in seed_sets]
-    return [set(epset._bits(m)) for m in _kleene(sys, horizon, seed=seed)]
 
 
 def nonuniqueness_probe(

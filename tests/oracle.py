@@ -11,6 +11,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from spectre import setsys
 from spectre.pseries import (
     Add,
     CompositionAtNonzeroConstant,
@@ -130,6 +131,15 @@ def brute_fixpoint(system, h: int) -> list[BoolVec]:
         if all((x == y).all() for x, y in zip(nxt, vals)):
             return [list(v) for v in vals]
         vals = nxt
+
+
+def solve_seeded(system, h: int, seed_sets) -> list[set[int]]:
+    """The truncations on [0, h] that the solver's bitmask Kleene iteration
+    reaches from an arbitrary positive-set seed vector (for uniqueness
+    experiments; this drives the engine rather than replacing it)."""
+    seed = [sum(1 << n for n in _epset_members(s, h) if n) for s in seed_sets]
+    masks = setsys._kleene(system, h, seed=seed)
+    return [{n for n in range(h + 1) if m >> n & 1} for m in masks]
 
 
 def _epset_members(s, h: int) -> set[int]:

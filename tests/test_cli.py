@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from spectre import cli, dsl, pseries
+from spectre import cli, dsl, pseries, setsys
+from spectre.epset import POS, singleton, union
 
 from conftest import FIXTURES
 
@@ -221,6 +222,30 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", str(trivial))
         assert code == 3
         assert "bare variable" in err
+
+
+class TestTruncationCheck:
+    """A wrong exact answer is an internal error, whether the truncated
+    Kleene check starts from it (elementary systems, whose truncation has
+    one positive fixed point) or from the empty vector (others)."""
+
+    def test_extra_member_elementary(self, capsys, monkeypatch):
+        newton = setsys._newton
+        monkeypatch.setattr(
+            setsys, "_newton", lambda sys_: [union(v, singleton(7)) for v in newton(sys_)]
+        )
+        code, _, err = run(capsys, "solve", fx("postage.spec"))
+        assert code == cli.EXIT_INTERNAL
+        assert "closed form for Y disagrees with truncation" in err
+
+    def test_non_least_fixed_point(self, capsys, monkeypatch, tmp_path):
+        spec = tmp_path / "y.spec"
+        spec.write_text("vars Y;\nmode sets;\nY = {1} | {0} + Y;\n")
+        # 1+N solves Y = {1} | {0} + Y, but {1} is the least solution
+        monkeypatch.setattr(setsys, "_newton", lambda sys_: [POS] * sys_.k)
+        code, _, err = run(capsys, "solve", str(spec))
+        assert code == cli.EXIT_INTERNAL
+        assert "closed form for Y disagrees with truncation" in err
 
 
 class TestColor:

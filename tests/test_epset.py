@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -333,3 +334,51 @@ class TestOracle:
         assert vec(nat_closure(b), h) == oracle.brute_set_op(
             "natstar", None, vec(b, h), h
         )
+
+
+# ---------------------------------------------------------------------------
+# the private bitmask sumset kernel
+
+
+def naive_mask_sum(a: int, b: int) -> int:
+    out = 0
+    for x in range(a.bit_length()):
+        if a >> x & 1:
+            out |= b << x
+    return out
+
+
+def truncated_epset_mask(rng: random.Random) -> int:
+    """Members up to a random horizon of a random EPSet with period 1-7
+    and 0-3 residues (0 residues: a finite set)."""
+    p = rng.randint(1, 7)
+    residues = rng.sample(range(p), min(p, rng.randint(0, 3)))
+    fins = rng.sample(range(60), rng.randint(0, 8))
+    a = normalize(fins, [(rng.randrange(60) // p * p + r, p) for r in residues])
+    h = rng.choice([8, 64, 300, 2100])
+    return sum(1 << n for n in enumerate_range(a, 0, h))
+
+
+def random_run_mask(rng: random.Random) -> int:
+    """A few runs of consecutive members, or a few members, in a long mask."""
+    m = 0
+    for _ in range(rng.randint(1, 6)):
+        m |= (1 << rng.randint(1, 400)) - 1 << rng.randrange(3000)
+    return m if rng.random() < 0.5 else m & ~(m << 1)
+
+
+class TestMaskSum:
+    def test_against_shift_loop(self):
+        rng = random.Random(1729)
+        draws = [
+            lambda: rng.getrandbits(rng.choice([1, 7, 64, 500])),
+            lambda: truncated_epset_mask(rng),
+            lambda: random_run_mask(rng),
+            lambda: 0,
+            lambda: 1 << rng.randrange(200),
+        ]
+        for _ in range(1500):
+            a, b = (rng.choices(draws, [4, 4, 4, 1, 1])[0]() for _ in "ab")
+            want = naive_mask_sum(a, b)
+            assert epset._mask_sum(a, b) == want, (a, b)
+            assert epset._mask_sum(b, a) == want, (a, b)

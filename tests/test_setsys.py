@@ -36,13 +36,13 @@ from spectre.setsys import (
     q_vector,
     reduce,
     solve,
-    solve_seeded,
     symbolic_iterate,
     term,
 )
 
 import oracle
-from conftest import members, random_nonempty_epset
+from oracle import solve_seeded
+from conftest import fixture_text, members, random_nonempty_epset
 
 ODDS = normalize((), [(1, 2)])
 LIN43 = union(normalize((), [(1, 3)]), normalize((), [(2, 3)]))
@@ -459,3 +459,26 @@ class TestExactSolve:
         sol = solve(structured_pair_system(), horizon=128)
         assert [v.certificate for v in sol.variables] == [CERT_HEURISTIC] * 2
         assert sol.notes
+
+    def test_non_elementary_least_solution(self):
+        # every set containing 1 solves Y = {1} | {0} + Y; the truncation
+        # check starts from the empty vector and finds the least one
+        sys_ = sets_system("Y = {1} | {0} + Y;")
+        assert not classify(sys_).is_elementary
+        h = 64
+        sol = solve(sys_, horizon=h)
+        assert sol.variables[0].closed_form == ONE
+        brute = oracle.brute_fixpoint(sys_, h)
+        assert [list(v.truncation) for v in sol.variables] == brute
+
+    def test_right_answers_are_checked_in_one_round(self, monkeypatch):
+        # paths is elementary: Kleene starts from Newton's answers and
+        # evaluates each of the six factors once, at any horizon
+        sys_ = dsl.parse(fixture_text("paths.spec"))
+        calls = []
+        mask_star = setsys._mask_star
+        monkeypatch.setattr(
+            setsys, "_mask_star", lambda *args: calls.append(1) or mask_star(*args)
+        )
+        solve(sys_, horizon=4096)
+        assert len(calls) == 6
