@@ -138,8 +138,6 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     for v in sol.variables:
         print(f"{v.name} = {format_epset(v.closed_form)}   [{v.certificate}]")
-    for note in sol.notes:
-        print(f"note: {note}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Tuple, Union
@@ -549,15 +549,18 @@ def format_epset(a: EPSet) -> str:
     return " | ".join(parts)
 
 
-def _primes() -> Iterator[int]:
-    yield 2
-    known = [2]
-    n = 3
-    while True:
+_PRIMES = [2, 3]
+
+
+def _primes(hi: int, count: float) -> list[int]:
+    """The primes found so far, first grown by trial division until they
+    pass hi or number count; one list serves the whole process."""
+    known, n = _PRIMES, _PRIMES[-1]
+    while known[-1] <= hi and len(known) < count:
+        n += 2
         if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, known)):
             known.append(n)
-            yield n
-        n += 2
+    return known
 
 
 _GENERATORS = {"Primes": _primes}
@@ -565,23 +568,22 @@ _GENERATORS = {"Primes": _primes}
 
 @dataclass(frozen=True)
 class EnumeratedSet:
-    """A strictly increasing set of naturals given only by a generator.
+    """A strictly increasing set of naturals known only by enumeration.
 
     Used for index sets (like the primes) that are not eventually
-    periodic.  Results that consume the generator are flagged
-    enumeration-based and uncertified by callers.
+    periodic.  The solver brackets them between two eventually periodic
+    index sets.
     """
 
     name: str
 
     def members_upto(self, hi: int, cap: Optional[int] = None) -> list[int]:
-        gen = _GENERATORS[self.name]()
-        if cap is not None:
-            gen = itertools.islice(gen, cap)
-        return list(itertools.takewhile(lambda n: n <= hi, gen))
+        """The members in [0, hi], at most the first cap of them."""
+        known = _GENERATORS[self.name](hi, math.inf if cap is None else cap)
+        return known[: bisect_right(known, hi)][:cap]
 
     def first(self) -> int:
-        return next(_GENERATORS[self.name]())
+        return _GENERATORS[self.name](0, 1)[0]
 
     def __repr__(self) -> str:
         return f"EnumeratedSet({self.name})"

@@ -47,7 +47,7 @@ class NotBasic(ValueError):
 
 
 class HorizonTooSmall(ValueError):
-    """The truncation horizon cannot support closed-form inference."""
+    """Enumerated index sets cut at the horizon leave the solution open."""
 
 
 class EnumeratedExponent(ValueError):
@@ -537,7 +537,6 @@ def _kleene(sys: SetSystem, h: int, seed: Optional[Sequence[int]] = None) -> lis
 CERT_LINEAR = "CertifiedLinear"
 CERT_DOUBLING = "CertifiedDoubling"
 CERT_FINITE = "CertifiedFiniteConvergence"
-CERT_HEURISTIC = "Heuristic"
 
 
 @dataclass(frozen=True)
@@ -554,7 +553,6 @@ class SpectrumSolution:
     horizon: int
     variables: Tuple[VariableSolution, ...]
     classification: SystemClassification
-    notes: Tuple[str, ...] = ()
 
 
 def linear_closed_form(g0: EPSet, g1: EPSet) -> EPSet:
@@ -673,33 +671,6 @@ def _components(dg: Digraph) -> list[Tuple[int, ...]]:
     return sorted(comps, key=lambda c: (sum(dg.reaches(c[0], j) for j in range(dg.n)), c))
 
 
-def _infer_epset_from_mask(mask: int, h: int) -> EPSet:
-    """Fit a canonical EPSet to a truncated membership mask.
-
-    The tail on the upper half of the window must be periodic with some
-    period at most h/4; otherwise the horizon is declared too small.
-    """
-    members = epset._bits(mask)
-    if not members or members[-1] < h // 2:
-        return normalize(members)
-    bits = format(mask, "b")[::-1].ljust(h + 1, "0")
-    half = h // 2
-    period = next(
-        (p for p in range(1, h // 4 + 1) if bits[half : h + 1 - p] == bits[half + p :]),
-        None,
-    )
-    if period is None:
-        raise HorizonTooSmall(
-            f"no tail period up to {h // 4} fits the horizon-{h} truncation"
-        )
-    t = half
-    while t > 0 and bits[t - 1] == bits[t - 1 + period]:
-        t -= 1
-    fins = [n for n in members if n < t]
-    blocks = [(n, period) for n in range(t, t + period) if bits[n] == "1"]
-    return normalize(fins, blocks)
-
-
 def _doubling_condition(sys: SetSystem, dg: Digraph, i: int) -> bool:
     """Some equation in i's strong component has a family with total
     component-internal weight at least 2."""
@@ -716,18 +687,64 @@ def _doubling_condition(sys: SetSystem, dg: Digraph, i: int) -> bool:
     return False
 
 
+def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
+    """sys with each enumerated index set cut to its members up to bound,
+    joined with the blocks of tail."""
+    def cut(e: IndexSet) -> IndexSet:
+        return normalize(e.members_upto(bound), tail) if isinstance(e, EnumeratedSet) else e
+
+    eqs = [[GammaTerm(t.base, tuple(map(cut, t.exponents))) for t in eq] for eq in sys.equations]
+    return SetSystem(sys.variables, tuple(map(tuple, eqs)))
+
+
+def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
+    """Least solution by Newton iteration, one strong component at a time,
+    below first. Gamma is monotone in each enumerated index set E, so with
+    E cut to E_lo = {e in E : e <= P} and E_hi = E_lo | P+1+N the least
+    solutions rise from E_lo through E to E_hi (Tarski, Pacific J. Math.
+    1955): the one for E_lo is the one for E once it solves the E_hi
+    system. P doubles from 2 until then, and up to the horizon."""
+    bound = 2
+    while True:
+        lo = _cut(sys, bound, []) if sys.has_enumerated() else sys
+        nu = [EMPTY] * sys.k
+        for comp in _components(dg):
+            for i, v in zip(comp, _newton(_component_system(lo, comp, nu))):
+                nu[i] = v
+        if lo is sys:
+            return nu
+        image = gamma_eval(_cut(sys, bound, [(bound + 1, 1)]), nu)
+        for name, v, w in zip(sys.variables, nu, image):
+            if not is_subset(v, w):  # Gamma_hi lies above Gamma_lo, which fixes nu
+                raise AssertionError(f"exact answer for {name} is no fixed point of the cut system")
+        if image == nu:
+            return nu
+        if bound >= horizon:
+            raise HorizonTooSmall(f"enumerated index sets cut at {bound} leave the solution open")
+        bound *= 2
+
+
+def _one_positive_fixed_point(sys: SetSystem) -> bool:
+    """True when no cycle runs through families that can take a single
+    member (0 in the base, weight < 2): bit n of Gamma(Y) then reads bits
+    below n and, along an acyclic graph, bit n of other variables."""
+    single = [[t for t in eq if member(t.base, 0) and t.min_weight() < 2] for eq in sys.equations]
+    reach = dependency(SetSystem(sys.variables, tuple(map(tuple, single)))).reach_plus
+    return not any(reach[i][i] for i in range(sys.k))
+
+
 def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     """Least solution of Y = Gamma(Y), in closed form and truncated.
 
-    Strong components are solved exactly by Newton iteration, below first;
-    those reaching an enumerated index set are read off the truncation
-    (Heuristic). Certificates follow the structure: CertifiedLinear if every
-    equation reached is linear, CertifiedDoubling if the component in the
-    reduced system meets the doubling condition, else
-    CertifiedFiniteConvergence. The truncated Kleene solution checks all.
-    In an elementary system bit n of Gamma(Y) depends only on bits 1..n-1
-    of Y, so the truncation has one positive fixed point: Kleene starts
-    from the exact answers, and one round confirms them when they are right.
+    Strong components are solved exactly by Newton iteration, below first,
+    each enumerated index set bracketed between two eventually periodic ones
+    (HorizonTooSmall if the bracket is open at the horizon). Certificates
+    follow the structure: CertifiedLinear if every equation reached is
+    linear, CertifiedDoubling if the component in the reduced system meets
+    the doubling condition, else CertifiedFiniteConvergence. The truncated
+    Kleene solution checks all. When the truncation has one positive fixed
+    point, Kleene starts from the exact answers, and one round confirms them
+    when they are right; otherwise (Y = {1} | {0} + Y) it starts from 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -737,10 +754,6 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     dg = dependency(sys)
     k = sys.k
     reached = [[j for j in range(k) if dg.reaches(i, j)] for i in range(k)]
-    heuristic = [
-        any(isinstance(e, EnumeratedSet) for j in r for t in sys.equations[j] for e in t.exponents)
-        for r in reached
-    ]
     linear = [all(_is_linear(t, k) for j in r for t in sys.equations[j]) for r in reached]
     live = [i for i in range(k) if i not in cls.empties]
     doubling = set()
@@ -749,29 +762,15 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
         rdg = dependency(red)
         doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
 
-    # exact components never reach a Heuristic one
-    closed = [EMPTY] * k
-    comps = _components(dg)
-    for comp in comps:
-        if not heuristic[comp[0]]:
-            for i, v in zip(comp, _newton(_component_system(sys, comp, closed))):
-                closed[i] = v
-    forms = [0 if heuristic[i] else _mask_of(closed[i], horizon) for i in range(k)]
-    # a non-elementary system can have several fixed points: start from 0
-    seed = [m & ~1 for m in forms] if cls.is_elementary else None
+    closed = _least(sys, dg, horizon)
+    forms = [_mask_of(v, horizon) for v in closed]
+    seed = [m & ~1 for m in forms] if _one_positive_fixed_point(sys) else None
     masks = _kleene(sys, horizon, seed=seed)
-    for comp in comps:
-        if heuristic[comp[0]]:
-            for i in comp:
-                closed[i] = _infer_epset_from_mask(masks[i], horizon)
-                forms[i] = _mask_of(closed[i], horizon)
 
     out = []
     for i in range(k):
         pp = params(closed[i])
-        if heuristic[i]:
-            cert = CERT_HEURISTIC
-        elif linear[i]:
+        if linear[i]:
             cert = CERT_LINEAR
         elif i in doubling:
             if pp.p != pp.q:
@@ -787,10 +786,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
             )
         trunc = tuple(map(bool, epset._membership(masks[i]).ljust(horizon + 1, b"\0")))
         out.append(VariableSolution(sys.variables[i], closed[i], trunc, cert, pp))
-    notes = []
-    if sys.has_enumerated():
-        notes.append("enumeration-based index sets present; results uncertified")
-    return SpectrumSolution(horizon, tuple(out), cls, tuple(notes))
+    return SpectrumSolution(horizon, tuple(out), cls)
 
 
 def nonuniqueness_probe(

@@ -214,6 +214,15 @@ class TestExitCodes:
         assert code == 2
         assert "3:" in err
 
+    def test_non_periodic_spectrum(self, capsys, tmp_path):
+        # the spectrum of Y is Primes, so no closed form can be proven
+        spec = tmp_path / "primes.spec"
+        spec.write_text("vars Y, Z; mode sets; Y = Primes*Z; Z = {1};")
+        code, out, err = run(capsys, "solve", str(spec))
+        assert code == 3
+        assert out == ""
+        assert "leave the solution open" in err
+
     def test_semantic_error(self, capsys, tmp_path):
         trivial = tmp_path / "trivial.spec"
         trivial.write_text(
@@ -226,17 +235,26 @@ class TestExitCodes:
 
 class TestTruncationCheck:
     """A wrong exact answer is an internal error, whether the truncated
-    Kleene check starts from it (elementary systems, whose truncation has
-    one positive fixed point) or from the empty vector (others)."""
+    Kleene check starts from it (systems whose truncation has one positive
+    fixed point, elementary or not) or from the empty vector (others)."""
 
     def test_extra_member_elementary(self, capsys, monkeypatch):
-        newton = setsys._newton
-        monkeypatch.setattr(
-            setsys, "_newton", lambda sys_: [union(v, singleton(7)) for v in newton(sys_)]
-        )
-        code, _, err = run(capsys, "solve", fx("postage.spec"))
-        assert code == cli.EXIT_INTERNAL
-        assert "closed form for Y disagrees with truncation" in err
+        cases = [
+            ("postage", "_newton", "closed form for Y disagrees with truncation"),
+            # structured is not elementary, but T = R | B closes no cycle;
+            # a wrong answer for B breaks the bracket on Primes first
+            ("structured", "_newton", "exact answer for B is no fixed point of the cut system"),
+            ("structured", "_least", "closed form for B disagrees with truncation"),
+        ]
+        for name, solver, message in cases:
+            exact = getattr(setsys, solver)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    setsys, solver, lambda *args: [union(v, singleton(7)) for v in exact(*args)]
+                )
+                code, _, err = run(capsys, "solve", fx(f"{name}.spec"))
+            assert code == cli.EXIT_INTERNAL, name
+            assert message in err
 
     def test_non_least_fixed_point(self, capsys, monkeypatch, tmp_path):
         spec = tmp_path / "y.spec"

@@ -382,3 +382,29 @@ class TestMaskSum:
             want = naive_mask_sum(a, b)
             assert epset._mask_sum(a, b) == want, (a, b)
             assert epset._mask_sum(b, a) == want, (a, b)
+
+
+def sieve(hi: int) -> list[int]:
+    """The primes up to hi by the sieve of Eratosthenes."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (hi - 1)
+    for n in range(2, math.isqrt(hi) + 1):
+        if flags[n]:
+            flags[n * n :: n] = bytes(len(range(n * n, hi + 1, n)))
+    return [n for n in range(hi + 1) if flags[n]]
+
+
+def test_primes_vs_sieve(monkeypatch):
+    # one list grows on demand and serves every call: bounds rise and fall,
+    # and a cap stops the growth long before a huge bound
+    monkeypatch.setattr(epset, "_PRIMES", [2, 3])
+    primes = epset.ENUMERATED_SETS["Primes"]
+    ref = sieve(3000)
+    calls = [
+        (10**9, 3), (0, None), (2, None), (10**9, 64), (100, None), (100, 10),
+        (3000, None), (50, None), (7, 2), (2999, None), (1000, 500), (1, None),
+        (3000, 0),
+    ]
+    for hi, cap in calls:
+        expect = [p for p in ref if p <= hi][:cap]
+        assert primes.members_upto(hi, cap=cap) == expect, (hi, cap)
+    assert primes.first() == 2

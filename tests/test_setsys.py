@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectre import compile as compile_mod
 from spectre import dsl, epset, setsys
 from spectre.epset import (
     EMPTY,
@@ -21,7 +22,6 @@ from spectre.epset import (
 )
 from spectre.setsys import (
     CERT_DOUBLING,
-    CERT_HEURISTIC,
     CERT_LINEAR,
     GammaTerm,
     SetSystem,
@@ -410,6 +410,12 @@ def sets_system(*equations: str) -> SetSystem:
     return dsl.parse(f"vars {', '.join(names)};\nmode sets;\n" + "\n".join(equations))
 
 
+def fixture_system(name: str) -> SetSystem:
+    """A bundled fixture as solve sees it, series files translated to sets."""
+    sys_ = dsl.parse(fixture_text(name))
+    return sys_ if isinstance(sys_, SetSystem) else compile_mod.compile_system(sys_).system
+
+
 class TestExactSolve:
     def test_member_past_the_horizon(self):
         # at the default horizon 512 every truncation looks like 1+2*N
@@ -455,10 +461,40 @@ class TestExactSolve:
                 if v.certificate == CERT_DOUBLING:
                     assert v.params.p == v.params.q
 
-    def test_enumerated_components_are_heuristic(self):
-        sol = solve(structured_pair_system(), horizon=128)
-        assert [v.certificate for v in sol.variables] == [CERT_HEURISTIC] * 2
-        assert sol.notes
+    @pytest.mark.parametrize(
+        "make, closes_at",
+        [
+            (structured_pair_system, 4),
+            (lambda: fixture_system("structured.spec"), 4),
+            (lambda: sets_system("Y = {1} | Primes*Y;"), 2),
+            (lambda: sets_system("Y = {1} | {1} + Primes*Y;"), 4),
+            (lambda: sets_system("Y = {2} | {3} + Primes*Y;"), 8),
+        ],
+        ids=["pair", "structured", "primes-star", "shifted", "late"],
+    )
+    def test_enumerated_index_sets_are_bracketed(self, monkeypatch, make, closes_at):
+        # Primes is cut to the primes up to P, and to those plus P+1+N; the
+        # answer for the lower cut is proven once it solves the upper one too,
+        # and it holds far past the horizon
+        sys_ = make()
+        cut = setsys._cut
+        bounds = []
+        monkeypatch.setattr(
+            setsys, "_cut", lambda s, bound, tail: bounds.append(bound) or cut(s, bound, tail)
+        )
+        sol = solve(sys_, horizon=64)
+        assert max(bounds) == closes_at
+        certified = {CERT_LINEAR, CERT_DOUBLING, setsys.CERT_FINITE}
+        assert {v.certificate for v in sol.variables} <= certified
+        h = 256
+        for v, b in zip(sol.variables, oracle.brute_fixpoint(sys_, h)):
+            assert members(v.closed_form, h) == oracle.vec_members(b)
+
+    def test_non_periodic_spectrum_is_refused(self):
+        # Y = Primes: the two cuts never agree, whatever the horizon
+        sys_ = sets_system("Y = Primes*Z;", "Z = {1};")
+        with pytest.raises(setsys.HorizonTooSmall):
+            solve(sys_, horizon=64)
 
     def test_non_elementary_least_solution(self):
         # every set containing 1 solves Y = {1} | {0} + Y; the truncation
@@ -472,13 +508,16 @@ class TestExactSolve:
         assert [list(v.truncation) for v in sol.variables] == brute
 
     def test_right_answers_are_checked_in_one_round(self, monkeypatch):
-        # paths is elementary: Kleene starts from Newton's answers and
-        # evaluates each of the six factors once, at any horizon
-        sys_ = dsl.parse(fixture_text("paths.spec"))
+        # paths is elementary, and in structured (T = R | B) and bluered no
+        # cycle runs through families taking a single member: the truncation
+        # has one positive fixed point, so Kleene starts from the exact
+        # answers and evaluates each factor once, at any horizon
         calls = []
         mask_star = setsys._mask_star
         monkeypatch.setattr(
             setsys, "_mask_star", lambda *args: calls.append(1) or mask_star(*args)
         )
-        solve(sys_, horizon=4096)
-        assert len(calls) == 6
+        for name, factors in [("paths", 6), ("structured", 6), ("bluered", 7)]:
+            calls.clear()
+            solve(fixture_system(f"{name}.spec"), horizon=4096)
+            assert len(calls) == factors, name
