@@ -228,13 +228,6 @@ def cmd_frobenius(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--horizon", type=int, default=512)
-    # accepted so that existing command lines keep working
-    p.add_argument("--enumeration-cap", type=int, default=64, help="no effect")
-    p.add_argument("--stabilization-window", type=int, default=8, help="no effect")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="spectre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,13 +238,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve the set system")
     p.add_argument("file")
-    _add_common(p)
+    p.add_argument("--horizon", type=int, default=512)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("params", help="min/gcd/period/onset per variable")
     p.add_argument("file")
-    _add_common(p)
+    p.add_argument("--horizon", type=int, default=512)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("coeffs", help="series coefficients")

@@ -552,11 +552,11 @@ def format_epset(a: EPSet) -> str:
 _PRIMES = [2, 3]
 
 
-def _primes(hi: int, count: float) -> list[int]:
+def _primes(hi: int) -> list[int]:
     """The primes found so far, first grown by trial division until they
-    pass hi or number count; one list serves the whole process."""
+    pass hi; one list serves the whole process."""
     known, n = _PRIMES, _PRIMES[-1]
-    while known[-1] <= hi and len(known) < count:
+    while known[-1] <= hi:
         n += 2
         if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, known)):
             known.append(n)
@@ -577,13 +577,13 @@ class EnumeratedSet:
 
     name: str
 
-    def members_upto(self, hi: int, cap: Optional[int] = None) -> list[int]:
-        """The members in [0, hi], at most the first cap of them."""
-        known = _GENERATORS[self.name](hi, math.inf if cap is None else cap)
-        return known[: bisect_right(known, hi)][:cap]
+    def members_upto(self, hi: int) -> list[int]:
+        """The members in [0, hi]."""
+        known = _GENERATORS[self.name](hi)
+        return known[: bisect_right(known, hi)]
 
     def first(self) -> int:
-        return _GENERATORS[self.name](0, 1)[0]
+        return _GENERATORS[self.name](0)[0]
 
     def __repr__(self) -> str:
         return f"EnumeratedSet({self.name})"

@@ -2,7 +2,6 @@
 exact solving, and the closed-form minimum/gcd parameter formulas."""
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -22,9 +21,7 @@ from .epset import (
     is_subset,
     member,
     normalize,
-    nstar,
     params,
-    scalar_mul,
     singleton,
     star,
     sumset,
@@ -51,7 +48,8 @@ class HorizonTooSmall(ValueError):
 
 
 class EnumeratedExponent(ValueError):
-    """An enumerated index set summed with another exponent."""
+    """An enumerated index set where only an eventually periodic one will
+    do: summed with another exponent, or in a system given to gamma_eval."""
 
 
 def _is_zero_only(e: IndexSet) -> bool:
@@ -209,17 +207,8 @@ def classify(sys: SetSystem) -> SystemClassification:
 
 
 def empties(sys: SetSystem) -> set[int]:
-    """Indices whose solution coordinate is empty (stable after k rounds)."""
-    nonempty = [False] * sys.k
-    for _ in range(sys.k):
-        nonempty = [
-            any(
-                all(_index_contains_zero(t.exponents[j]) or nonempty[j] for j in range(sys.k))
-                for t in eq
-            )
-            for eq in sys.equations
-        ]
-    return {i for i in range(sys.k) if not nonempty[i]}
+    """Indices whose solution coordinate is empty: those of minimum inf."""
+    return {i for i, m in enumerate(min_vector(sys)) if m == math.inf}
 
 
 def reduce(sys: SetSystem) -> SetSystem:
@@ -313,23 +302,14 @@ def digraph_dot(sys: SetSystem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# symbolic evaluation on EPSets
+# symbolic evaluation on EPSets, and the minimum and gcd parameters by
+# integer formulas
 
 
-def star_index(e: IndexSet, y: EPSet, cap: int = 64) -> EPSet:
-    """e * y where e may be an enumerated index set (capped enumeration)."""
-    if isinstance(e, EPSet):
-        return star(e, y)
-    if y.is_empty:
-        return EMPTY
-    acc = EMPTY
-    for x in e.members_upto(10 ** 9, cap=cap):
-        acc = union(acc, nstar(x, y))
-    return acc
-
-
-def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], cap: int = 64) -> list[EPSet]:
+def gamma_eval(sys: SetSystem, vec: Sequence[EPSet]) -> list[EPSet]:
     """One application of Gamma to a vector of EPSets."""
+    if sys.has_enumerated():
+        raise EnumeratedExponent("cannot apply Gamma with an enumerated index set")
     out = []
     for eq in sys.equations:
         fins: list[int] = []
@@ -337,7 +317,7 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], cap: int = 64) -> list[EPSe
         for t in eq:
             v = t.base
             for j, e in t.factors():
-                v = sumset(v, star_index(e, vec[j], cap=cap))
+                v = sumset(v, star(e, vec[j]))
                 if v.is_empty:
                     break
             f, b = decompose(v)
@@ -347,98 +327,88 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], cap: int = 64) -> list[EPSe
     return out
 
 
-def symbolic_iterate(sys: SetSystem, n: int, cap: int = 64) -> list[list[EPSet]]:
-    """The iterates Gamma^(1)(emptyset) .. Gamma^(n)(emptyset)."""
-    vec = [EMPTY] * sys.k
-    out = []
-    for _ in range(n):
-        vec = gamma_eval(sys, vec, cap=cap)
-        out.append(vec)
-    return out
+def min_vector(sys: SetSystem) -> list[Union[int, float]]:
+    """Per-variable minimum of the least solution (inf for empty coordinates).
 
-
-def min_vector(sys: SetSystem, cap: int = 64) -> list[Union[int, float]]:
-    """Per-variable minimum of the solution (inf for empty coordinates)."""
-    vec = symbolic_iterate(sys, sys.k, cap=cap)[-1]
-    return [params(a).m for a in vec]
+    The minimum turns union into min and sumset into +, and min(E*Y) is
+    min(E)*min(Y), or 0 when 0 is in E even for an empty Y. So round n of
+    this min-plus pass from all-inf gives the minima of Gamma^n(emptyset).
+    Its costs are non-negative, so k rounds reach its least fixed point
+    (Knuth, "A generalization of Dijkstra's algorithm", IPL 1977).
+    """
+    families = [
+        [(_index_min(t.base), [_index_min(e) for e in t.exponents]) for t in eq]
+        for eq in sys.equations
+    ]
+    m: list[Union[int, float]] = [math.inf] * sys.k
+    for _ in range(sys.k):
+        m = [
+            min((b + sum(w * y for w, y in zip(ws, m) if w) for b, ws in eq), default=math.inf)
+            for eq in families
+        ]
+    return m
 
 
 @dataclass(frozen=True)
 class QReport:
     q: Tuple[int, ...]
     per_equation: Tuple[int, ...]
-    uncertified: Tuple[bool, ...]  # per equation: enumeration-based gcd
 
 
-def _gcd_shifted(s: EPSet, t: int) -> int:
-    """gcd over {x - t : x in s} for non-empty s."""
-    pp = params(s)
-    return math.gcd(pp.q, abs(pp.m - t))
+def _index_q(e: IndexSet) -> int:
+    """The gcd of e shifted down by its minimum. An enumerated set's gcd
+    divides the difference of its first two members, so it is proven only
+    when they are consecutive (2 and 3 for the primes)."""
+    if isinstance(e, EPSet):
+        return params(e).q
+    low = e.first()
+    if e.members_upto(low + 1) != [low, low + 1]:
+        raise AssertionError(f"gcd of {e.name} is not proven to be 1")
+    return 1
 
 
-def q_report(
-    sys: SetSystem,
-    cap: int = 64,
-    window: int = 8,
-) -> QReport:
-    """Closed-form gcd parameters with per-equation contributions."""
+def _family_gcd(t: GammaTerm, m: Sequence[int], target: int) -> int:
+    """gcd of {x - target : x in base + m1*E1 + ... + mk*Ek}."""
+    low, g = _index_min(t.base), params(t.base).q
+    for l, e in t.factors():
+        low += m[l] * _index_min(e)
+        g = math.gcd(g, m[l] * _index_q(e))
+    return math.gcd(g, abs(low - target))
+
+
+def _q_report(sys: SetSystem, m: Sequence[int], dg: Digraph) -> QReport:
+    per_eq = [
+        math.gcd(*(_family_gcd(t, m, m[j]) for t in eq))
+        for j, eq in enumerate(sys.equations)
+    ]
+    q = [
+        math.gcd(*(per_eq[j] for j in range(sys.k) if dg.reaches(i, j)))
+        for i in range(sys.k)
+    ]
+    return QReport(tuple(q), tuple(per_eq))
+
+
+def q_report(sys: SetSystem) -> QReport:
+    """Closed-form gcd parameters: per_equation[j] is the gcd of the
+    families of equation j at the minima, shifted down by m_j, and q[i]
+    the gcd of per_equation over the variables that i reaches."""
     cls = classify(sys)
     if cls.empties:
         raise NotReduced(f"empty components: {sorted(cls.empties)}")
-    mins = min_vector(sys, cap=cap)
-    m = [int(v) for v in mins]
-    per_eq = []
-    flags = []
-    for j, eq in enumerate(sys.equations):
-        g = 0
-        flagged = False
-        for t in eq:
-            exact = t.base
-            enum_parts = []
-            for l, e in enumerate(t.exponents):
-                if _is_zero_only(e):
-                    continue
-                if isinstance(e, EnumeratedSet):
-                    enum_parts.append((m[l], e))
-                else:
-                    exact = sumset(exact, scalar_mul(m[l], e))
-            if not enum_parts:
-                g = math.gcd(g, _gcd_shifted(exact, m[j]))
-            else:
-                flagged = True
-                pp = params(exact)
-                g = math.gcd(g, pp.q)
-                streams = [
-                    [ml * v for v in e.members_upto(10 ** 9, cap=cap)]
-                    for ml, e in enum_parts
-                ]
-                stable = 0
-                for combo in itertools.product(*streams):
-                    new = math.gcd(g, abs(pp.m + sum(combo) - m[j]))
-                    if new == g:
-                        stable += 1
-                        if stable >= window:
-                            break
-                    else:
-                        g = new
-                        stable = 0
-                    if g == 1:
-                        break
-        per_eq.append(g)
-        flags.append(flagged)
-    dg = dependency(sys)
-    q = []
-    for i in range(sys.k):
-        g = 0
-        for j in range(sys.k):
-            if dg.reaches(i, j):
-                g = math.gcd(g, per_eq[j])
-        q.append(g)
-    return QReport(tuple(q), tuple(per_eq), tuple(flags))
+    return _q_report(sys, min_vector(sys), dependency(sys))
 
 
-def q_vector(sys: SetSystem, cap: int = 64, window: int = 8) -> list[int]:
-    return list(q_report(sys, cap=cap, window=window).q)
+def q_vector(sys: SetSystem) -> list[int]:
+    return list(q_report(sys).q)
+
+
+def _min_gcd(
+    sys: SetSystem, cls: SystemClassification, dg: Digraph
+) -> Tuple[list, Optional[Tuple[int, ...]]]:
+    """min_vector, and q_vector when the system is reduced (the scope of
+    the gcd formula), from the classification and digraph solve holds."""
+    m = min_vector(sys)
+    return m, _q_report(sys, m, dg).q if cls.is_reduced else None
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +715,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     Kleene solution checks all. When the truncation has one positive fixed
     point, Kleene starts from the exact answers, and one round confirms them
     when they are right; otherwise (Y = {1} | {0} + Y) it starts from 0.
+    min_vector checks every m, and on a reduced system q_vector every q.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -767,6 +738,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     seed = [m & ~1 for m in forms] if _one_positive_fixed_point(sys) else None
     masks = _kleene(sys, horizon, seed=seed)
 
+    mins, gcds = _min_gcd(sys, cls, dg)
     out = []
     for i in range(k):
         pp = params(closed[i])
@@ -784,6 +756,10 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
             raise AssertionError(
                 f"closed form for {sys.variables[i]} disagrees with truncation"
             )
+        if pp.m != mins[i]:
+            raise AssertionError(f"minimum of {sys.variables[i]} disagrees with min_vector")
+        if gcds is not None and pp.q != gcds[i]:
+            raise AssertionError(f"gcd of {sys.variables[i]} disagrees with q_vector")
         trunc = tuple(map(bool, epset._membership(masks[i]).ljust(horizon + 1, b"\0")))
         out.append(VariableSolution(sys.variables[i], closed[i], trunc, cert, pp))
     return SpectrumSolution(horizon, tuple(out), cls)

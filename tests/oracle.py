@@ -12,6 +12,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from spectre import setsys
+from spectre.epset import EMPTY
 from spectre.pseries import (
     Add,
     CompositionAtNonzeroConstant,
@@ -140,6 +141,17 @@ def solve_seeded(system, h: int, seed_sets) -> list[set[int]]:
     seed = [sum(1 << n for n in _epset_members(s, h) if n) for s in seed_sets]
     masks = setsys._kleene(system, h, seed=seed)
     return [{n for n in range(h + 1) if m >> n & 1} for m in masks]
+
+
+def symbolic_iterate(system, n: int) -> list[list]:
+    """The iterates Gamma^(1)(emptyset) .. Gamma^(n)(emptyset) as EPSets,
+    by the solver's gamma_eval (which refuses enumerated index sets)."""
+    vec = [EMPTY] * system.k
+    out = []
+    for _ in range(n):
+        vec = setsys.gamma_eval(system, vec)
+        out.append(vec)
+    return out
 
 
 def _epset_members(s, h: int) -> set[int]:

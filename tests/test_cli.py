@@ -370,15 +370,38 @@ class TestEnumeratedExponents:
         )
 
 
-class TestInertOptions:
-    def test_solve_json_unchanged(self, capsys):
-        argv = ["solve", fx("structured.spec"), "--format", "json"]
-        plain = run(capsys, *argv)
-        inert = run(
-            capsys, *argv, "--enumeration-cap", "1", "--stabilization-window", "1"
-        )
-        assert plain[0] == 0
-        assert inert == plain
+class TestParameterInvariants:
+    """solve checks m and, on a reduced system, q of every closed form
+    against the integer formulas; a disagreement is an internal error."""
+
+    @pytest.mark.parametrize(
+        "wrong, message",
+        [
+            (lambda m, q: ([x + 1 for x in m], q), "minimum of Y1 disagrees with min_vector"),
+            (lambda m, q: (m, tuple(x + 1 for x in q)), "gcd of Y1 disagrees with q_vector"),
+        ],
+        ids=["m", "q"],
+    )
+    def test_wrong_formula_exits_4(self, capsys, monkeypatch, wrong, message):
+        helper = setsys._min_gcd
+
+        def broken(*args):
+            m, q = helper(*args)
+            assert q is not None  # paths is reduced
+            return wrong(m, q)
+
+        monkeypatch.setattr(setsys, "_min_gcd", broken)
+        code, _, err = run(capsys, "solve", fx("paths.spec"))
+        assert code == cli.EXIT_INTERNAL
+        assert message in err
+
+
+class TestRemovedOptions:
+    def test_enumeration_cap_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["solve", fx("structured.spec"), "--enumeration-cap", "1"])
+        assert ei.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --enumeration-cap 1" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,6 @@ from spectre.setsys import (
     q_vector,
     reduce,
     solve,
-    symbolic_iterate,
     term,
 )
 
@@ -201,7 +201,7 @@ class TestDependency:
 
 class TestIterates:
     def test_paths_displayed_iterates(self):
-        its = symbolic_iterate(paths_system(), 4)
+        its = oracle.symbolic_iterate(paths_system(), 4)
         expect = [
             [EMPTY, EMPTY, ONE, EMPTY],
             [normalize([2]), normalize([2]), ONE, EMPTY],
@@ -240,7 +240,6 @@ class TestQVector:
         rep = q_report(structured_pair_system())
         assert rep.q == (1, 1)
         assert rep.per_equation == (2, 1)
-        assert rep.uncertified == (False, True)
 
     def test_not_reduced_rejected(self):
         sys_ = SetSystem(("Y",), ((term(ONE, 1, e0=ONE),),))
@@ -361,6 +360,77 @@ def random_elementary_system(
             terms.append(t)
         eqs.append(tuple(terms))
     return SetSystem(names, tuple(eqs))
+
+
+def with_primes(rng: random.Random, sys_: SetSystem) -> SetSystem:
+    """sys_ with each exponent set replaced by Primes with probability 1/4,
+    and at least one replaced."""
+    primes = ENUMERATED_SETS["Primes"]
+    while True:
+        eqs = tuple(
+            tuple(
+                GammaTerm(t.base, tuple(primes if rng.random() < 0.25 else e for e in t.exponents))
+                for t in eq
+            )
+            for eq in sys_.equations
+        )
+        out = SetSystem(sys_.variables, eqs)
+        if out.has_enumerated():
+            return out
+
+
+class TestIntegerFormulas:
+    """min_vector, empties and q_vector come from integer passes; the
+    symbolic iterates and solve's closed forms pin them."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_min_and_empties_vs_iterates(self, periodic):
+        rng = random.Random(3141)
+        for _ in range(150):
+            sys_ = random_elementary_system(rng, rng.randint(1, 4), periodic=periodic)
+            last = oracle.symbolic_iterate(sys_, sys_.k)[-1]
+            assert min_vector(sys_) == [params(a).m for a in last], sys_
+            assert empties(sys_) == {i for i, a in enumerate(last) if a.is_empty}, sys_
+
+    def test_primes_vs_closed_forms(self):
+        rng = random.Random(1618)
+        solved = 0
+        for n in range(160):
+            plain = random_elementary_system(rng, rng.randint(1, 3), periodic=n % 2 == 1)
+            sys_ = with_primes(rng, plain)
+            try:
+                sol = solve(sys_, horizon=64)
+            except setsys.HorizonTooSmall:
+                continue  # a spectrum that is not eventually periodic
+            solved += 1
+            forms = [params(v.closed_form) for v in sol.variables]
+            assert min_vector(sys_) == [pp.m for pp in forms], sys_
+            if sol.classification.is_reduced:
+                assert q_vector(sys_) == [pp.q for pp in forms], sys_
+        assert solved >= 100
+
+    def test_primes_with_periodic_exponents(self):
+        # 18.6 s by symbolic iteration over the first 64 primes; a fraction
+        # of a millisecond by the integer passes
+        sys_ = sets_system(
+            "Y0 = {4};",
+            "Y1 = {1,5,8} + Primes*Y1 | {4,8} | {2,5,6} + {4,5}*Y1;",
+            "Y2 = ({1,2,4,5,7,8} | 9+2*N) | (2+4*N) + {4}*Y2;",
+        )
+        start = time.perf_counter()
+        assert min_vector(sys_) == [4, 4, 1]
+        rep = q_report(sys_)
+        assert time.perf_counter() - start < 1.0
+        assert (rep.q, rep.per_equation) == ((0, 1, 1), (0, 1, 1))
+        assert [params(v.closed_form).m for v in solve(sys_).variables] == [4, 4, 1]
+
+    def test_gamma_eval_refuses_primes(self):
+        # the first 64 primes are no solution of Y = Primes*Z; Z = {1}
+        sys_ = sets_system("Y = Primes*Z;", "Z = {1};")
+        first = normalize(ENUMERATED_SETS["Primes"].members_upto(311))
+        assert len(first.finite_part) == 64
+        with pytest.raises(setsys.EnumeratedExponent):
+            nonuniqueness_probe(sys_, [[first, ONE]])
 
 
 class TestRandomSystems:
