@@ -41,20 +41,6 @@ SEMANTIC_ERRORS = (
 )
 
 
-def _use_color() -> bool:
-    if os.environ.get("SPECTRE_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
-def _ok(text: str) -> str:
-    return f"\x1b[32m{text}\x1b[0m" if _use_color() else text
-
-
-def _bad(text: str) -> str:
-    return f"\x1b[31m{text}\x1b[0m" if _use_color() else text
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -104,11 +90,11 @@ def cmd_check(args) -> int:
         print(f"mode: series  variables: {', '.join(system.variables)}")
         linear = system.linear_part
         if linear.diagnostics:
-            print(_bad("elementary: no"))
+            print("elementary: no")
             for d in linear.diagnostics:
                 print(f"  {d}")
         else:
-            print(_ok("elementary: yes"))
+            print("elementary: yes")
         if linear.verdict:
             print(f"linear part at the origin: {linear.verdict}")
         zeros = sorted(pseries.zero_components(system))

@@ -2,6 +2,7 @@
 set-equation systems, plus the end-to-end equivalence check."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -12,6 +13,7 @@ from .epset import (
     EPSet,
     EnumeratedSet,
     IndexSet,
+    index_min,
     singleton,
     star,
     sumset,
@@ -65,17 +67,10 @@ def _is_pure_var(fams: Sequence[Family], k: int) -> Optional[int]:
     base, exps = fams[0]
     if base != ZERO:
         return None
-    used = [
-        j
-        for j, e in enumerate(exps)
-        if not (isinstance(e, EPSet) and e == ZERO)
-    ]
-    if len(used) != 1:
+    used = [j for j, e in enumerate(exps) if e != ZERO]
+    if len(used) != 1 or exps[used[0]] != singleton(1):
         return None
-    e = exps[used[0]]
-    if isinstance(e, EPSet) and e == singleton(1):
-        return used[0]
-    return None
+    return used[0]
 
 
 def _compile_expr(
@@ -122,14 +117,14 @@ def _compile_construct(
         notes.append("DCycle compiled as Cycle: identical spectrum")
     fams = _compile_expr(expr.arg, k, notes, flags)
     var = _is_pure_var(fams, k)
-    if var is not None:
+    # over an empty index set the construct is zero, which the termwise
+    # expansion below gives as no family
+    if var is not None and index_min(j) < math.inf:
         exps = list(_zeros(k))
         exps[var] = j
         notes.append(f"{expr.kind} over a variable -> index-set exponent")
         return [(ZERO, tuple(exps))]
-    if all(
-        all(isinstance(e, EPSet) and e == ZERO for e in exps) for _, exps in fams
-    ):
+    if all(e == ZERO for _, exps in fams for e in exps):
         total = EMPTY
         for base, _ in fams:
             total = union(total, base)

@@ -23,6 +23,7 @@ from .epset import (
     EPSet,
     EnumeratedSet,
     IndexSet,
+    POS,
     ZERO,
     format_epset,
     normalize,
@@ -42,7 +43,6 @@ from .pseries import (
     X,
 )
 from .setsys import GammaTerm, SetSystem, exponent_sum
-from .epset import POS
 
 CONSTRUCT_NAMES = ("Seq", "MSet", "Cycle", "DCycle")
 RESERVED = set(BUILTIN_SETS) | set(ENUMERATED_SETS) | set(CONSTRUCT_NAMES) | {
@@ -342,7 +342,7 @@ class _Parser:
                 self.next()
                 continue
             break
-        if not has_base and all(isinstance(e, EPSet) and e == ZERO for e in exps):
+        if not has_base and all(e == ZERO for e in exps):
             self.fail("empty term")
         return GammaTerm(base, tuple(exps))
 
@@ -419,11 +419,13 @@ def parse(text: str) -> Union[PSSystem, SetSystem]:
 # canonical printing
 
 
-def _fmt_base(b: IndexSet) -> str:
-    if isinstance(b, EnumeratedSet):
-        return b.name
-    s = format_epset(b)
-    if b.period is not None or " | " in s:
+def _fmt_index(j: IndexSet) -> str:
+    """An index set or base as the parser reads it, in parentheses when it
+    has a progression or several parts."""
+    if isinstance(j, EnumeratedSet):
+        return j.name
+    s = format_epset(j)
+    if j.period is not None or " | " in s:
         return f"({s})"
     return s
 
@@ -436,14 +438,14 @@ def print_set_system(sys: SetSystem) -> str:
             pieces = []
             exp_pieces = []
             for j, e in enumerate(t.exponents):
-                if isinstance(e, EPSet) and e == ZERO:
+                if e == ZERO:
                     continue
-                if isinstance(e, EPSet) and e == singleton(1):
+                if e == singleton(1):
                     exp_pieces.append(sys.variables[j])
                 else:
-                    exp_pieces.append(f"{_fmt_base(e)}*{sys.variables[j]}")
+                    exp_pieces.append(f"{_fmt_index(e)}*{sys.variables[j]}")
             if t.base != ZERO or not exp_pieces:
-                pieces.append(_fmt_base(t.base))
+                pieces.append(_fmt_index(t.base))
             pieces.extend(exp_pieces)
             terms.append(" + ".join(pieces))
         lines.append(f"{name} = {' | '.join(terms)};")
@@ -470,10 +472,7 @@ def _fmt_series(e: SysExpr, vars: Tuple[str, ...], prec: int = 0) -> str:
         s = f"{_fmt_series(e.base, vars, 3)}^{e.exp}"
         return f"({s})" if prec > 2 else s
     if isinstance(e, Construct):
-        if isinstance(e.index, EPSet) and e.index == POS:
-            bracket = ""
-        else:
-            bracket = f"[{format_epset(e.index) if isinstance(e.index, EPSet) else e.index.name}]"
+        bracket = "" if e.index == POS else f"[{_fmt_index(e.index)}]"
         return f"{e.kind}{bracket}({_fmt_series(e.arg, vars, 0)})"
     raise TypeError(repr(e))
 

@@ -486,7 +486,7 @@ def params(a: EPSet) -> PeriodicityParams:
     """The periodicity parameters (m, q, p, c) of a."""
     if a.is_empty:
         return PeriodicityParams(math.inf, 0, 0, 0)
-    m = a.finite_part[0] if a.finite_part else a.threshold
+    m = index_min(a)
     q = 0
     for n in a.finite_part:
         q = math.gcd(q, n - m)
@@ -599,3 +599,44 @@ def index_members(j: IndexSet, hi: int) -> list[int]:
     if isinstance(j, EnumeratedSet):
         return j.members_upto(hi)
     return enumerate_range(j, 0, hi)
+
+
+def index_min(j: IndexSet) -> Union[int, float]:
+    """The least member of an index set, math.inf when it is empty."""
+    if isinstance(j, EnumeratedSet):
+        return j.first()
+    if j.is_empty:
+        return math.inf
+    return j.finite_part[0] if j.finite_part else j.threshold
+
+
+def index_member(j: IndexSet, n: int) -> bool:
+    return n in j.members_upto(n) if isinstance(j, EnumeratedSet) else member(j, n)
+
+
+def index_reaches(j: IndexSet, n: int) -> bool:
+    """True iff the index set has a member >= n."""
+    if isinstance(j, EnumeratedSet) or j.period is not None:
+        return True
+    return bool(j.finite_part) and j.finite_part[-1] >= n
+
+
+def index_parts(j: IndexSet, hi: int) -> Tuple[list[int], list[Tuple[int, int]]]:
+    """The members up to hi outside the progressions of an index set, and
+    its progressions (start, step); an enumerated set has none."""
+    if isinstance(j, EnumeratedSet):
+        return j.members_upto(hi), []
+    fins, blocks = decompose(j)
+    return fins[: bisect_right(fins, hi)], blocks
+
+
+def index_q(j: IndexSet) -> int:
+    """The gcd of an index set shifted down by its minimum. An enumerated
+    set's gcd divides the difference of its first two members, so it is
+    proven only when they are consecutive (2 and 3 for the primes)."""
+    if isinstance(j, EPSet):
+        return params(j).q
+    low = j.first()
+    if j.members_upto(low + 1) != [low, low + 1]:
+        raise AssertionError(f"gcd of {j.name} is not proven to be 1")
+    return 1

@@ -8,6 +8,7 @@ y_d = (I - M)^-1 r_d, so no polynomial rewrite is needed and constructs
 may appear anywhere."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -15,13 +16,12 @@ from operator import mul
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .epset import (
-    EPSet,
-    EnumeratedSet,
     IndexSet,
     POS,
-    decompose,
+    index_member,
     index_members,
-    member,
+    index_min,
+    index_parts,
 )
 
 
@@ -402,11 +402,8 @@ class _Engine:
         block s + p*N the series T = a^s + a^p * T."""
         va = max(a.val, 1)  # a has no constant term
         top = self.n // va  # a^i vanishes to degree n for i > top
-        if isinstance(j, EnumeratedSet):
-            fins, blocks = j.members_upto(top), []
-        else:
-            fins, blocks = decompose(j)
-        terms = [self._power(a, i) for i in fins if i <= top]
+        fins, blocks = index_parts(j, top)
+        terms = [self._power(a, i) for i in fins]
         for s, p in blocks:
             if s <= top:
                 terms.append(self._geometric(self._power(a, s), self._power(a, p)))
@@ -428,13 +425,15 @@ class _Engine:
         return self._new(vh, head.touch or (ratio.touch and vh == 0), step_of)
 
     def _mset(self, a: _Node, j: IndexSet) -> _Node:
-        """Multisets of a with part count in j."""
+        """Multisets of a with part count in j; the empty multiset is the
+        constant 1."""
         n = self.n
         va = max(a.val, 1)
+        empty = [self._monomial(1, 0)] if index_member(j, 0) else []
         if va > n:
-            return self.zero
+            return self._sum(empty)
         ac = a.c
-        if isinstance(j, EPSet) and j == POS:
+        if j == POS:
             # exp(sum_m a(x^m)/m) - 1 by the log-derivative recurrence
             # d*b_d = sum_i q_i*b_{d-i} with b_0 = 1, q_i = sum_{e|i} e*a_e
             if self._divisors is None:
@@ -456,13 +455,9 @@ class _Engine:
             return self._new(va, a.touch, step_of)
         # h[t] counts multisets of exactly t parts:
         # t*h_t = sum_{m=1..t} a(x^m) * h_{t-m}, with h_0 = 1 and h_1 = a
-        if isinstance(j, EPSet) and j.period is None:
-            t_max = j.finite_part[-1] if j.finite_part else 0
-        else:
-            t_max = n
-        wanted = [t for t in index_members(j, min(t_max, n // va)) if t >= 1]
+        wanted = [t for t in index_members(j, n // va) if t >= 1]
         if not wanted:
-            return self.zero
+            return self._sum(empty)
         t_top = wanted[-1]
         h = [None, ac] + [[0] * (n + 1) for _ in range(2, t_top + 1)]
         high = [h[t] for t in wanted if t >= 2]
@@ -488,7 +483,7 @@ class _Engine:
             return step
 
         rest = self._new(2 * va, False, step_of) if high else self.zero
-        return self._sum([a, rest] if wanted[0] == 1 else [rest])
+        return self._sum(empty + ([a, rest] if wanted[0] == 1 else [rest]))
 
 
 def _nonneg(expr: SysExpr, env: Sequence[Series], n: int) -> bool:
@@ -576,10 +571,7 @@ def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
             raise CompositionAtNonzeroConstant(
                 f"{expr.kind} argument has a non-zero constant term"
             )
-        weight_one = (
-            isinstance(expr.index, EPSet) and member(expr.index, 1)
-        )
-        return Fraction(0), (r if weight_one else {})
+        return Fraction(0), (r if index_member(expr.index, 1) else {})
     raise TypeError(repr(expr))
 
 
@@ -793,16 +785,8 @@ def _min_degree(expr: SysExpr, d: Sequence[Optional[int]]) -> Optional[int]:
         return v * expr.exp
     if isinstance(expr, Construct):
         va = _min_degree(expr.arg, d)
-        jmin = (
-            expr.index.first()
-            if isinstance(expr.index, EnumeratedSet)
-            else (
-                expr.index.finite_part[0]
-                if expr.index.finite_part
-                else expr.index.threshold
-            )
-        )
-        if va is None:
+        jmin = index_min(expr.index)
+        if va is None or jmin == math.inf:
             return 0 if jmin == 0 else None
         return jmin * va
     raise TypeError(repr(expr))

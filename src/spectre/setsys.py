@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Collection, Optional, Sequence, Tuple, Union
 
 from . import epset
 from .epset import (
@@ -17,7 +17,11 @@ from .epset import (
     PeriodicityParams,
     decompose,
     format_epset,
-    has_positive,
+    index_member,
+    index_min,
+    index_parts,
+    index_q,
+    index_reaches,
     is_subset,
     member,
     normalize,
@@ -52,49 +56,18 @@ class EnumeratedExponent(ValueError):
     do: summed with another exponent, or in a system given to gamma_eval."""
 
 
-def _is_zero_only(e: IndexSet) -> bool:
-    return isinstance(e, EPSet) and e == ZERO
-
-
 def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
     """Exponent set of one variable in the product of two terms that use
     it with exponent sets a and b."""
-    if _is_zero_only(a):
+    if a == ZERO:
         return b
-    if _is_zero_only(b):
+    if b == ZERO:
         return a
     if isinstance(a, EPSet) and isinstance(b, EPSet):
         return sumset(a, b)
     raise EnumeratedExponent(
         "cannot combine an enumerated index set with another exponent"
     )
-
-
-def _index_min(e: IndexSet) -> int:
-    if isinstance(e, EnumeratedSet):
-        return e.first()
-    if e.is_empty:
-        raise ValueError("empty exponent set")
-    return e.finite_part[0] if e.finite_part else e.threshold
-
-
-def _index_contains_zero(e: IndexSet) -> bool:
-    return isinstance(e, EPSet) and member(e, 0)
-
-
-def _index_has_positive(e: IndexSet) -> bool:
-    if isinstance(e, EnumeratedSet):
-        return True
-    return has_positive(e)
-
-
-def _index_max_at_least(e: IndexSet, n: int) -> bool:
-    """True iff e contains an element >= n."""
-    if isinstance(e, EnumeratedSet):
-        return True
-    if e.period is not None:
-        return True
-    return bool(e.finite_part) and e.finite_part[-1] >= n
 
 
 @dataclass(frozen=True)
@@ -111,19 +84,18 @@ class GammaTerm:
     def __post_init__(self):
         if self.base.is_empty:
             raise ValueError("term base must be non-empty")
-        for e in self.exponents:
-            if isinstance(e, EPSet) and e.is_empty:
-                raise ValueError("exponent sets must be non-empty")
+        if EMPTY in self.exponents:
+            raise ValueError("exponent sets must be non-empty")
 
     def uses(self, j: int) -> bool:
-        return _index_has_positive(self.exponents[j])
+        return index_reaches(self.exponents[j], 1)
 
     def factors(self) -> list[Tuple[int, IndexSet]]:
         """(j, exponents[j]) for every variable j not absent."""
-        return [(j, e) for j, e in enumerate(self.exponents) if not _is_zero_only(e)]
+        return [(j, e) for j, e in enumerate(self.exponents) if e != ZERO]
 
     def min_weight(self) -> int:
-        return sum(_index_min(e) for e in self.exponents)
+        return sum(map(index_min, self.exponents))
 
 
 def term(base: EPSet, k: int, **by_index) -> GammaTerm:
@@ -167,11 +139,13 @@ class SystemClassification:
     is_elementary: bool
     is_reduced: bool
     empties: frozenset[int]
+    minima: Tuple[Union[int, float], ...]
     diagnostics: Tuple[str, ...] = ()
 
 
 def classify(sys: SetSystem) -> SystemClassification:
-    """Basic / elementary / reduced classification with diagnostics."""
+    """Basic / elementary / reduced classification with diagnostics, and
+    the minima of the least solution, whose infinite ones are the empties."""
     diags = []
     for i, eq in enumerate(sys.equations):
         if len(eq) == 1:
@@ -191,7 +165,7 @@ def classify(sys: SetSystem) -> SystemClassification:
     for i, eq in enumerate(sys.equations):
         for t in eq:
             if member(t.base, 0):
-                if all(_index_contains_zero(e) for e in t.exponents):
+                if all(index_member(e, 0) for e in t.exponents):
                     basic = False
                     diags.append(
                         f"{sys.variables[i]}: constant family base contains 0"
@@ -202,8 +176,9 @@ def classify(sys: SetSystem) -> SystemClassification:
                         f"{sys.variables[i]}: base contains 0 with total weight < 2"
                     )
     elem = elem and basic
-    emp = empties(sys)
-    return SystemClassification(basic, elem, not emp and elem, frozenset(emp), tuple(diags))
+    m = min_vector(sys)
+    emp = frozenset(i for i, v in enumerate(m) if v == math.inf)
+    return SystemClassification(basic, elem, not emp and elem, emp, tuple(m), tuple(diags))
 
 
 def empties(sys: SetSystem) -> set[int]:
@@ -211,9 +186,9 @@ def empties(sys: SetSystem) -> set[int]:
     return {i for i, m in enumerate(min_vector(sys)) if m == math.inf}
 
 
-def reduce(sys: SetSystem) -> SetSystem:
-    """Drop empty variables, deleting term families that require them."""
-    emp = empties(sys)
+def reduce(sys: SetSystem, emp: Collection[int]) -> SetSystem:
+    """Drop the empty variables emp, deleting term families that require
+    them."""
     if not emp:
         return sys
     keep = [i for i in range(sys.k) if i not in emp]
@@ -221,7 +196,7 @@ def reduce(sys: SetSystem) -> SetSystem:
     for i in keep:
         terms = []
         for t in sys.equations[i]:
-            if any(not _index_contains_zero(t.exponents[j]) for j in emp):
+            if any(not index_member(t.exponents[j], 0) for j in emp):
                 continue
             terms.append(GammaTerm(t.base, tuple(t.exponents[j] for j in keep)))
         new_eqs.append(tuple(terms))
@@ -337,7 +312,7 @@ def min_vector(sys: SetSystem) -> list[Union[int, float]]:
     (Knuth, "A generalization of Dijkstra's algorithm", IPL 1977).
     """
     families = [
-        [(_index_min(t.base), [_index_min(e) for e in t.exponents]) for t in eq]
+        [(index_min(t.base), list(map(index_min, t.exponents))) for t in eq]
         for eq in sys.equations
     ]
     m: list[Union[int, float]] = [math.inf] * sys.k
@@ -355,24 +330,12 @@ class QReport:
     per_equation: Tuple[int, ...]
 
 
-def _index_q(e: IndexSet) -> int:
-    """The gcd of e shifted down by its minimum. An enumerated set's gcd
-    divides the difference of its first two members, so it is proven only
-    when they are consecutive (2 and 3 for the primes)."""
-    if isinstance(e, EPSet):
-        return params(e).q
-    low = e.first()
-    if e.members_upto(low + 1) != [low, low + 1]:
-        raise AssertionError(f"gcd of {e.name} is not proven to be 1")
-    return 1
-
-
 def _family_gcd(t: GammaTerm, m: Sequence[int], target: int) -> int:
     """gcd of {x - target : x in base + m1*E1 + ... + mk*Ek}."""
-    low, g = _index_min(t.base), params(t.base).q
+    low, g = index_min(t.base), params(t.base).q
     for l, e in t.factors():
-        low += m[l] * _index_min(e)
-        g = math.gcd(g, m[l] * _index_q(e))
+        low += m[l] * index_min(e)
+        g = math.gcd(g, m[l] * index_q(e))
     return math.gcd(g, abs(low - target))
 
 
@@ -395,20 +358,11 @@ def q_report(sys: SetSystem) -> QReport:
     cls = classify(sys)
     if cls.empties:
         raise NotReduced(f"empty components: {sorted(cls.empties)}")
-    return _q_report(sys, min_vector(sys), dependency(sys))
+    return _q_report(sys, cls.minima, dependency(sys))
 
 
 def q_vector(sys: SetSystem) -> list[int]:
     return list(q_report(sys).q)
-
-
-def _min_gcd(
-    sys: SetSystem, cls: SystemClassification, dg: Digraph
-) -> Tuple[list, Optional[Tuple[int, ...]]]:
-    """min_vector, and q_vector when the system is reduced (the scope of
-    the gcd formula), from the classification and digraph solve holds."""
-    m = min_vector(sys)
-    return m, _q_report(sys, m, dg).q if cls.is_reduced else None
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +407,9 @@ def _mask_star(e: IndexSet, y: int, h: int, full: int) -> int:
     """e * y: finite and enumerated members of e by an incremental walk,
     each block s + p*N in closed form as s-fold(y) + N*(p-fold(y))."""
     if y == 0:
-        return 1 if _index_contains_zero(e) else 0
-    if isinstance(e, EnumeratedSet):
-        # members past h add nothing, as 0 is in no solution of a basic system
-        fins, blocks = e.members_upto(h), []
-    else:
-        fins, blocks = decompose(e)
+        return 1 if index_member(e, 0) else 0
+    # members past h add nothing, as 0 is in no solution of a basic system
+    fins, blocks = index_parts(e, h)
     out, cur, prev = 0, 1, 0
     for x in fins:
         cur = _mask_sum(cur, _mask_nstar(x - prev, y, full), full)
@@ -485,7 +436,7 @@ def _kleene(sys: SetSystem, h: int, seed: Optional[Sequence[int]] = None) -> lis
         for eq in terms:
             acc = 0
             for v, factors in eq:
-                if any(vec[j] == 0 and not _index_contains_zero(e) for j, e in factors):
+                if any(vec[j] == 0 and not index_member(e, 0) for j, e in factors):
                     continue  # a factor is still empty
                 for j, e in factors:
                     v = _mask_sum(v, _mask_star(e, vec[j], h, full), full)
@@ -537,8 +488,7 @@ def _is_linear(t: GammaTerm, k: int) -> bool:
     used = [j for j in range(k) if t.uses(j)]
     if not used:
         return True
-    e = t.exponents[used[0]]
-    return len(used) == 1 and isinstance(e, EPSet) and is_subset(e, normalize((0, 1)))
+    return len(used) == 1 and not index_reaches(t.exponents[used[0]], 2)
 
 
 def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
@@ -652,7 +602,7 @@ def _doubling_condition(sys: SetSystem, dg: Digraph, i: int) -> bool:
             members = [l for l in comp if t.uses(l)]
             if not members:
                 continue
-            if len(members) >= 2 or _index_max_at_least(t.exponents[members[0]], 2):
+            if len(members) >= 2 or index_reaches(t.exponents[members[0]], 2):
                 return True
     return False
 
@@ -729,7 +679,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     live = [i for i in range(k) if i not in cls.empties]
     doubling = set()
     if live:
-        red = reduce(sys)
+        red = reduce(sys, cls.empties)
         rdg = dependency(red)
         doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
 
@@ -738,7 +688,8 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     seed = [m & ~1 for m in forms] if _one_positive_fixed_point(sys) else None
     masks = _kleene(sys, horizon, seed=seed)
 
-    mins, gcds = _min_gcd(sys, cls, dg)
+    # the gcd formula holds on reduced systems
+    gcds = _q_report(sys, cls.minima, dg).q if cls.is_reduced else None
     out = []
     for i in range(k):
         pp = params(closed[i])
@@ -756,7 +707,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
             raise AssertionError(
                 f"closed form for {sys.variables[i]} disagrees with truncation"
             )
-        if pp.m != mins[i]:
+        if pp.m != cls.minima[i]:
             raise AssertionError(f"minimum of {sys.variables[i]} disagrees with min_vector")
         if gcds is not None and pp.q != gcds[i]:
             raise AssertionError(f"gcd of {sys.variables[i]} disagrees with q_vector")

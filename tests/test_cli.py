@@ -4,6 +4,7 @@ import json
 import pytest
 
 from spectre import cli, dsl, pseries, setsys
+from spectre import compile as compile_mod
 from spectre.epset import POS, singleton, union
 
 from conftest import FIXTURES
@@ -266,13 +267,6 @@ class TestTruncationCheck:
         assert "closed form for Y disagrees with truncation" in err
 
 
-class TestColor:
-    def test_color_disabled_by_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECTRE_COLOR", "0")
-        _, out, _ = run(capsys, "check", fx("binary.spec"))
-        assert "\x1b" not in out
-
-
 class TestHatNote:
     @pytest.mark.parametrize("command", ["solve", "coeffs"])
     def test_no_note_when_nothing_was_rewritten(self, capsys, tmp_path, command):
@@ -375,25 +369,61 @@ class TestParameterInvariants:
     against the integer formulas; a disagreement is an internal error."""
 
     @pytest.mark.parametrize(
-        "wrong, message",
+        "helper, wrong, message",
         [
-            (lambda m, q: ([x + 1 for x in m], q), "minimum of Y1 disagrees with min_vector"),
-            (lambda m, q: (m, tuple(x + 1 for x in q)), "gcd of Y1 disagrees with q_vector"),
+            ("min_vector", lambda m: [x + 1 for x in m], "minimum of Y1 disagrees with min_vector"),
+            (
+                "_q_report",
+                lambda rep: setsys.QReport(tuple(x + 1 for x in rep.q), rep.per_equation),
+                "gcd of Y1 disagrees with q_vector",
+            ),
         ],
         ids=["m", "q"],
     )
-    def test_wrong_formula_exits_4(self, capsys, monkeypatch, wrong, message):
-        helper = setsys._min_gcd
-
-        def broken(*args):
-            m, q = helper(*args)
-            assert q is not None  # paths is reduced
-            return wrong(m, q)
-
-        monkeypatch.setattr(setsys, "_min_gcd", broken)
+    def test_wrong_formula_exits_4(self, capsys, monkeypatch, helper, wrong, message):
+        right = getattr(setsys, helper)
+        monkeypatch.setattr(setsys, helper, lambda *args: wrong(right(*args)))
         code, _, err = run(capsys, "solve", fx("paths.spec"))
         assert code == cli.EXIT_INTERNAL
         assert message in err
+
+
+class TestIndexSets:
+    """Constructs over index sets that contain 0 or are empty."""
+
+    @pytest.mark.parametrize(
+        "index, coeffs, spectrum",
+        [
+            ("N", "[0, 1, 1, 1, 1, 1, 1]", "1+1*N"),
+            ("{0}", "[0, 1, 0, 0, 0, 0, 0]", "{1}"),
+            ("{0,2}", "[0, 1, 0, 1, 0, 0, 0]", "{1,3}"),
+        ],
+        ids=["N", "{0}", "{0,2}"],
+    )
+    def test_mset_counts_the_empty_multiset(self, capsys, tmp_path, index, coeffs, spectrum):
+        spec = tmp_path / "mset.spec"
+        spec.write_text(f"vars Y;\nmode series;\nY = x*MSet[{index}](x);\n")
+        assert run(capsys, "coeffs", str(spec), "--degree", "6") == (0, f"Y: {coeffs}\n", "")
+        code, out, _ = run(capsys, "solve", str(spec))
+        assert (code, out) == (0, f"Y = {spectrum}   [CertifiedLinear]\n")
+        assert compile_mod.spectral_equivalence_check(dsl.parse(spec.read_text()), 24).ok
+
+    @pytest.mark.parametrize("command", ["solve", "params", "compile", "digraph"])
+    def test_construct_over_empty_index_set_on_a_variable(self, capsys, tmp_path, command):
+        spec = tmp_path / "empty.spec"
+        spec.write_text("vars Y;\nmode series;\nY = x*MSet[{}](Y) + x*Y;\n")
+        code, out, err = run(capsys, command, str(spec))
+        assert (code, err) == (0, "")
+        if command == "solve":
+            assert out == "Y = {}   [CertifiedLinear]\n"
+
+    def test_check_finds_a_construct_over_empty_index_set_zero(self, capsys, tmp_path):
+        # as coeffs and solve find it
+        spec = tmp_path / "empty.spec"
+        spec.write_text("vars Y;\nmode series;\nY = x*Seq[{}](x);\n")
+        assert run(capsys, "check", str(spec))[1].endswith("identically zero: Y\n")
+        assert run(capsys, "coeffs", str(spec), "--degree", "3")[1] == "Y: [0, 0, 0, 0]\n"
+        assert run(capsys, "solve", str(spec))[1].startswith("Y = {}")
 
 
 class TestRemovedOptions:

@@ -401,3 +401,30 @@ def test_primes_vs_sieve(monkeypatch):
     for hi in (0, 2, 100, 3000, 50, 7, 2999, 1000, 1, 3000):
         assert primes.members_upto(hi) == [p for p in ref if p <= hi], hi
     assert primes.first() == 2
+
+
+@pytest.mark.parametrize(
+    "index, is_member",
+    [
+        (normalize([1, 4, 6]), lambda n: n in (1, 4, 6)),
+        (normalize([0, 2], [(5, 3)]), lambda n: n in (0, 2) or (n >= 5 and n % 3 == 2)),
+        (EMPTY, lambda n: False),
+        (epset.ENUMERATED_SETS["Primes"], lambda n: n > 1 and all(n % d for d in range(2, n))),
+    ],
+    ids=["finite", "periodic", "empty", "Primes"],
+)
+def test_index_questions_vs_brute_force(index, is_member):
+    hi = 60
+    # members up to 2*hi answer every question about n <= hi: the periodic
+    # set recurs with period 3, and a prime lies between n and 2n
+    found = [n for n in range(2 * hi + 1) if is_member(n)]
+    assert epset.index_min(index) == (found[0] if found else math.inf)
+    low = found[0] if found else 0
+    assert epset.index_q(index) == math.gcd(*(n - low for n in found))
+    for n in range(hi + 1):
+        assert epset.index_member(index, n) == is_member(n), n
+        assert epset.index_reaches(index, n) == any(m >= n for m in found), n
+        fins, blocks = epset.index_parts(index, n)
+        assert all(f <= n for f in fins), n
+        got = set(fins).union(*(range(s, n + 1, p) for s, p in blocks))
+        assert got == {m for m in found if m <= n}, n

@@ -46,13 +46,17 @@ def test_fixture_command(capsys, name, command):
     assert code == cli.EXIT_OK, err
 
 
-def _tour():
-    """scripts/run_fixtures.py, loaded as a module."""
-    path = FIXTURES.parent / "scripts" / "run_fixtures.py"
-    spec = importlib.util.spec_from_file_location("run_fixtures", path)
+def _script(name: str):
+    """scripts/<name>.py, loaded as a module."""
+    path = FIXTURES.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tour():
+    return _script("run_fixtures")
 
 
 class TestTourScript:
@@ -80,3 +84,22 @@ class TestTourScript:
         monkeypatch.setattr(cli, "main", lambda argv: cli.EXIT_SEMANTIC)
         assert _tour().main(["--fixtures", str(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "4 commands: exit 3: 4"
+
+
+class TestCompareOutputs:
+    def test_a_checkout_matches_itself(self, capsys, tmp_path):
+        shutil.copy(FIXTURES / "postage.spec", tmp_path)
+        root = str(FIXTURES.parent)
+        argv = [root, root, "--count", "3", "--fixtures", str(tmp_path)]
+        assert _script("compare_outputs").main(argv) == 0
+        # postage 6, three series systems 9 each, three set systems 6 each,
+        # and 6 frobenius lines
+        assert capsys.readouterr().out == "57 command lines, 0 differ\n"
+
+    def test_a_changed_output_is_reported(self):
+        case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}
+        changed = dict(case, stdout="Y = {2}\n")
+        compare = _script("compare_outputs").compare
+        report = compare({"solve y.spec": case}, {"solve y.spec": changed})
+        assert report[0] == "=== solve y.spec"
+        assert "-Y = {1}" in report and "+Y = {2}" in report

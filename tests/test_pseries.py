@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectre import dsl, pseries
-from spectre.epset import ENUMERATED_SETS, POS, index_members, normalize
+from spectre.epset import EMPTY, ENUMERATED_SETS, POS, ZERO, index_members, normalize
 from spectre.pseries import (
     Add,
     CompositionAtNonzeroConstant,
@@ -520,6 +520,20 @@ class TestZeroComponents:
         sys_ = PSSystem(("Y",), (Add((X(), Mul((Const(F(2)), Var(0))))),))
         with pytest.raises(NotElementary, match="check failed: NegativeEntries"):
             zero_components(sys_)
+
+    @pytest.mark.parametrize("kind", ["Seq", "MSet", "Cycle"])
+    def test_construct_over_empty_index_set(self, kind):
+        # no index, no object: x*Theta[{}](x) is zero, and so is Y2 = Y1;
+        # x*Theta[{0}](x) is x
+        sys_ = PSSystem(
+            ("Y1", "Y2", "Y3"),
+            (
+                Mul((X(), Construct(kind, EMPTY, X()))),
+                Var(0),
+                Mul((X(), Construct(kind, ZERO, X()))),
+            ),
+        )
+        assert zero_components(sys_) == {0, 1}
 
 
 class TestSpectrum:

@@ -169,7 +169,7 @@ class TestEmptiesReduce:
                 (term(normalize([2]), 2, e1=ONE),),
             ),
         )
-        red = reduce(sys_)
+        red = reduce(sys_, empties(sys_))
         assert red.variables == ("Y1",)
         assert red.equations == ((term(ONE, 1),),)
         sol = solve(red, horizon=32)
@@ -177,7 +177,7 @@ class TestEmptiesReduce:
 
     def test_reduce_fixed_point(self):
         sys_ = paths_system()
-        assert reduce(sys_) is sys_
+        assert reduce(sys_, empties(sys_)) is sys_
 
 
 class TestDependency:
