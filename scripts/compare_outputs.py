@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare what two spectre checkouts print for the same command lines.
 
-    python3 scripts/compare_outputs.py OLD NEW [--count N] [--seed S]
+    python3 scripts/compare_outputs.py OLD NEW [--count N]
 
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, --count seeded random series systems
@@ -16,7 +16,7 @@ The random systems draw their index sets from {}, {0}, {1}, {0,2}, {1,2},
 N, P, 2+2*N, 1+3*N and Primes, so they reach the empty index set, index
 sets containing 0 and enumerated index sets in every construct.
 
-    python3 scripts/compare_outputs.py --record [--count N] [--seed S]
+    python3 scripts/compare_outputs.py --record [--count N]
 
 prints the record of the spectre found on the module path as JSON instead.
 """
@@ -122,11 +122,11 @@ def _set_system(rng: random.Random, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cases(fixtures: pathlib.Path, count: int, seed: int, workdir: pathlib.Path):
+def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
     """(label, argv, spec) for every command line to run; spec is the text
     of a random system, written to workdir, and None for the rest."""
     specs = [(p.name, p, None) for p in sorted(fixtures.glob("*.spec"))]
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for n in range(count):
         for mode, make in (("series", _series_system), ("sets", _set_system)):
             path = workdir / f"{mode}-{n}.spec"
@@ -154,7 +154,7 @@ def _alarm(signum, frame):
     raise _Timeout()
 
 
-def record(fixtures: pathlib.Path, count: int, seed: int) -> dict:
+def record(fixtures: pathlib.Path, count: int) -> dict:
     """Output, error output and exit code of every case, by label, under
     the spectre found on sys.path."""
     from spectre import cli
@@ -162,7 +162,7 @@ def record(fixtures: pathlib.Path, count: int, seed: int) -> dict:
     signal.signal(signal.SIGALRM, _alarm)
     out = {"spectre": str(pathlib.Path(cli.__file__).resolve().parent), "cases": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, argv, spec in cases(fixtures, count, seed, pathlib.Path(tmp)):
+        for label, argv, spec in cases(fixtures, count, pathlib.Path(tmp)):
             stdout, stderr = io.StringIO(), io.StringIO()
             signal.alarm(TIMEOUT_S)
             try:
@@ -186,7 +186,7 @@ def record(fixtures: pathlib.Path, count: int, seed: int) -> dict:
 def _record_of(root: pathlib.Path, args) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     argv = [sys.executable, __file__, "--record", "--count", str(args.count),
-            "--seed", str(args.seed), "--fixtures", str(args.fixtures)]
+            "--fixtures", str(args.fixtures)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"{root}: recording failed\n{done.stderr}")
@@ -232,14 +232,13 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--count", type=int, default=100, help="random systems of each mode (default: 100)"
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed of the random systems (default: 0)")
     ap.add_argument(
         "--fixtures", type=pathlib.Path, default=REPO_ROOT / "fixtures",
         help="directory of .spec files to run (default: bundled fixtures)",
     )
     args = ap.parse_args(argv)
     if args.record:
-        json.dump(record(args.fixtures, args.count, args.seed), sys.stdout)
+        json.dump(record(args.fixtures, args.count), sys.stdout)
         return 0
     if len(args.roots) != 2:
         ap.error("give two checkout roots, OLD and NEW")

@@ -2,7 +2,6 @@
 set-equation systems, plus the end-to-end equivalence check."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -13,7 +12,6 @@ from .epset import (
     EPSet,
     EnumeratedSet,
     IndexSet,
-    index_min,
     singleton,
     star,
     sumset,
@@ -119,7 +117,7 @@ def _compile_construct(
     var = _is_pure_var(fams, k)
     # over an empty index set the construct is zero, which the termwise
     # expansion below gives as no family
-    if var is not None and index_min(j) < math.inf:
+    if var is not None and j != EMPTY:
         exps = list(_zeros(k))
         exps[var] = j
         notes.append(f"{expr.kind} over a variable -> index-set exponent")

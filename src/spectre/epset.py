@@ -486,7 +486,7 @@ def params(a: EPSet) -> PeriodicityParams:
     """The periodicity parameters (m, q, p, c) of a."""
     if a.is_empty:
         return PeriodicityParams(math.inf, 0, 0, 0)
-    m = index_min(a)
+    m = a.finite_part[0] if a.finite_part else a.threshold
     q = 0
     for n in a.finite_part:
         q = math.gcd(q, n - m)

@@ -627,8 +627,8 @@ def is_elementary(sys: PSSystem) -> Tuple[bool, list[str]]:
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
     """Unique solution of a well-posed system, truncated at degree n."""
     sys.linear_part.require_well_posed()
-    # constant terms first: zero, unless a Seq over an index set with 0
-    # supplies one
+    # constant terms first: zero, unless a Seq or MSet over an index set
+    # with 0 supplies one
     consts = _solve_orders(sys, 0, [0] * sys.k)
     vals = [0 if y[0] else 1 for y in consts]
     return tuple(_series(y) for y in _solve_orders(sys, n, vals))

@@ -181,11 +181,6 @@ def classify(sys: SetSystem) -> SystemClassification:
     return SystemClassification(basic, elem, not emp and elem, emp, tuple(m), tuple(diags))
 
 
-def empties(sys: SetSystem) -> set[int]:
-    """Indices whose solution coordinate is empty: those of minimum inf."""
-    return {i for i, m in enumerate(min_vector(sys)) if m == math.inf}
-
-
 def reduce(sys: SetSystem, emp: Collection[int]) -> SetSystem:
     """Drop the empty variables emp, deleting term families that require
     them."""

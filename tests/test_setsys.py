@@ -29,7 +29,6 @@ from spectre.setsys import (
     TrivialEquation,
     classify,
     dependency,
-    empties,
     linear_closed_form,
     min_vector,
     nonuniqueness_probe,
@@ -153,13 +152,13 @@ class TestEmptiesReduce:
         )
 
     def test_mutual_emptiness(self):
-        assert empties(self.two_empty()) == {0, 1}
+        assert classify(self.two_empty()).empties == {0, 1}
 
     def test_binary_no_empties(self):
-        assert empties(binary_system()) == set()
+        assert classify(binary_system()).empties == set()
 
     def test_paths_no_empties(self):
-        assert empties(paths_system()) == set()
+        assert classify(paths_system()).empties == set()
 
     def test_reduce_drops_empty(self):
         sys_ = SetSystem(
@@ -169,7 +168,7 @@ class TestEmptiesReduce:
                 (term(normalize([2]), 2, e1=ONE),),
             ),
         )
-        red = reduce(sys_, empties(sys_))
+        red = reduce(sys_, classify(sys_).empties)
         assert red.variables == ("Y1",)
         assert red.equations == ((term(ONE, 1),),)
         sol = solve(red, horizon=32)
@@ -177,7 +176,7 @@ class TestEmptiesReduce:
 
     def test_reduce_fixed_point(self):
         sys_ = paths_system()
-        assert reduce(sys_, empties(sys_)) is sys_
+        assert reduce(sys_, classify(sys_).empties) is sys_
 
 
 class TestDependency:
@@ -380,8 +379,8 @@ def with_primes(rng: random.Random, sys_: SetSystem) -> SetSystem:
 
 
 class TestIntegerFormulas:
-    """min_vector, empties and q_vector come from integer passes; the
-    symbolic iterates and solve's closed forms pin them."""
+    """min_vector, classify's empties and q_vector come from integer
+    passes; the symbolic iterates and solve's closed forms pin them."""
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_min_and_empties_vs_iterates(self, periodic):
@@ -390,7 +389,7 @@ class TestIntegerFormulas:
             sys_ = random_elementary_system(rng, rng.randint(1, 4), periodic=periodic)
             last = oracle.symbolic_iterate(sys_, sys_.k)[-1]
             assert min_vector(sys_) == [params(a).m for a in last], sys_
-            assert empties(sys_) == {i for i, a in enumerate(last) if a.is_empty}, sys_
+            assert classify(sys_).empties == {i for i, a in enumerate(last) if a.is_empty}, sys_
 
     def test_primes_vs_closed_forms(self):
         rng = random.Random(1618)
