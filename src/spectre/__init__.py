@@ -35,7 +35,6 @@ from .setsys import (
     classify,
     dependency,
     min_vector,
-    nonuniqueness_probe,
     q_vector,
     solve,
     solution_json,
@@ -50,7 +49,7 @@ from .pseries import (
     spectrum_extract,
     zero_components,
 )
-from .compile import compile_system, spectral_equivalence_check
+from .compile import compile_system
 from .dsl import ParseError, parse, print_system
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,11 +1,11 @@
 """Translation of power-series systems into spectrally equivalent
-set-equation systems, plus the end-to-end equivalence check."""
+set-equation systems."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from . import pseries, setsys
+from . import setsys
 from .epset import (
     EMPTY,
     ZERO,
@@ -161,23 +161,3 @@ def compile_system(sys: PSSystem) -> CompileReport:
     except setsys.TrivialEquation:
         cls = None
     return CompileReport(system, tuple(notes), tuple(flags), cls)
-
-
-@dataclass(frozen=True)
-class EquivReport:
-    ok: bool
-    first_mismatch: Optional[Tuple[str, int]]
-    degree: int
-
-
-def spectral_equivalence_check(sys: PSSystem, n: int) -> EquivReport:
-    """Spectrum of the series solution vs. the set-system solution on [0,n]."""
-    series_sol = pseries.fixed_point_solve(sys, n)
-    supports = [pseries.spectrum_extract(s).support for s in series_sol]
-    set_sol = setsys.solve(compile_system(sys).system, horizon=n)
-    for i, v in enumerate(set_sol.variables):
-        trunc_support = {d for d in range(n + 1) if v.truncation[d]}
-        if trunc_support != supports[i]:
-            diff = sorted(trunc_support ^ supports[i])
-            return EquivReport(False, (v.name, diff[0]), n)
-    return EquivReport(True, None, n)

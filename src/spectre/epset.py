@@ -148,16 +148,11 @@ def _bits(m: int) -> list[int]:
     return list(itertools.compress(range(len(digits)), digits))
 
 
-def _mask(
-    elems: Iterable[int], size: int, blocks: Iterable[Tuple[int, int]] = ()
-) -> int:
-    """The bitmask with bits elems set, all of them below size, and the
-    bits s, s + p, s + 2p, ... below size of each (s, p) in blocks."""
+def _mask(elems: Iterable[int], size: int) -> int:
+    """The bitmask with bits elems set, all of them below size."""
     digits = bytearray(b"0") * size
     for n in elems:
         digits[n] = 49  # "1"
-    for s, p in blocks:
-        digits[s::p] = b"1" * len(range(s, size, p))
     return int(digits[::-1], 2)
 
 

@@ -2,10 +2,10 @@
 exact solving, and the closed-form minimum/gcd parameter formulas."""
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence, Tuple, Union
+from typing import Collection, Sequence, Tuple, Union
 
 from . import epset
 from .epset import (
@@ -19,13 +19,13 @@ from .epset import (
     format_epset,
     index_member,
     index_min,
-    index_parts,
     index_q,
     index_reaches,
     is_subset,
     member,
     normalize,
     params,
+    shift,
     singleton,
     star,
     sumset,
@@ -361,93 +361,6 @@ def q_vector(sys: SetSystem) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# truncated Kleene solving on bitmask membership arrays
-
-
-def _mask_of(a: EPSet, h: int) -> int:
-    """The bitmask of the members of a in [0, h]."""
-    fins, blocks = decompose(a)
-    return epset._mask(fins[: bisect_right(fins, h)], h + 1, blocks)
-
-
-def _mask_sum(a: int, b: int, full: int) -> int:
-    return epset._mask_sum(a, b) & full
-
-
-def _mask_nstar(n: int, b: int, full: int) -> int:
-    result = 1
-    power = b
-    while n:
-        if n & 1:
-            result = _mask_sum(result, power, full)
-            if result == 0:
-                return 0
-        n >>= 1
-        if n:
-            power = _mask_sum(power, power, full)
-    return result
-
-
-def _mask_natstar(b: int, full: int) -> int:
-    """All finite sums of members of b, by doubling the number of summands."""
-    acc = b | 1
-    while True:
-        nxt = _mask_sum(acc, acc, full)
-        if nxt == acc:
-            return acc
-        acc = nxt
-
-
-def _mask_star(e: IndexSet, y: int, h: int, full: int) -> int:
-    """e * y: finite and enumerated members of e by an incremental walk,
-    each block s + p*N in closed form as s-fold(y) + N*(p-fold(y))."""
-    if y == 0:
-        return 1 if index_member(e, 0) else 0
-    # members past h add nothing, as 0 is in no solution of a basic system
-    fins, blocks = index_parts(e, h)
-    out, cur, prev = 0, 1, 0
-    for x in fins:
-        cur = _mask_sum(cur, _mask_nstar(x - prev, y, full), full)
-        prev = x
-        if cur == 0:
-            break
-        out |= cur
-    for s, p in blocks:
-        tail = _mask_natstar(_mask_nstar(p, y, full), full)
-        out |= _mask_sum(_mask_nstar(s, y, full), tail, full)
-    return out
-
-
-def _kleene(sys: SetSystem, h: int, seed: Optional[Sequence[int]] = None) -> list[int]:
-    """Fixed point of the truncation of Gamma to [0, h], iterated from seed
-    (by default the empty vector, which gives the least one)."""
-    full = (1 << (h + 1)) - 1
-    vec = list(seed) if seed is not None else [0] * sys.k
-    terms = [[(_mask_of(t.base, h), t.factors()) for t in eq] for eq in sys.equations]
-    rounds = 0
-    limit = h * sys.k + sys.k + 2
-    while True:
-        new = []
-        for eq in terms:
-            acc = 0
-            for v, factors in eq:
-                if any(vec[j] == 0 and not index_member(e, 0) for j, e in factors):
-                    continue  # a factor is still empty
-                for j, e in factors:
-                    v = _mask_sum(v, _mask_star(e, vec[j], h, full), full)
-                    if v == 0:
-                        break
-                acc |= v
-            new.append(acc)
-        rounds += 1
-        if new == vec:
-            return vec
-        vec = new
-        if rounds > limit:
-            raise AssertionError("Kleene iteration failed to stabilize")
-
-
-# ---------------------------------------------------------------------------
 # exact least solutions by Newton iteration, one strong component at a time
 
 CERT_LINEAR = "CertifiedLinear"
@@ -459,7 +372,6 @@ CERT_FINITE = "CertifiedFiniteConvergence"
 class VariableSolution:
     name: str
     closed_form: EPSet
-    truncation: Tuple[bool, ...]
     certificate: str
     params: PeriodicityParams
 
@@ -469,13 +381,6 @@ class SpectrumSolution:
     horizon: int
     variables: Tuple[VariableSolution, ...]
     classification: SystemClassification
-
-
-def linear_closed_form(g0: EPSet, g1: EPSet) -> EPSet:
-    """Solution of Y = G0 | (G1 + Y): G0 plus the closure of G1."""
-    if g1.is_empty or g0.is_empty:
-        return g0
-    return sumset(g0, epset._natstar(g1))
 
 
 def _is_linear(t: GammaTerm, k: int) -> bool:
@@ -545,7 +450,8 @@ def _newton(sys: SetSystem) -> list[EPSet]:
     starting from Gamma(0). Over a commutative idempotent semiring, here
     (union, sum, closure), k equations reach their least fixed point in at
     most k steps (Hopkins & Kozen, LICS 1999; Esparza, Kiefer & Luttenberger,
-    J. ACM 2010), and nu = Gamma(nu) proves it.
+    J. ACM 2010). On a system without unit rules (_without_units), a
+    positive nu = Gamma(nu) is the least solution however it was reached.
     """
     nu = gamma_eval(sys, [EMPTY] * sys.k)
     for _ in range(sys.k + 1):
@@ -612,19 +518,65 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
     return SetSystem(sys.variables, tuple(map(tuple, eqs)))
 
 
-def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
-    """Least solution by Newton iteration, one strong component at a time,
-    below first. Gamma is monotone in each enumerated index set E, so with
-    E cut to E_lo = {e in E : e <= P} and E_hi = E_lo | P+1+N the least
-    solutions rise from E_lo through E to E_hi (Tarski, Pacific J. Math.
-    1955): the one for E_lo is the one for E once it solves the E_hi
-    system. P doubles from 2 until then, and up to the horizon."""
+def _classes(e: EPSet) -> list[EPSet]:
+    """The non-empty parts of e in {0}, {1} and 2+N."""
+    parts = [ZERO if member(e, 0) else EMPTY, ONE if member(e, 1) else EMPTY]
+    return [c for c in parts + [shift(_derivative(_derivative(e)), 2)] if not c.is_empty]
+
+
+def _without_units(sys: SetSystem) -> SetSystem:
+    """Gamma', Gamma with its unit rules eliminated, as for unit productions
+    of a grammar (Hopcroft & Ullman, 1979).
+
+    A family with 0 in its base and weight below 2 splits into one with the
+    base less 0, and families of base {0} with each exponent set cut into
+    its parts in {0}, {1} and 2+N. A part with one factor at {1} and the
+    rest at {0} is the unit rule Y_i >= Y_j. Equation i then takes the other
+    families of every j it reaches by unit rules. Gamma' has the least
+    solution of Gamma, and bit n of Gamma'(Y) reads only bits below n of a
+    positive Y, so that least solution is its one positive fixed point.
+    Gamma' is Gamma on an elementary system.
+    """
+    rest: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
+    units: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
+    for i, eq in enumerate(sys.equations):
+        for t in eq:
+            if not member(t.base, 0) or t.min_weight() >= 2:
+                rest[i].append(t)
+                continue
+            positive = shift(_derivative(t.base), 1)
+            if not positive.is_empty:
+                rest[i].append(GammaTerm(positive, t.exponents))
+            for exps in itertools.product(*map(_classes, t.exponents)):
+                part = GammaTerm(ZERO, exps)
+                (units if part.min_weight() == 1 else rest)[i].append(part)
+    dg = dependency(SetSystem(sys.variables, tuple(map(tuple, units))))
+    eqs = [
+        tuple(t for j in range(sys.k) if dg.reaches(i, j) for t in rest[j])
+        for i in range(sys.k)
+    ]
+    return SetSystem(sys.variables, tuple(eqs))
+
+
+def _least(sys: SetSystem, horizon: int) -> list[EPSet]:
+    """Least solution of a basic system, proven on all of N.
+
+    Newton solves Gamma', below first, one strong component at a time. Its
+    closing test Gamma'(nu) = nu proves nu the least solution once nu is
+    positive, which solve checks against min_vector.
+
+    Gamma is monotone in each enumerated index set E, so with E cut to
+    E_lo = {e in E : e <= P} and E_hi = E_lo | P+1+N the least solutions
+    rise from E_lo through E to E_hi (Tarski, Pacific J. Math. 1955): the
+    one for E_lo is the one for E once it solves the E_hi system. P doubles
+    from 2 until then, and up to the horizon."""
     bound = 2
     while True:
         lo = _cut(sys, bound, []) if sys.has_enumerated() else sys
+        flat = _without_units(lo)
         nu = [EMPTY] * sys.k
-        for comp in _components(dg):
-            for i, v in zip(comp, _newton(_component_system(lo, comp, nu))):
+        for comp in _components(dependency(flat)):
+            for i, v in zip(comp, _newton(_component_system(flat, comp, nu))):
                 nu[i] = v
         if lo is sys:
             return nu
@@ -639,28 +591,18 @@ def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
         bound *= 2
 
 
-def _one_positive_fixed_point(sys: SetSystem) -> bool:
-    """True when no cycle runs through families that can take a single
-    member (0 in the base, weight < 2): bit n of Gamma(Y) then reads bits
-    below n and, along an acyclic graph, bit n of other variables."""
-    single = [[t for t in eq if member(t.base, 0) and t.min_weight() < 2] for eq in sys.equations]
-    reach = dependency(SetSystem(sys.variables, tuple(map(tuple, single)))).reach_plus
-    return not any(reach[i][i] for i in range(sys.k))
-
-
 def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
-    """Least solution of Y = Gamma(Y), in closed form and truncated.
+    """Least solution of Y = Gamma(Y), in closed form.
 
-    Strong components are solved exactly by Newton iteration, below first,
-    each enumerated index set bracketed between two eventually periodic ones
-    (HorizonTooSmall if the bracket is open at the horizon). Certificates
-    follow the structure: CertifiedLinear if every equation reached is
-    linear, CertifiedDoubling if the component in the reduced system meets
-    the doubling condition, else CertifiedFiniteConvergence. The truncated
-    Kleene solution checks all. When the truncation has one positive fixed
-    point, Kleene starts from the exact answers, and one round confirms them
-    when they are right; otherwise (Y = {1} | {0} + Y) it starts from 0.
-    min_vector checks every m, and on a reduced system q_vector every q.
+    _least solves the system exactly and proves the answer, with each
+    enumerated index set bracketed between two eventually periodic ones
+    (HorizonTooSmall if the bracket is open at the horizon, which bounds
+    nothing else). Certificates follow the structure: CertifiedLinear if
+    every equation reached is linear, CertifiedDoubling if the component in
+    the reduced system meets the doubling condition, else
+    CertifiedFiniteConvergence. min_vector checks every m, which makes the
+    answer positive as the proof needs, and on a reduced system q_vector
+    checks every q.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -678,10 +620,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
         rdg = dependency(red)
         doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
 
-    closed = _least(sys, dg, horizon)
-    forms = [_mask_of(v, horizon) for v in closed]
-    seed = [m & ~1 for m in forms] if _one_positive_fixed_point(sys) else None
-    masks = _kleene(sys, horizon, seed=seed)
+    closed = _least(sys, horizon)
 
     # the gcd formula holds on reduced systems
     gcds = _q_report(sys, cls.minima, dg).q if cls.is_reduced else None
@@ -698,28 +637,12 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
             cert = CERT_DOUBLING
         else:
             cert = CERT_FINITE
-        if forms[i] != masks[i]:
-            raise AssertionError(
-                f"closed form for {sys.variables[i]} disagrees with truncation"
-            )
         if pp.m != cls.minima[i]:
             raise AssertionError(f"minimum of {sys.variables[i]} disagrees with min_vector")
         if gcds is not None and pp.q != gcds[i]:
             raise AssertionError(f"gcd of {sys.variables[i]} disagrees with q_vector")
-        trunc = tuple(map(bool, epset._membership(masks[i]).ljust(horizon + 1, b"\0")))
-        out.append(VariableSolution(sys.variables[i], closed[i], trunc, cert, pp))
+        out.append(VariableSolution(sys.variables[i], closed[i], cert, pp))
     return SpectrumSolution(horizon, tuple(out), cls)
-
-
-def nonuniqueness_probe(
-    sys: SetSystem, candidates: Sequence[Sequence[EPSet]]
-) -> list[bool]:
-    """Which candidate vectors satisfy Y = Gamma(Y) exactly."""
-    out = []
-    for cand in candidates:
-        image = gamma_eval(sys, list(cand))
-        out.append(all(image[i] == cand[i] for i in range(sys.k)))
-    return out
 
 
 def solution_json(sol: SpectrumSolution) -> dict:

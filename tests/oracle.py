@@ -1,18 +1,22 @@
 """Brute-force reference implementations, used only by the tests.
 
-Everything here works on plain membership lists / integer sets with direct
-double loops, sharing no code with the exact engines.
+The brute-force references work on plain membership lists / integer sets
+with direct double loops, sharing no code with the exact engines.  The
+bitmask Kleene iteration and the exact reference answers are built on
+engine kernels instead, for experiments that drive the engine.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from spectre import setsys
-from spectre.epset import EMPTY
+from spectre import compile as compile_mod
+from spectre import epset, pseries, setsys
+from spectre.epset import EMPTY, index_member, index_parts, member, sumset
 from spectre.pseries import (
     Add,
     CompositionAtNonzeroConstant,
@@ -134,13 +138,138 @@ def brute_fixpoint(system, h: int) -> list[BoolVec]:
         vals = nxt
 
 
+# ---------------------------------------------------------------------------
+# truncated Kleene iteration on bitmask membership arrays, built on the
+# engine's bitmask sumset kernel
+
+
+def _mask_sum(a: int, b: int, full: int) -> int:
+    return epset._mask_sum(a, b) & full
+
+
+def _mask_nstar(n: int, b: int, full: int) -> int:
+    result = 1
+    power = b
+    while n:
+        if n & 1:
+            result = _mask_sum(result, power, full)
+            if result == 0:
+                return 0
+        n >>= 1
+        if n:
+            power = _mask_sum(power, power, full)
+    return result
+
+
+def _mask_natstar(b: int, full: int) -> int:
+    """All finite sums of members of b, by doubling the number of summands."""
+    acc = b | 1
+    while True:
+        nxt = _mask_sum(acc, acc, full)
+        if nxt == acc:
+            return acc
+        acc = nxt
+
+
+def _mask_star(e, y: int, h: int, full: int) -> int:
+    """e * y: finite and enumerated members of e by an incremental walk,
+    each block s + p*N in closed form as s-fold(y) + N*(p-fold(y))."""
+    if y == 0:
+        return 1 if index_member(e, 0) else 0
+    # members past h add nothing, as 0 is in no solution of a basic system
+    fins, blocks = index_parts(e, h)
+    out, cur, prev = 0, 1, 0
+    for x in fins:
+        cur = _mask_sum(cur, _mask_nstar(x - prev, y, full), full)
+        prev = x
+        if cur == 0:
+            break
+        out |= cur
+    for s, p in blocks:
+        tail = _mask_natstar(_mask_nstar(p, y, full), full)
+        out |= _mask_sum(_mask_nstar(s, y, full), tail, full)
+    return out
+
+
+def _kleene(system, h: int, seed) -> list[int]:
+    """Fixed point of the truncation of Gamma to [0, h], iterated from the
+    bitmask vector seed."""
+    full = (1 << (h + 1)) - 1
+    vec = list(seed)
+    terms = [
+        [(sum(1 << n for n in _epset_members(t.base, h)), t.factors()) for t in eq]
+        for eq in system.equations
+    ]
+    rounds = 0
+    limit = h * system.k + system.k + 2
+    while True:
+        new = []
+        for eq in terms:
+            acc = 0
+            for v, factors in eq:
+                if any(vec[j] == 0 and not index_member(e, 0) for j, e in factors):
+                    continue  # a factor is still empty
+                for j, e in factors:
+                    v = _mask_sum(v, _mask_star(e, vec[j], h, full), full)
+                    if v == 0:
+                        break
+                acc |= v
+            new.append(acc)
+        rounds += 1
+        if new == vec:
+            return vec
+        vec = new
+        if rounds > limit:
+            raise AssertionError("Kleene iteration failed to stabilize")
+
+
 def solve_seeded(system, h: int, seed_sets) -> list[set[int]]:
-    """The truncations on [0, h] that the solver's bitmask Kleene iteration
-    reaches from an arbitrary positive-set seed vector (for uniqueness
-    experiments; this drives the engine rather than replacing it)."""
+    """The truncations on [0, h] that a bitmask Kleene iteration reaches
+    from an arbitrary positive-set seed vector (for uniqueness
+    experiments)."""
     seed = [sum(1 << n for n in _epset_members(s, h) if n) for s in seed_sets]
-    masks = setsys._kleene(system, h, seed=seed)
+    masks = _kleene(system, h, seed)
     return [{n for n in range(h + 1) if m >> n & 1} for m in masks]
+
+
+# ---------------------------------------------------------------------------
+# reference answers and checks built on the engines
+
+
+def linear_closed_form(g0, g1):
+    """Solution of Y = G0 | (G1 + Y): G0 plus the closure of G1."""
+    if g1.is_empty or g0.is_empty:
+        return g0
+    return sumset(g0, epset._natstar(g1))
+
+
+def nonuniqueness_probe(system, candidates) -> list[bool]:
+    """Which candidate vectors satisfy Y = Gamma(Y) exactly."""
+    out = []
+    for cand in candidates:
+        image = setsys.gamma_eval(system, list(cand))
+        out.append(all(image[i] == cand[i] for i in range(system.k)))
+    return out
+
+
+@dataclass(frozen=True)
+class EquivReport:
+    ok: bool
+    first_mismatch: Optional[Tuple[str, int]]
+    degree: int
+
+
+def spectral_equivalence_check(system: PSSystem, n: int) -> EquivReport:
+    """Spectrum of the series solution vs. the set-system solution on [0,n]."""
+    series_sol = pseries.fixed_point_solve(system, n)
+    supports = [pseries.spectrum_extract(s).support for s in series_sol]
+    set_sol = setsys.solve(compile_mod.compile_system(system).system, horizon=n)
+    for i, v in enumerate(set_sol.variables):
+        set_support = {d for d in range(n + 1) if member(v.closed_form, d)}
+        if set_support != supports[i]:
+            diff = sorted(set_support ^ supports[i])
+            return EquivReport(False, (v.name, diff[0]), n)
+    return EquivReport(True, None, n)
 
 
 def symbolic_iterate(system, n: int) -> list[list]:

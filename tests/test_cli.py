@@ -4,9 +4,9 @@ import json
 import pytest
 
 from spectre import cli, dsl, pseries, setsys
-from spectre import compile as compile_mod
 from spectre.epset import POS, singleton, union
 
+import oracle
 from conftest import FIXTURES
 
 
@@ -234,37 +234,36 @@ class TestExitCodes:
         assert "bare variable" in err
 
 
-class TestTruncationCheck:
-    """A wrong exact answer is an internal error, whether the truncated
-    Kleene check starts from it (systems whose truncation has one positive
-    fixed point, elementary or not) or from the empty vector (others)."""
+class TestLeastnessProof:
+    """A wrong answer inside Newton is an internal error. Gamma' (Gamma with
+    its unit rules eliminated) has one positive fixed point, the least
+    solution, so Newton's closing test Gamma'(nu) = nu, or the check of each
+    minimum against min_vector, fails on any other answer."""
 
     def test_extra_member_elementary(self, capsys, monkeypatch):
-        cases = [
-            ("postage", "_newton", "closed form for Y disagrees with truncation"),
-            # structured is not elementary, but T = R | B closes no cycle;
-            # a wrong answer for B breaks the bracket on Primes first
-            ("structured", "_newton", "exact answer for B is no fixed point of the cut system"),
-            ("structured", "_least", "closed form for B disagrees with truncation"),
+        # postage is elementary; in structured, T = R | B are unit rules
+        solve_linear, jacobian = setsys._solve_linear, setsys._jacobian
+        faults = [
+            ("_solve_linear", lambda c, d: [union(v, singleton(7)) for v in solve_linear(c, d)]),
+            ("_solve_linear", lambda c, d: [POS] * len(d)),
+            ("_jacobian", lambda s, nu: [[union(e, singleton(1)) for e in row] for row in jacobian(s, nu)]),
         ]
-        for name, solver, message in cases:
-            exact = getattr(setsys, solver)
-            with monkeypatch.context() as m:
-                m.setattr(
-                    setsys, solver, lambda *args: [union(v, singleton(7)) for v in exact(*args)]
-                )
-                code, _, err = run(capsys, "solve", fx(f"{name}.spec"))
-            assert code == cli.EXIT_INTERNAL, name
-            assert message in err
+        for name in ("postage", "structured"):
+            for target, fault in faults:
+                with monkeypatch.context() as m:
+                    m.setattr(setsys, target, fault)
+                    code, out, err = run(capsys, "solve", fx(f"{name}.spec"))
+                assert (code, out) == (cli.EXIT_INTERNAL, ""), (name, target)
+                assert "Newton iteration did not settle" in err, (name, target)
 
-    def test_non_least_fixed_point(self, capsys, monkeypatch, tmp_path):
+    def test_non_least_fixed_point(self, capsys, tmp_path):
         spec = tmp_path / "y.spec"
         spec.write_text("vars Y;\nmode sets;\nY = {1} | {0} + Y;\n")
+        sys_ = dsl.parse(spec.read_text())
         # 1+N solves Y = {1} | {0} + Y, but {1} is the least solution
-        monkeypatch.setattr(setsys, "_newton", lambda sys_: [POS] * sys_.k)
-        code, _, err = run(capsys, "solve", str(spec))
-        assert code == cli.EXIT_INTERNAL
-        assert "closed form for Y disagrees with truncation" in err
+        assert setsys.gamma_eval(sys_, [POS]) == [POS]
+        assert setsys.gamma_eval(setsys._without_units(sys_), [POS]) == [singleton(1)]
+        assert run(capsys, "solve", str(spec)) == (0, "Y = {1}   [CertifiedLinear]\n", "")
 
 
 class TestHatNote:
@@ -406,7 +405,7 @@ class TestIndexSets:
         assert run(capsys, "coeffs", str(spec), "--degree", "6") == (0, f"Y: {coeffs}\n", "")
         code, out, _ = run(capsys, "solve", str(spec))
         assert (code, out) == (0, f"Y = {spectrum}   [CertifiedLinear]\n")
-        assert compile_mod.spectral_equivalence_check(dsl.parse(spec.read_text()), 24).ok
+        assert oracle.spectral_equivalence_check(dsl.parse(spec.read_text()), 24).ok
 
     @pytest.mark.parametrize("command", ["solve", "params", "compile", "digraph"])
     def test_construct_over_empty_index_set_on_a_variable(self, capsys, tmp_path, command):

@@ -4,16 +4,13 @@ import pytest
 
 from spectre import compile as compile_mod
 from spectre import dsl, epset, pseries, setsys
-from spectre.compile import (
-    CompileUnsupported,
-    compile_system,
-    spectral_equivalence_check,
-)
+from spectre.compile import CompileUnsupported, compile_system
 from spectre.epset import POS, ZERO, normalize, singleton
 from spectre.pseries import Construct, PSSystem, Var, X, evaluate, s_from
 from spectre.setsys import GammaTerm, term
 
 from conftest import fixture_text, random_series_system
+from oracle import spectral_equivalence_check
 
 ONE = singleton(1)
 

@@ -11,6 +11,7 @@ from spectre import dsl, epset, setsys
 from spectre.epset import (
     EMPTY,
     NAT,
+    POS,
     ZERO,
     ENUMERATED_SETS,
     format_epset,
@@ -29,9 +30,7 @@ from spectre.setsys import (
     TrivialEquation,
     classify,
     dependency,
-    linear_closed_form,
     min_vector,
-    nonuniqueness_probe,
     q_report,
     q_vector,
     reduce,
@@ -40,7 +39,7 @@ from spectre.setsys import (
 )
 
 import oracle
-from oracle import solve_seeded
+from oracle import linear_closed_form, nonuniqueness_probe, solve_seeded
 from conftest import fixture_text, members, random_nonempty_epset
 
 ODDS = normalize((), [(1, 2)])
@@ -267,11 +266,11 @@ class TestSolve:
         assert v.certificate == CERT_LINEAR
 
     def test_truncation_matches_closed_form(self):
+        # the oracle's truncation to [0, 128]
         for sys_ in (binary_system(), paths_system(), postage_system()):
             sol = solve(sys_, horizon=128)
-            for v in sol.variables:
-                got = {n for n in range(129) if v.truncation[n]}
-                assert got == members(v.closed_form, 128)
+            for v, b in zip(sol.variables, oracle.brute_fixpoint(sys_, 128)):
+                assert oracle.vec_members(b) == members(v.closed_form, 128)
 
     def test_strong_component_is_periodic(self):
         # variables inside a cycle solve to infinite eventually periodic
@@ -378,6 +377,35 @@ def with_primes(rng: random.Random, sys_: SetSystem) -> SetSystem:
             return out
 
 
+UNIT_BASES = (ZERO, ZERO, ZERO, ONE, normalize([2]), normalize([0, 3]), normalize([0], [(2, 2)]))
+UNIT_EXPONENTS = (ONE, ONE, ONE, normalize([0, 1]), normalize([1, 2]), normalize([0, 2]), POS, NAT)
+
+
+def random_basic_system(rng: random.Random, k: int) -> SetSystem:
+    """A random basic system, biased toward unit rules: most bases are {0}
+    and most exponent sets {1}."""
+    names = tuple(f"Y{i}" for i in range(k))
+    while True:
+        eqs = []
+        for _ in range(k):
+            terms, size = [], rng.randint(1, 3)
+            while len(terms) < size:
+                exps = tuple(
+                    rng.choice(UNIT_EXPONENTS) if rng.random() < 0.4 else ZERO
+                    for _ in range(k)
+                )
+                t = GammaTerm(rng.choice(UNIT_BASES), exps)
+                if not (member(t.base, 0) and t.min_weight() == 0):
+                    terms.append(t)
+            eqs.append(tuple(terms))
+        sys_ = SetSystem(names, tuple(eqs))
+        try:
+            classify(sys_)
+        except TrivialEquation:
+            continue
+        return sys_
+
+
 class TestIntegerFormulas:
     """min_vector, classify's empties and q_vector come from integer
     passes; the symbolic iterates and solve's closed forms pin them."""
@@ -443,8 +471,7 @@ class TestRandomSystems:
             sol = solve(sys_, horizon=h)
             brute = oracle.brute_fixpoint(sys_, h)
             for i, v in enumerate(sol.variables):
-                got = {n for n in range(h + 1) if v.truncation[n]}
-                assert got == oracle.vec_members(brute[i]), sys_
+                assert members(v.closed_form, h) == oracle.vec_members(brute[i]), sys_
             mv = min_vector(sys_)
             for i, v in enumerate(sol.variables):
                 assert params(v.closed_form).m == mv[i]
@@ -468,6 +495,57 @@ class TestRandomSystems:
             ]
             seeded = solve_seeded(sys_, h, seeds)
             assert [set(s) for s in seeded] == base
+
+
+class TestWithoutUnits:
+    """Gamma' has the least solution of Gamma as its one positive fixed
+    point, on random basic systems that often close cycles of unit rules."""
+
+    def test_random_basic_systems(self, monkeypatch):
+        rng = random.Random(1979)
+        h = 48
+        changed = planted = non_least = faulted = 0
+        for n in range(160):
+            sys_ = random_basic_system(rng, rng.randint(1, 3))
+            nu = [v.closed_form for v in solve(sys_, horizon=h).variables]
+            for v, b in zip(nu, oracle.brute_fixpoint(sys_, h)):
+                assert members(v, h) == oracle.vec_members(b), sys_
+            flat = setsys._without_units(sys_)
+            changed += flat != sys_
+            assert setsys.gamma_eval(flat, nu) == nu
+            # one member planted in a gap of a solution
+            i = rng.randrange(sys_.k)
+            gaps = sorted(set(range(1, h)) - members(nu[i], h))
+            if gaps:
+                wrong = list(nu)
+                wrong[i] = union(nu[i], singleton(rng.choice(gaps)))
+                assert setsys.gamma_eval(flat, wrong) != wrong, sys_
+                planted += 1
+            # a larger fixed point of Gamma, from nu | x+N upward
+            y = [union(v, normalize((), [(rng.randint(1, 6), 1)])) for v in nu]
+            image = setsys.gamma_eval(sys_, y)
+            while image != y and all(map(epset.is_subset, y, image)):
+                y, image = image, setsys.gamma_eval(sys_, image)
+            if image == y != nu:
+                assert setsys.gamma_eval(flat, y) != y, sys_
+                non_least += 1
+            # a fault inside Newton is an internal error or harmless
+            if n % 3 == 0:
+                solve_linear = setsys._solve_linear
+                x = rng.randint(1, 12)
+                fault = rng.choice([
+                    lambda c, d: [union(v, singleton(x)) for v in solve_linear(c, d)],
+                    lambda c, d: [POS] * len(d),
+                ])
+                with monkeypatch.context() as m:
+                    m.setattr(setsys, "_solve_linear", fault)
+                    try:
+                        got = [v.closed_form for v in solve(sys_, horizon=h).variables]
+                    except AssertionError:
+                        faulted += 1
+                        continue
+                assert got == nu, sys_
+        assert changed >= 60 and planted >= 100 and non_least >= 20 and faulted >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -566,27 +644,30 @@ class TestExactSolve:
             solve(sys_, horizon=64)
 
     def test_non_elementary_least_solution(self):
-        # every set containing 1 solves Y = {1} | {0} + Y; the truncation
-        # check starts from the empty vector and finds the least one
+        # every set containing 1 solves Y = {1} | {0} + Y; without the unit
+        # rule Y >= Y only {1} does
         sys_ = sets_system("Y = {1} | {0} + Y;")
         assert not classify(sys_).is_elementary
         h = 64
         sol = solve(sys_, horizon=h)
         assert sol.variables[0].closed_form == ONE
         brute = oracle.brute_fixpoint(sys_, h)
-        assert [list(v.truncation) for v in sol.variables] == brute
+        assert [members(v.closed_form, h) for v in sol.variables] == [
+            oracle.vec_members(b) for b in brute
+        ]
 
-    def test_right_answers_are_checked_in_one_round(self, monkeypatch):
-        # paths is elementary, and in structured (T = R | B) and bluered no
-        # cycle runs through families taking a single member: the truncation
-        # has one positive fixed point, so Kleene starts from the exact
-        # answers and evaluates each factor once, at any horizon
+    def test_cost_is_independent_of_the_horizon(self, monkeypatch):
+        # the horizon bounds only the bracket on Primes, which structured
+        # closes at P = 4
         calls = []
-        mask_star = setsys._mask_star
+        gamma_eval = setsys.gamma_eval
         monkeypatch.setattr(
-            setsys, "_mask_star", lambda *args: calls.append(1) or mask_star(*args)
+            setsys, "gamma_eval", lambda *args: calls.append(1) or gamma_eval(*args)
         )
-        for name, factors in [("paths", 6), ("structured", 6), ("bluered", 7)]:
-            calls.clear()
-            solve(fixture_system(f"{name}.spec"), horizon=4096)
-            assert len(calls) == factors, name
+        for name in ("paths", "structured", "bluered"):
+            counts = []
+            for h in (512, 8192):
+                calls.clear()
+                solve(fixture_system(f"{name}.spec"), horizon=h)
+                counts.append(len(calls))
+            assert counts[0] == counts[1], name
