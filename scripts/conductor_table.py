@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from spectre import from_elements, member, nat_closure, params
+from spectre import member, nat_closure, normalize, params
 
 
 def main(argv=None) -> int:
@@ -26,7 +26,7 @@ def main(argv=None) -> int:
         for b in range(a + 1, args.n + 1):
             if math.gcd(a, b) != 1:
                 continue
-            closure = nat_closure(from_elements([a, b]))
+            closure = nat_closure(normalize([a, b]))
             p = params(closure)
             expected = (a - 1) * (b - 1)
             assert p.c == expected, (a, b, p.c, expected)

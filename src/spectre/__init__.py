@@ -13,16 +13,12 @@ from .epset import (
     EPSet,
     IndexSet,
     PeriodicityParams,
-    certify_doubling,
     format_epset,
-    from_elements,
-    is_eventual_period,
     member,
     nat_closure,
     normalize,
     nstar,
     params,
-    scalar_mul,
     singleton,
     star,
     sumset,
@@ -43,10 +39,7 @@ from .pseries import (
     PSSystem,
     Series,
     fixed_point_solve,
-    is_elementary,
-    jacobian_at_origin,
     neumann_check,
-    spectrum_extract,
     zero_components,
 )
 from .compile import compile_system

@@ -33,10 +33,8 @@ SEMANTIC_ERRORS = (
     compile_mod.CompileUnsupported,
     pseries.NotElementary,
     pseries.UnsupportedCoefficients,
-    pseries.MixedSigns,
     pseries.CompositionAtNonzeroConstant,
     epset.EmptyOrZeroOnly,
-    epset.HypothesisFails,
     ValueError,
 )
 

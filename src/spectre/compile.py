@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from . import setsys
 from .epset import (
     EMPTY,
     ZERO,
@@ -28,7 +27,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import GammaTerm, SetSystem, SystemClassification, exponent_sum
+from .setsys import GammaTerm, SetSystem, exponent_sum
 
 
 class CompileUnsupported(ValueError):
@@ -40,7 +39,6 @@ class CompileReport:
     system: SetSystem
     notes: Tuple[str, ...]
     flags: Tuple[str, ...]  # enumerated-set usages
-    classification: Optional[SystemClassification]
 
 
 Family = Tuple[EPSet, Tuple[IndexSet, ...]]
@@ -156,8 +154,4 @@ def compile_system(sys: PSSystem) -> CompileReport:
         fams = _compile_expr(rhs, k, notes, flags)
         equations.append(tuple(GammaTerm(base, exps) for base, exps in fams))
     system = SetSystem(tuple(sys.variables), tuple(equations))
-    try:
-        cls = setsys.classify(system)
-    except setsys.TrivialEquation:
-        cls = None
-    return CompileReport(system, tuple(notes), tuple(flags), cls)
+    return CompileReport(system, tuple(notes), tuple(flags))

@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 
 from .epset import (
     BUILTIN_SETS,
+    EMPTY,
     ENUMERATED_SETS,
     EPSet,
     EnumeratedSet,
@@ -309,9 +310,11 @@ class _Parser:
         while self.at_punct("|"):
             self.next()
             terms.append(self.parse_set_term())
-        return tuple(terms)
+        return tuple(t for t in terms if t is not None)
 
-    def parse_set_term(self) -> GammaTerm:
+    def parse_set_term(self) -> Optional[GammaTerm]:
+        """One family, or None when its base or an exponent set is {}: such
+        a family denotes the empty set."""
         k = len(self.variables)
         base = ZERO
         exps: list[IndexSet] = [ZERO] * k
@@ -344,6 +347,8 @@ class _Parser:
             break
         if not has_base and all(e == ZERO for e in exps):
             self.fail("empty term")
+        if base == EMPTY or EMPTY in exps:
+            return None
         return GammaTerm(base, tuple(exps))
 
     # -- series expressions
@@ -448,7 +453,7 @@ def print_set_system(sys: SetSystem) -> str:
                 pieces.append(_fmt_index(t.base))
             pieces.extend(exp_pieces)
             terms.append(" + ".join(pieces))
-        lines.append(f"{name} = {' | '.join(terms)};")
+        lines.append(f"{name} = {' | '.join(terms) or '{}'};")
     return "\n".join(lines) + "\n"
 
 

@@ -19,10 +19,6 @@ class EmptyOrZeroOnly(ValueError):
     """Raised when a closure argument has no positive element."""
 
 
-class HypothesisFails(ValueError):
-    """Raised when a doubling-certificate containment check fails."""
-
-
 @dataclass(frozen=True)
 class EPSet:
     """Canonical eventually periodic subset of the naturals.
@@ -234,10 +230,6 @@ def singleton(n: int) -> EPSet:
     return normalize((n,))
 
 
-def from_elements(elems: Iterable[int]) -> EPSet:
-    return normalize(elems)
-
-
 def member(a: EPSet, n: int) -> bool:
     """Membership test."""
     if n < 0:
@@ -346,18 +338,6 @@ def sumset(a: EPSet, b: EPSet) -> EPSet:
                     mem[c + off] = 1
             blocks.extend((s + off, p) for s, p in cb)
     return _canonical(mem, blocks)
-
-
-def scalar_mul(n: int, b: EPSet) -> EPSet:
-    """{n·x : x in b}; scaling the empty set stays empty."""
-    if n < 0:
-        raise ValueError("negative scalar")
-    if b.is_empty:
-        return EMPTY
-    if n == 0:
-        return ZERO
-    fins, blocks = decompose(b)
-    return normalize([n * x for x in fins], [(n * s, n * p) for s, p in blocks])
 
 
 def nstar(n: int, b: EPSet) -> EPSet:
@@ -498,37 +478,6 @@ def params(a: EPSet) -> PeriodicityParams:
             break
         c = x
     return PeriodicityParams(m, q, a.period, c)
-
-
-def is_eventual_period(a: EPSet, p: int) -> bool:
-    """True iff x + p is eventually in a for all large x in a."""
-    if p <= 0:
-        return False
-    if a.period is None:
-        return True
-    return p % a.period == 0
-
-
-def certify_doubling(a: EPSet, r: int, s: int) -> PeriodicityParams:
-    """Certify periodicity of a from the containment a ⊇ r + s-fold(a).
-
-    Requires s >= 2 and a positive element in a.  On success the returned
-    parameters satisfy p = q and the tail of a past c is the single
-    progression c + p·ℕ.
-    """
-    if s < 2:
-        raise ValueError("doubling certificate needs s >= 2")
-    if not has_positive(a):
-        raise HypothesisFails("set has no positive element")
-    rhs = shift(nstar(s, a), r)
-    if not is_subset(rhs, a):
-        raise HypothesisFails(
-            f"containment {r} + {s}-fold(A) ⊆ A fails"
-        )
-    pp = params(a)
-    if pp.p != pp.q or (a.residues is not None and len(a.residues) != 1):
-        raise AssertionError("doubling hypothesis held but tail is not a single progression")
-    return pp
 
 
 def format_epset(a: EPSet) -> str:

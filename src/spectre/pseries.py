@@ -1,5 +1,5 @@
 """Truncated exact power series, fixed points of non-negative systems
-y = G(x,y), origin data with the Neumann test, and spectrum extraction.
+y = G(x,y), origin data with the Neumann test, and zero components.
 
 One order-by-order engine evaluates expressions and solves systems.  A
 system whose linear part J at the origin is nonzero is solved as it
@@ -37,10 +37,6 @@ class UnsupportedCoefficients(ValueError):
     """Node carries no coefficient semantics (Cycle / DCycle)."""
 
 
-class MixedSigns(ValueError):
-    """Spectrum requested of a series not tracked as non-negative."""
-
-
 # ---------------------------------------------------------------------------
 # series values
 
@@ -50,7 +46,6 @@ class Series:
     """Power series truncated at degree len(coeffs)-1, exact coefficients."""
 
     coeffs: Tuple[Fraction, ...]
-    nonneg: bool = True
 
     @property
     def trunc(self) -> int:
@@ -62,50 +57,6 @@ class Series:
             if c:
                 terms.append(f"{c}*x^{i}")
         return "Series(" + (" + ".join(terms) if terms else "0") + f"; N={self.trunc})"
-
-
-def s_zero(n: int) -> Series:
-    return Series((Fraction(0),) * (n + 1))
-
-
-def s_const(c, n: int) -> Series:
-    f = Fraction(c)
-    return Series((f,) + (Fraction(0),) * n, nonneg=f >= 0)
-
-
-def s_x(n: int) -> Series:
-    cs = [Fraction(0)] * (n + 1)
-    if n >= 1:
-        cs[1] = Fraction(1)
-    return Series(tuple(cs))
-
-
-def s_from(coeffs: Sequence, n: Optional[int] = None) -> Series:
-    cs = [Fraction(c) for c in coeffs]
-    if n is not None:
-        cs = (cs + [Fraction(0)] * (n + 1))[: n + 1]
-    return Series(tuple(cs), nonneg=all(c >= 0 for c in cs))
-
-
-def s_add(a: Series, b: Series) -> Series:
-    n = min(a.trunc, b.trunc)
-    return Series(
-        tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)),
-        nonneg=a.nonneg and b.nonneg,
-    )
-
-
-def s_mul(a: Series, b: Series) -> Series:
-    n = min(a.trunc, b.trunc)
-    out = [Fraction(0)] * (n + 1)
-    for i, ca in enumerate(a.coeffs[: n + 1]):
-        if not ca:
-            continue
-        for j in range(n + 1 - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] += ca * cb
-    return Series(tuple(out), nonneg=a.nonneg and b.nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +437,8 @@ class _Engine:
         return self._sum(empty + ([a, rest] if wanted[0] == 1 else [rest]))
 
 
-def _nonneg(expr: SysExpr, env: Sequence[Series], n: int) -> bool:
-    """Whether the value of expr is tracked as non-negative under env."""
-    if isinstance(expr, Var):
-        return env[expr.index].nonneg
-    if isinstance(expr, (Add, Mul)):
-        parts = expr.terms if isinstance(expr, Add) else expr.factors
-        return all(_nonneg(t, env, n) for t in parts)
-    if isinstance(expr, Pow):
-        return expr.exp == 0 or _nonneg(expr.base, env, n)
-    if isinstance(expr, Construct):
-        if (
-            expr.kind == "Seq"
-            and expr.index != POS
-            and not any(index_members(expr.index, n))
-        ):
-            return True  # at most the empty sequence
-        return _nonneg(expr.arg, env, n)
-    return True  # constants are non-negative
-
-
-def _series(c: list, nonneg: bool = True) -> Series:
-    return Series(tuple(map(Fraction, c)), nonneg)
+def _series(c: list) -> Series:
+    return Series(tuple(map(Fraction, c)))
 
 
 def evaluate(expr: SysExpr, env: Sequence[Series], n: int) -> Series:
@@ -524,7 +455,7 @@ def evaluate(expr: SysExpr, env: Sequence[Series], n: int) -> Series:
     root = engine.node(expr)
     for d in range(n + 1):
         engine.run(d)
-    return _series(root.c, _nonneg(expr, env, n))
+    return _series(root.c)
 
 
 # ---------------------------------------------------------------------------
@@ -614,18 +545,10 @@ def _linear_part(sys: PSSystem) -> LinearPart:
     return LinearPart(tuple(c for c, _ in origin), jac, tuple(diags), verdict)
 
 
-def jacobian_at_origin(sys: PSSystem) -> RatMatrix:
-    return sys.linear_part.jacobian
-
-
-def is_elementary(sys: PSSystem) -> Tuple[bool, list[str]]:
-    """(verdict, diagnostics): constant terms and origin Jacobian all zero."""
-    diags = sys.linear_part.diagnostics
-    return (not diags, list(diags))
-
-
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
     """Unique solution of a well-posed system, truncated at degree n."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
     sys.linear_part.require_well_posed()
     # constant terms first: zero, unless a Seq or MSet over an index set
     # with 0 supplies one
@@ -755,7 +678,7 @@ def neumann_check(m: RatMatrix) -> NeumannResult:
 
 
 # ---------------------------------------------------------------------------
-# zero components and spectra
+# zero components
 
 
 def _min_degree(expr: SysExpr, d: Sequence[Optional[int]]) -> Optional[int]:
@@ -799,21 +722,6 @@ def zero_components(sys: PSSystem) -> set[int]:
     for _ in range(sys.k):
         d = [_min_degree(rhs, d) for rhs in sys.right_sides]
     return {i for i in range(sys.k) if d[i] is None}
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    support: frozenset[int]
-    trunc: int
-
-
-def spectrum_extract(s: Series) -> SpectrumReport:
-    """Support of the coefficient sequence, with its truncation degree."""
-    if not s.nonneg:
-        raise MixedSigns("spectrum requires a non-negative series")
-    return SpectrumReport(
-        frozenset(i for i, c in enumerate(s.coeffs) if c), s.trunc
-    )
 
 
 def format_coeff(c: Fraction) -> str:

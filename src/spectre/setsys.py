@@ -98,14 +98,6 @@ class GammaTerm:
         return sum(map(index_min, self.exponents))
 
 
-def term(base: EPSet, k: int, **by_index) -> GammaTerm:
-    """Convenience constructor: term(base, k, e0=EPSet, e2=EPSet)."""
-    exps: list[IndexSet] = [ZERO] * k
-    for key, val in by_index.items():
-        exps[int(key[1:])] = val
-    return GammaTerm(base, tuple(exps))
-
-
 @dataclass(frozen=True)
 class SetSystem:
     variables: Tuple[str, ...]
@@ -140,13 +132,11 @@ class SystemClassification:
     is_reduced: bool
     empties: frozenset[int]
     minima: Tuple[Union[int, float], ...]
-    diagnostics: Tuple[str, ...] = ()
 
 
 def classify(sys: SetSystem) -> SystemClassification:
-    """Basic / elementary / reduced classification with diagnostics, and
-    the minima of the least solution, whose infinite ones are the empties."""
-    diags = []
+    """Basic / elementary / reduced classification, and the minima of the
+    least solution, whose infinite ones are the empties."""
     for i, eq in enumerate(sys.equations):
         if len(eq) == 1:
             t = eq[0]
@@ -160,25 +150,12 @@ def classify(sys: SetSystem) -> SystemClassification:
                     f"equation for {sys.variables[i]} is a bare variable "
                     f"{sys.variables[positives[0]]}; substitute it away"
                 )
-    basic = True
-    elem = True
-    for i, eq in enumerate(sys.equations):
-        for t in eq:
-            if member(t.base, 0):
-                if all(index_member(e, 0) for e in t.exponents):
-                    basic = False
-                    diags.append(
-                        f"{sys.variables[i]}: constant family base contains 0"
-                    )
-                if t.min_weight() < 2:
-                    elem = False
-                    diags.append(
-                        f"{sys.variables[i]}: base contains 0 with total weight < 2"
-                    )
-    elem = elem and basic
+    at_zero = [t for eq in sys.equations for t in eq if member(t.base, 0)]
+    basic = not any(all(index_member(e, 0) for e in t.exponents) for t in at_zero)
+    elem = basic and all(t.min_weight() >= 2 for t in at_zero)
     m = min_vector(sys)
     emp = frozenset(i for i, v in enumerate(m) if v == math.inf)
-    return SystemClassification(basic, elem, not emp and elem, emp, tuple(m), tuple(diags))
+    return SystemClassification(basic, elem, not emp and elem, emp, tuple(m))
 
 
 def reduce(sys: SetSystem, emp: Collection[int]) -> SetSystem:

@@ -82,20 +82,14 @@ def _star_ind(a_members, b: np.ndarray) -> np.ndarray:
 def brute_set_op(op: str, a, b, h: int) -> BoolVec:
     """Direct evaluation of a set operation, truncated to [0, h].
 
-    `a` and `b` are membership arrays; for scalar_mul and nstar, `a`
-    is the integer scalar instead.
+    `a` and `b` are membership arrays; for nstar, `a` is the integer
+    repeat count instead.
     """
     bv = _ind(b) if b is not None else np.zeros(h + 1, dtype=bool)
     if op == "union":
         return list(_ind(a) | bv)
     if op == "sum":
         return list(_conv(_ind(a), bv))
-    if op == "scalar_mul":
-        out = np.zeros(h + 1, dtype=bool)
-        for x in vec_members(b):
-            if a * x <= h:
-                out[a * x] = True
-        return list(out)
     if op == "nstar":
         return list(_nstar_ind(a, bv))
     if op == "star":
@@ -262,7 +256,7 @@ class EquivReport:
 def spectral_equivalence_check(system: PSSystem, n: int) -> EquivReport:
     """Spectrum of the series solution vs. the set-system solution on [0,n]."""
     series_sol = pseries.fixed_point_solve(system, n)
-    supports = [pseries.spectrum_extract(s).support for s in series_sol]
+    supports = [{i for i, c in enumerate(s.coeffs) if c} for s in series_sol]
     set_sol = setsys.solve(compile_mod.compile_system(system).system, horizon=n)
     for i, v in enumerate(set_sol.variables):
         set_support = {d for d in range(n + 1) if member(v.closed_form, d)}

@@ -151,6 +151,11 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", fx("compton.spec"))
         assert code == 3
 
+    def test_negative_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "coeffs", fx("binary.spec"), "--degree", "-1")
+        assert (code, out) == (3, "")
+        assert "degree must be non-negative" in err
+
 
 class TestCheck:
     def test_series_elementary(self, capsys):
@@ -423,6 +428,11 @@ class TestIndexSets:
         assert run(capsys, "check", str(spec))[1].endswith("identically zero: Y\n")
         assert run(capsys, "coeffs", str(spec), "--degree", "3")[1] == "Y: [0, 0, 0, 0]\n"
         assert run(capsys, "solve", str(spec))[1].startswith("Y = {}")
+
+    def test_family_over_the_empty_set_is_dropped(self, capsys, tmp_path):
+        spec = tmp_path / "empty.spec"
+        spec.write_text("vars Y;\nmode sets;\nY = {} | {1};\n")
+        assert run(capsys, "solve", str(spec)) == (0, "Y = {1}   [CertifiedLinear]\n", "")
 
 
 class TestRemovedOptions:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,10 +7,10 @@ from spectre import compile as compile_mod
 from spectre import dsl, epset, pseries, setsys
 from spectre.compile import CompileUnsupported, compile_system
 from spectre.epset import POS, ZERO, normalize, singleton
-from spectre.pseries import Construct, PSSystem, Var, X, evaluate, s_from
-from spectre.setsys import GammaTerm, term
+from spectre.pseries import Construct, PSSystem, Series, Var, X, evaluate
+from spectre.setsys import GammaTerm
 
-from conftest import fixture_text, random_series_system
+from conftest import fixture_text, random_series_system, term
 from oracle import spectral_equivalence_check
 
 ONE = singleton(1)
@@ -22,7 +23,7 @@ class TestCompile:
         assert report.system.equations == (
             (term(ONE, 1), term(ONE, 1, e0=normalize([2]))),
         )
-        assert report.classification.is_elementary
+        assert setsys.classify(report.system).is_elementary
         assert report.flags == ()
 
     def test_blue_red(self):
@@ -129,7 +130,7 @@ class TestEquivalence:
             rep = real(s)
             eqs = ((rep.system.equations[0][1],),)
             bad = setsys.SetSystem(rep.system.variables, eqs)
-            return compile_mod.CompileReport(bad, rep.notes, rep.flags, None)
+            return compile_mod.CompileReport(bad, rep.notes, rep.flags)
 
         monkeypatch.setattr(compile_mod, "compile_system", corrupt)
         rep = spectral_equivalence_check(sys_, 32)
@@ -146,14 +147,14 @@ class TestConstructSpectra:
             coeffs = [0] + [rng.choice((0, 0, 1, 2)) for _ in range(8)]
             if not any(coeffs):
                 coeffs[1] = 1
-            a = s_from(coeffs, n)
+            a = Series(tuple(map(Fraction, coeffs + [0] * (n + 1 - len(coeffs)))))
             if rng.random() < 0.5:
                 idx = POS
             else:
                 idx = normalize(sorted(rng.sample(range(1, 6), rng.randint(1, 3))))
             kind = rng.choice(("Seq", "MSet"))
             got = evaluate(Construct(kind, idx, Var(0)), (a,), n)
-            support = pseries.spectrum_extract(got).support
+            support = {i for i, c in enumerate(got.coeffs) if c}
             arg_spec = normalize(
                 [i for i, c in enumerate(coeffs) if c]
             )

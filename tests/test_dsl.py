@@ -17,12 +17,15 @@ from spectre.pseries import (
     Var,
     X,
 )
-from spectre.setsys import GammaTerm, SetSystem, term
+from spectre.setsys import GammaTerm, SetSystem
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text, term
 from test_setsys import random_elementary_system
 
 ONE = singleton(1)
+SERIES_FIXTURES = [
+    p for p in sorted(FIXTURES.glob("*.spec")) if isinstance(parse(p.read_text()), PSSystem)
+]
 
 
 class TestParseSeries:
@@ -164,6 +167,30 @@ class TestPrint:
         ):
             sys_ = parse(fixture_text(name))
             assert parse(print_system(sys_)) == sys_
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "vars Y; mode series; Y = 0;",
+            "vars Y; mode series; Y = MSet[{}](Y);",
+            *(p.read_text() for p in SERIES_FIXTURES),
+        ],
+        ids=["0", "MSet[{}](Y)", *(p.stem for p in SERIES_FIXTURES)],
+    )
+    def test_compiled_roundtrips(self, text):
+        # an equation without families prints as {}, which parses back
+        try:
+            compiled = compile_mod.compile_system(parse(text)).system
+        except compile_mod.CompileUnsupported as e:
+            pytest.skip(f"does not compile: {e}")
+        assert parse(print_system(compiled)) == compiled
+
+    def test_families_over_the_empty_set_are_dropped(self):
+        sys_ = parse("vars Y; mode sets; Y = {} | {}*Y | {2} + {}*Y;")
+        assert sys_.equations == ((),)
+        assert print_system(sys_) == "vars Y;\nmode sets;\nY = {};\n"
+        sys_ = parse("vars Y; mode sets; set E = {}; Y = {1} | E*Y | E + Y;")
+        assert sys_.equations == ((term(ONE, 1),),)
 
 
 def random_series_ast(rng: random.Random, k: int, depth: int) -> pseries.SysExpr:

@@ -12,18 +12,14 @@ from spectre.epset import (
     ZERO,
     EmptyOrZeroOnly,
     EPSet,
-    HypothesisFails,
-    certify_doubling,
     enumerate_range,
     format_epset,
     gcd_of,
-    is_eventual_period,
     member,
     nat_closure,
     normalize,
     nstar,
     params,
-    scalar_mul,
     singleton,
     star,
     sumset,
@@ -129,11 +125,6 @@ class TestOps:
         assert sumset(ZERO, b) == b
         assert sumset(EMPTY, ODDS) == EMPTY
 
-    def test_scalar_mul(self):
-        assert scalar_mul(3, ODDS) == normalize((), [(3, 6)])
-        assert scalar_mul(0, normalize([1, 5])) == ZERO
-        assert scalar_mul(2, EMPTY) == EMPTY
-
     def test_nstar(self):
         assert nstar(0, normalize([1, 7])) == ZERO
         assert nstar(2, normalize([1, 2])) == normalize([2, 3, 4])
@@ -179,25 +170,6 @@ class TestParams:
     def test_finite(self):
         pp = params(normalize([1, 5]))
         assert (pp.m, pp.q, pp.p, pp.c) == (1, 4, 0, 6)
-
-    def test_is_eventual_period(self):
-        assert is_eventual_period(ODDS, 4)
-        assert not is_eventual_period(LIN43, 2)
-        assert is_eventual_period(normalize([1, 5]), 7)
-
-
-class TestCertifyDoubling:
-    def test_binary_tree_set(self):
-        pp = certify_doubling(ODDS, 1, 2)
-        assert (pp.m, pp.q, pp.p, pp.c) == (1, 2, 2, 1)
-
-    def test_hypothesis_failure(self):
-        with pytest.raises(HypothesisFails):
-            certify_doubling(LIN43, 0, 2)
-
-    def test_nat(self):
-        pp = certify_doubling(NAT, 0, 2)
-        assert (pp.m, pp.q, pp.p, pp.c) == (0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +248,12 @@ class TestClosureLaws:
 
     @given(epsets(), st.integers(1, 40))
     def test_period_predicate_matches_p(self, a, x):
-        if a.period is not None:
-            assert is_eventual_period(a, x) == (x % params(a).p == 0)
-        else:
-            assert is_eventual_period(a, x)
+        # x is an eventual period (n + x in a for every large n in a)
+        # exactly when p divides it; a finite set has every x
+        pp = params(a)
+        tail = range(a.threshold, a.threshold + max(pp.p, 1))
+        shifts = all(member(a, n + x) for n in tail if member(a, n))
+        assert shifts == (pp.p == 0 or x % pp.p == 0)
 
     @given(epsets())
     def test_p_equals_q_iff_single_class(self, a):
@@ -309,9 +283,6 @@ class TestOracle:
     def test_scalar_nstar(self, n, b):
         h = self.H
         vb = vec(b, h)
-        assert vec(scalar_mul(n, b), h) == oracle.brute_set_op(
-            "scalar_mul", n, vb, h
-        )
         assert vec(nstar(n, b), h) == oracle.brute_set_op("nstar", n, vb, h)
 
     @given(epsets(max_elem=12), epsets(max_elem=20))

@@ -86,6 +86,13 @@ class TestTourScript:
         assert capsys.readouterr().out.splitlines()[-1] == "4 commands: exit 3: 4"
 
 
+class TestConductorTable:
+    def test_runs(self, capsys):
+        assert _script("conductor_table").main(["-n", "12"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("all conductors match (a-1)(b-1)")
+
+
 class TestCompareOutputs:
     def test_a_checkout_matches_itself(self, capsys, tmp_path):
         shutil.copy(FIXTURES / "postage.spec", tmp_path)

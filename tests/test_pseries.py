@@ -13,7 +13,6 @@ from spectre.pseries import (
     CompositionAtNonzeroConstant,
     Const,
     Construct,
-    MixedSigns,
     Mul,
     NotElementary,
     Pow,
@@ -24,17 +23,8 @@ from spectre.pseries import (
     X,
     evaluate,
     fixed_point_solve,
-    is_elementary,
-    jacobian_at_origin,
     mat_inverse,
     neumann_check,
-    s_add,
-    s_const,
-    s_from,
-    s_mul,
-    s_x,
-    s_zero,
-    spectrum_extract,
     zero_components,
 )
 
@@ -97,14 +87,14 @@ class TestEvaluate:
         assert got.coeffs == tuple(frac_list(0, 1, 1, 1, 1, 1, 1))
 
     def test_seq_pairs(self):
-        env = (s_from(frac_list(0, 1, 0, 1), 6),)
+        env = (Series(tuple(frac_list(0, 1, 0, 1, 0, 0, 0))),)
         got = evaluate(Construct("Seq", normalize([2]), Var(0)), env, 6)
         assert got.coeffs == tuple(frac_list(0, 0, 1, 0, 2, 0, 1))
 
     def test_mset_pairs(self):
         # two-element multisets from one atom of size 1 and one of size 2:
         # {a,a}, {a,b}, {b,b} — one per degree
-        env = (s_from(frac_list(0, 1, 1), 4),)
+        env = (Series(tuple(frac_list(0, 1, 1, 0, 0))),)
         got = evaluate(Construct("MSet", normalize([2]), Var(0)), env, 4)
         assert got.coeffs == tuple(frac_list(0, 0, 1, 1, 1))
         assert list(got.coeffs) == oracle.naive_euler([0, 1, 1], 4, sizes={2})
@@ -130,12 +120,12 @@ class TestFixedPoint:
             ("Y",), (Add((X(), Mul((Pow(X(), 3), Var(0))))),)
         )
         (sol,) = fixed_point_solve(sys_, 9)
-        assert spectrum_extract(sol).support == frozenset({1, 4, 7})
+        assert {i for i, c in enumerate(sol.coeffs) if c} == {1, 4, 7}
 
     def test_blue_red_second_iterate(self):
         sys_ = blue_red_system()
         n = 6
-        env = tuple(s_zero(n) for _ in range(3))
+        env = (Series((F(0),) * (n + 1)),) * 3
         for _ in range(2):
             env = tuple(evaluate(r, env, n) for r in sys_.right_sides)
         assert env[0].coeffs == tuple(frac_list(0, 1, 0, 0, 6, 0, 0))
@@ -251,7 +241,7 @@ def _fold_mul(factors, n):
 
 class TestOriginData:
     def test_blue_red_jacobian(self):
-        jac = jacobian_at_origin(blue_red_system())
+        jac = blue_red_system().linear_part.jacobian
         assert jac == (
             (F(0), F(0), F(0)),
             (F(0), F(0), F(0)),
@@ -265,13 +255,19 @@ class TestOriginData:
         )
 
     def test_half_linear_jacobian(self):
-        assert jacobian_at_origin(half_linear_system()) == ((F(1, 2),),)
+        assert half_linear_system().linear_part.jacobian == ((F(1, 2),),)
 
     def test_is_elementary(self):
-        ok, diags = is_elementary(binary_tree_system())
-        assert ok and not diags
-        ok, diags = is_elementary(half_linear_system())
-        assert not ok and len(diags) == 1
+        assert binary_tree_system().linear_part.diagnostics == ()
+        assert len(half_linear_system().linear_part.diagnostics) == 1
+
+
+def _jacobian(sys_):
+    return sys_.linear_part.jacobian
+
+
+def _diagnostics(sys_):
+    return list(sys_.linear_part.diagnostics)
 
 
 def _outcome(f, sys_):
@@ -330,34 +326,35 @@ _ORIGIN_INPUTS = list(_origin_inputs())
 
 
 class TestOriginReference:
-    """is_elementary and jacobian_at_origin against the recursive
-    reference in oracle: values, Fraction types, diagnostics in order,
-    and the raised exception."""
+    """The Jacobian and diagnostics of PSSystem.linear_part against the
+    recursive reference in oracle: values, Fraction types, diagnostics in
+    order, and the raised exception."""
 
     @pytest.mark.parametrize(
         "sys_", [s for _, s in _ORIGIN_INPUTS], ids=[n for n, _ in _ORIGIN_INPUTS]
     )
     def test_matches_reference(self, sys_):
-        assert _outcome(is_elementary, sys_) == _outcome(oracle.is_elementary, sys_)
-        got = _outcome(jacobian_at_origin, sys_)
+        want = _outcome(lambda s: oracle.is_elementary(s)[1], sys_)
+        assert _outcome(_diagnostics, sys_) == want
+        got = _outcome(_jacobian, sys_)
         assert got == _outcome(oracle.jacobian_at_origin, sys_)
         if got[0] == "ok":
             assert all(type(v) is Fraction for row in got[1] for v in row)
 
     def test_inputs_cover_every_outcome(self):
-        outcomes = [_outcome(is_elementary, s) for _, s in _ORIGIN_INPUTS]
-        assert ("ok", (True, [])) in outcomes
-        assert any(o[0] == "ok" and not o[1][0] for o in outcomes)
+        outcomes = [_outcome(_diagnostics, s) for _, s in _ORIGIN_INPUTS]
+        assert ("ok", []) in outcomes
+        assert any(o[0] == "ok" and o[1] for o in outcomes)
         assert any(o[0] == "raises" for o in outcomes)
 
     def test_ill_posed_construct_under_power_zero(self):
         # The reference Jacobian skips the base of a power 0; the one-pass
-        # walk checks it, as is_elementary and evaluate always did.
+        # walk checks it, as evaluate does.
         sys_ = PSSystem(
             ("A",), (Add((X(), Pow(Construct("Seq", POS, Const(F(1))), 0))),)
         )
         assert oracle.jacobian_at_origin(sys_) == ((F(0),),)
-        for check in (jacobian_at_origin, is_elementary, oracle.is_elementary):
+        for check in (_jacobian, _diagnostics, oracle.is_elementary):
             with pytest.raises(CompositionAtNonzeroConstant):
                 check(sys_)
 
@@ -403,7 +400,7 @@ class TestHat:
         assert got.right_sides[0] == poly_to_ast(
             {(1, z): F(1), (1, (1, 2, 0)): F(3), (1, (2, 1, 0)): F(3)}, 3
         )
-        assert is_elementary(got)[0]
+        assert not got.linear_part.diagnostics
 
     def test_identity_on_elementary(self):
         sys_ = binary_tree_system()
@@ -536,23 +533,12 @@ class TestZeroComponents:
         assert zero_components(sys_) == {0, 1}
 
 
-class TestSpectrum:
-    def test_support(self):
-        rep = spectrum_extract(s_from(frac_list(0, 2, 0, "1/2")))
-        assert rep.support == frozenset({1, 3})
-        assert rep.trunc == 3
-
-    def test_mixed_signs(self):
-        with pytest.raises(MixedSigns):
-            spectrum_extract(Series((F(1), F(-1)), nonneg=False))
-
-
 # ---------------------------------------------------------------------------
 # algebraic properties and oracle cross-checks
 
 
 nonneg_series = st.lists(st.integers(0, 4), min_size=1, max_size=8).map(
-    lambda xs: s_from([0] + xs, 10)
+    lambda xs: Series(tuple(map(F, [0] + xs + [0] * (10 - len(xs)))))
 )
 
 
@@ -564,12 +550,9 @@ class TestProperties:
         # 1 + MSet(A+B) = (1 + MSet(A)) * (1 + MSet(B))
         n = 10
         env = (a, b)
-        ms = lambda e: evaluate(Construct("MSet", POS, e), env, n)
-        left = s_add(s_const(1, n), ms(Add((Var(0), Var(1)))))
-        right = s_mul(
-            s_add(s_const(1, n), ms(Var(0))),
-            s_add(s_const(1, n), ms(Var(1))),
-        )
+        one_plus_ms = lambda e: Add((Const(F(1)), Construct("MSet", POS, e)))
+        left = evaluate(one_plus_ms(Add((Var(0), Var(1)))), env, n)
+        right = evaluate(Mul((one_plus_ms(Var(0)), one_plus_ms(Var(1)))), env, n)
         assert left.coeffs == right.coeffs
 
     @given(nonneg_series)
@@ -601,7 +584,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_mul_vs_oracle(self, a, b):
         n = 10
-        got = s_mul(a, b)
+        got = evaluate(Mul((Var(0), Var(1))), (a, b), n)
         assert list(got.coeffs) == oracle.naive_mul(a.coeffs, b.coeffs, n)
 
     @pytest.mark.parametrize(
@@ -616,9 +599,9 @@ class TestProperties:
     def test_infinite_index_sets_vs_oracle(self, index):
         rng = random.Random(17)
         n = 14
-        sparse = s_from([0, 0, 1, 0, 2, 1], n)  # valuation 2
+        sparse = Series(tuple(map(F, [0, 0, 1, 0, 2, 1] + [0] * (n - 5))))  # valuation 2
         for a in [sparse] + [
-            s_from([0] + [rng.choice((0, 0, 1, 2)) for _ in range(n)], n)
+            Series(tuple(map(F, [0] + [rng.choice((0, 0, 1, 2)) for _ in range(n)])))
             for _ in range(8)
         ]:
             seq = evaluate(Construct("Seq", index, Var(0)), (a,), n)
@@ -632,7 +615,7 @@ class TestProperties:
         rng = random.Random(9)
         n = 12
         for _ in range(20):
-            a = s_from([0] + [rng.randint(0, 3) for _ in range(n)], n)
+            a = Series(tuple(map(F, [0] + [rng.randint(0, 3) for _ in range(n)])))
             got = evaluate(Construct("Seq", POS, Var(0)), (a,), n)
             want = oracle.naive_seq(a.coeffs, n)
             assert list(got.coeffs) == want

@@ -35,12 +35,11 @@ from spectre.setsys import (
     q_vector,
     reduce,
     solve,
-    term,
 )
 
 import oracle
 from oracle import linear_closed_form, nonuniqueness_probe, solve_seeded
-from conftest import fixture_text, members, random_nonempty_epset
+from conftest import fixture_text, members, random_nonempty_epset, term
 
 ODDS = normalize((), [(1, 2)])
 LIN43 = union(normalize((), [(1, 3)]), normalize((), [(2, 3)]))
