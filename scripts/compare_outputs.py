@@ -4,13 +4,15 @@
     python3 scripts/compare_outputs.py OLD NEW [--count N]
 
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
-fixtures of this script's checkout, --count seeded random series systems
-and as many random set systems, and a few frobenius generator lists.  Every
-applicable command runs on each input, in process through the
-``spectre.cli.main`` of one checkout at a time, and its standard output,
-standard error and exit code are recorded.  The script prints every command
-line whose record differs between the checkouts and exits 1 if there is
-one, else 0.
+fixtures of this script's checkout, a few systems with a zero period,
+--count seeded random series systems and as many random set systems, and a
+few frobenius generator lists.  Every command runs on each fixture, also
+with a horizon of 0 and a negative degree, so that the refusals are
+compared too, and every applicable command on each other input.  Each runs
+in process through the ``spectre.cli.main`` of one checkout at a time, and
+its standard output, standard error and exit code are recorded.  The
+script prints every command line whose record differs between the
+checkouts and exits 1 if there is one, else 0.
 
 The random systems draw their index sets from {}, {0}, {1}, {0,2}, {1,2},
 N, P, 2+2*N, 1+3*N and Primes, so they reach the empty index set, index
@@ -57,14 +59,19 @@ FIXTURE_COMMANDS = (
     ["check"],
     ["solve"],
     ["solve", "--format", "json"],
+    ["solve", "--horizon", "0"],
     ["params"],
     ["digraph"],
     ["digraph", "--format", "dot"],
-)
-FIXTURE_SERIES_COMMANDS = FIXTURE_COMMANDS + (
     ["compile"],
     ["coeffs"],
     ["coeffs", "--format", "json"],
+    ["coeffs", "--degree", "-1"],
+)
+ZERO_PERIODS = (
+    "vars Y; mode sets; Y = {1} + (0*N)*Y;\n",
+    "vars Y; mode sets; Y = {1} | 2+0*N;\n",
+    "vars Y; mode series; Y = x + Seq[2+0*N](x);\n",
 )
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")
 TIMEOUT_S = 30
@@ -124,8 +131,12 @@ def _set_system(rng: random.Random, k: int) -> str:
 
 def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
     """(label, argv, spec) for every command line to run; spec is the text
-    of a random system, written to workdir, and None for the rest."""
+    of a system made here, written to workdir, and None for the rest."""
     specs = [(p.name, p, None) for p in sorted(fixtures.glob("*.spec"))]
+    for n, text in enumerate(ZERO_PERIODS):
+        path = workdir / f"zero-period-{n}.spec"
+        path.write_text(text)
+        specs.append((path.name, path, text))
     rng = random.Random(0)
     for n in range(count):
         for mode, make in (("series", _series_system), ("sets", _set_system)):
@@ -134,11 +145,10 @@ def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
             path.write_text(text)
             specs.append((path.name, path, text))
     for name, path, text in specs:
-        series = "mode sets" not in path.read_text()
         if text is None:
-            commands = FIXTURE_SERIES_COMMANDS if series else FIXTURE_COMMANDS
+            commands = FIXTURE_COMMANDS
         else:
-            commands = SERIES_COMMANDS if series else SET_COMMANDS
+            commands = SET_COMMANDS if "mode sets" in text else SERIES_COMMANDS
         for command in commands:
             argv = [command[0], str(path), *command[1:]]
             yield " ".join([command[0], name, *command[1:]]), argv, text

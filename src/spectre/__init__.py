@@ -13,6 +13,7 @@ from .epset import (
     EPSet,
     IndexSet,
     PeriodicityParams,
+    SemanticError,
     format_epset,
     member,
     nat_closure,

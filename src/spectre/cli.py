@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 syntax error in the input file,
-3 semantic error (unsupported or ill-posed input), 4 internal error.
+3 semantic error (a SemanticError: input out of scope or ill posed),
+4 internal error (any other exception).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 
 from . import compile as compile_mod
 from . import dsl, epset, pseries, setsys
-from .epset import format_epset, nat_closure, normalize, params
+from .epset import SemanticError, format_epset, nat_closure, normalize, params
 from .pseries import PSSystem
 from .setsys import SetSystem
 
@@ -23,21 +24,6 @@ EXIT_USAGE = 1
 EXIT_SYNTAX = 2
 EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
-
-SEMANTIC_ERRORS = (
-    setsys.TrivialEquation,
-    setsys.NotReduced,
-    setsys.NotBasic,
-    setsys.HorizonTooSmall,
-    setsys.EnumeratedExponent,
-    compile_mod.CompileUnsupported,
-    pseries.NotElementary,
-    pseries.UnsupportedCoefficients,
-    pseries.CompositionAtNonzeroConstant,
-    epset.EmptyOrZeroOnly,
-    ValueError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -144,7 +130,7 @@ def cmd_params(args) -> int:
 def cmd_coeffs(args) -> int:
     system = _load(args.file)
     if not isinstance(system, PSSystem):
-        raise ValueError("coeffs requires a series-mode file")
+        raise SemanticError("coeffs requires a series-mode file")
     sol = pseries.fixed_point_solve(system, args.degree)
     if args.format == "json":
         doc = {
@@ -180,7 +166,7 @@ def cmd_digraph(args) -> int:
 def cmd_compile(args) -> int:
     system = _load(args.file)
     if not isinstance(system, PSSystem):
-        raise ValueError("compile requires a series-mode file")
+        raise SemanticError("compile requires a series-mode file")
     report = compile_mod.compile_system(system)
     sys.stdout.write(dsl.print_system(report.system))
     for note in report.notes:
@@ -193,7 +179,7 @@ def cmd_compile(args) -> int:
 def cmd_frobenius(args) -> int:
     gens = args.generators
     if any(g <= 0 for g in gens):
-        raise ValueError("generators must be positive")
+        raise SemanticError("generators must be positive")
     closure = nat_closure(normalize(gens))
     p = params(closure)
     g = epset.gcd_of(normalize(gens))
@@ -277,10 +263,10 @@ def main(argv=None) -> int:
     except dsl.ParseError as e:
         print(f"spectre: syntax error at {e}", file=sys.stderr)
         return EXIT_SYNTAX
-    except SEMANTIC_ERRORS as e:
+    except SemanticError as e:
         print(f"spectre: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except Exception as e:  # pragma: no cover
+    except Exception as e:
         print(f"spectre: internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -11,6 +11,7 @@ from .epset import (
     EPSet,
     EnumeratedSet,
     IndexSet,
+    SemanticError,
     singleton,
     star,
     sumset,
@@ -28,10 +29,6 @@ from .pseries import (
     X,
 )
 from .setsys import GammaTerm, SetSystem, exponent_sum
-
-
-class CompileUnsupported(ValueError):
-    """Construction shape with no finite product-family translation."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,7 @@ def _compile_construct(
         for base, _ in fams:
             total = union(total, base)
         if isinstance(j, EnumeratedSet):
-            raise CompileUnsupported(
-                "enumerated index set over a constant spectrum"
-            )
+            raise SemanticError("enumerated index set over a constant spectrum")
         notes.append(f"{expr.kind} over a constant -> star of spectra")
         return [(star(j, total), _zeros(k))] if not star(j, total).is_empty else []
     if isinstance(j, EPSet) and j.period is None:
@@ -139,7 +134,7 @@ def _compile_construct(
             out.extend(power)
         notes.append(f"{expr.kind} with finite index set expanded termwise")
         return out
-    raise CompileUnsupported(
+    raise SemanticError(
         f"{expr.kind} with an infinite index set over a composite argument"
     )
 

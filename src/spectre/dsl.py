@@ -56,7 +56,7 @@ RESERVED = set(BUILTIN_SETS) | set(ENUMERATED_SETS) | set(CONSTRUCT_NAMES) | {
 }
 
 
-class ParseError(ValueError):
+class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
         self.line = line
@@ -266,14 +266,15 @@ class _Parser:
             a = self._int()
             if self.at_punct("+") and self.peek(1).kind == "INT" and self._is_progression_tail(1):
                 self.next()  # +
+                pt = self.peek()
                 p = self._int()
                 self.expect("*")
                 self.expect("N")
-                return normalize((), [(a, p)])
+                return self._progression(a, p, pt)
             if self.at_punct("*") and self.peek(1).text == "N":
                 self.next()
                 self.next()
-                return normalize((), [(0, a)])
+                return self._progression(0, a, t)
             return singleton(a)
         if t.kind == "NAME":
             name = self.next().text
@@ -297,6 +298,12 @@ class _Parser:
             and self.peek(ahead + 2).text == "N"
         )
 
+    def _progression(self, start: int, period: int, t: Token) -> EPSet:
+        """start + period*N, with t the token of the period."""
+        if period == 0:
+            raise ParseError("period must be positive", t.line, t.col)
+        return normalize((), [(start, period)])
+
     def _int(self) -> int:
         t = self.next()
         if t.kind != "INT":
@@ -318,7 +325,6 @@ class _Parser:
         k = len(self.variables)
         base = ZERO
         exps: list[IndexSet] = [ZERO] * k
-        has_base = False
         while True:
             t = self.peek()
             if t.kind == "NAME" and t.text in self.variables:
@@ -340,13 +346,10 @@ class _Parser:
                             t.col,
                         )
                     base = sumset(base, atom)
-                    has_base = True
             if self.at_punct("+"):
                 self.next()
                 continue
             break
-        if not has_base and all(e == ZERO for e in exps):
-            self.fail("empty term")
         if base == EMPTY or EMPTY in exps:
             return None
         return GammaTerm(base, tuple(exps))

@@ -15,8 +15,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 
-class EmptyOrZeroOnly(ValueError):
-    """Raised when a closure argument has no positive element."""
+class SemanticError(Exception):
+    """Input that spectre refuses: well formed, but outside the method's
+    scope or ill posed.  Every other exception is an internal failure."""
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,7 @@ def _natstar(b: EPSet) -> EPSet:
 def nat_closure(b: EPSet) -> EPSet:
     """ℕ⋆b: all finite sums of elements of b (with the empty sum 0)."""
     if not has_positive(b):
-        raise EmptyOrZeroOnly("closure argument has no positive element")
+        raise SemanticError("closure argument has no positive element")
     return _natstar(b)
 
 

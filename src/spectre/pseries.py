@@ -18,23 +18,12 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from .epset import (
     IndexSet,
     POS,
+    SemanticError,
     index_member,
     index_members,
     index_min,
     index_parts,
 )
-
-
-class NotElementary(ValueError):
-    """System has a non-zero constant term or origin Jacobian."""
-
-
-class CompositionAtNonzeroConstant(ValueError):
-    """Construction applied to a series with non-zero constant term."""
-
-
-class UnsupportedCoefficients(ValueError):
-    """Node carries no coefficient semantics (Cycle / DCycle)."""
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +235,7 @@ class _Engine:
                 return self._seq(a, expr.index)
             if expr.kind == "MSet":
                 return self._mset(a, expr.index)
-            raise UnsupportedCoefficients(
+            raise SemanticError(
                 f"{expr.kind} has spectrum-only semantics; no coefficient evaluation"
             )
         raise TypeError(f"not a system expression: {expr!r}")
@@ -269,9 +258,7 @@ class _Engine:
 
         def step(d):
             if d == 0 and ac[0]:
-                raise CompositionAtNonzeroConstant(
-                    f"{kind} argument has constant term {ac[0]}"
-                )
+                raise SemanticError(f"{kind} argument has constant term {ac[0]}")
 
         # rerun with the unknowns' constant terms once they are known
         self.steps.append((step, a.touch))
@@ -499,9 +486,7 @@ def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
     if isinstance(expr, Construct):
         c, r = _origin(expr.arg)
         if c != 0:
-            raise CompositionAtNonzeroConstant(
-                f"{expr.kind} argument has a non-zero constant term"
-            )
+            raise SemanticError(f"{expr.kind} argument has a non-zero constant term")
         return Fraction(0), (r if index_member(expr.index, 1) else {})
     raise TypeError(repr(expr))
 
@@ -524,9 +509,9 @@ class LinearPart:
 
     def require_well_posed(self) -> None:
         if any(self.constants):
-            raise NotElementary("; ".join(self.diagnostics))
+            raise SemanticError("; ".join(self.diagnostics))
         if self.verdict not in (None, "NonnegInverse"):
-            raise NotElementary(f"origin Jacobian check failed: {self.verdict}")
+            raise SemanticError(f"origin Jacobian check failed: {self.verdict}")
 
 
 def _linear_part(sys: PSSystem) -> LinearPart:
@@ -548,7 +533,7 @@ def _linear_part(sys: PSSystem) -> LinearPart:
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
     """Unique solution of a well-posed system, truncated at degree n."""
     if n < 0:
-        raise ValueError("degree must be non-negative")
+        raise SemanticError("degree must be non-negative")
     sys.linear_part.require_well_posed()
     # constant terms first: zero, unless a Seq or MSet over an index set
     # with 0 supplies one
@@ -587,7 +572,7 @@ def _solve_orders(sys: PSSystem, n: int, vals: Sequence[int]) -> list[list]:
             break
         got = put(0, got)
     else:
-        raise NotElementary("coefficient 0 of the solution does not settle")
+        raise SemanticError("coefficient 0 of the solution does not settle")
     inverse = None
     for d in range(1, n + 1):
         engine.run(d)
@@ -617,7 +602,7 @@ def _inverse_linear_part(put, r_1: list) -> Optional[list]:
     ]
     res = neumann_check(tuple(tuple(map(Fraction, row)) for row in zip(*cols)))
     if res.verdict != "NonnegInverse":
-        raise NotElementary(
+        raise SemanticError(
             f"Jacobian at the constant terms of the solution: {res.verdict}"
         )
     return [[_exact(v) for v in row] for row in res.inverse]

@@ -15,6 +15,7 @@ from .epset import (
     EnumeratedSet,
     IndexSet,
     PeriodicityParams,
+    SemanticError,
     decompose,
     format_epset,
     index_member,
@@ -35,27 +36,6 @@ from .epset import (
 ONE = singleton(1)
 
 
-class TrivialEquation(ValueError):
-    """An equation consisting of a bare variable; substitute it away."""
-
-
-class NotReduced(ValueError):
-    """Operation requires a system with no empty solution components."""
-
-
-class NotBasic(ValueError):
-    """Operation requires a system mapping positive-sets to positive-sets."""
-
-
-class HorizonTooSmall(ValueError):
-    """Enumerated index sets cut at the horizon leave the solution open."""
-
-
-class EnumeratedExponent(ValueError):
-    """An enumerated index set where only an eventually periodic one will
-    do: summed with another exponent, or in a system given to gamma_eval."""
-
-
 def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
     """Exponent set of one variable in the product of two terms that use
     it with exponent sets a and b."""
@@ -65,9 +45,7 @@ def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
         return a
     if isinstance(a, EPSet) and isinstance(b, EPSet):
         return sumset(a, b)
-    raise EnumeratedExponent(
-        "cannot combine an enumerated index set with another exponent"
-    )
+    raise SemanticError("cannot combine an enumerated index set with another exponent")
 
 
 @dataclass(frozen=True)
@@ -137,19 +115,6 @@ class SystemClassification:
 def classify(sys: SetSystem) -> SystemClassification:
     """Basic / elementary / reduced classification, and the minima of the
     least solution, whose infinite ones are the empties."""
-    for i, eq in enumerate(sys.equations):
-        if len(eq) == 1:
-            t = eq[0]
-            positives = [j for j in range(sys.k) if t.uses(j)]
-            if (
-                t.base == ZERO
-                and len(positives) == 1
-                and t.exponents[positives[0]] == ONE
-            ):
-                raise TrivialEquation(
-                    f"equation for {sys.variables[i]} is a bare variable "
-                    f"{sys.variables[positives[0]]}; substitute it away"
-                )
     at_zero = [t for eq in sys.equations for t in eq if member(t.base, 0)]
     basic = not any(all(index_member(e, 0) for e in t.exponents) for t in at_zero)
     elem = basic and all(t.min_weight() >= 2 for t in at_zero)
@@ -256,7 +221,7 @@ def digraph_dot(sys: SetSystem) -> str:
 def gamma_eval(sys: SetSystem, vec: Sequence[EPSet]) -> list[EPSet]:
     """One application of Gamma to a vector of EPSets."""
     if sys.has_enumerated():
-        raise EnumeratedExponent("cannot apply Gamma with an enumerated index set")
+        raise SemanticError("cannot apply Gamma with an enumerated index set")
     out = []
     for eq in sys.equations:
         fins: list[int] = []
@@ -329,7 +294,7 @@ def q_report(sys: SetSystem) -> QReport:
     the gcd of per_equation over the variables that i reaches."""
     cls = classify(sys)
     if cls.empties:
-        raise NotReduced(f"empty components: {sorted(cls.empties)}")
+        raise SemanticError(f"empty components: {sorted(cls.empties)}")
     return _q_report(sys, cls.minima, dependency(sys))
 
 
@@ -564,7 +529,7 @@ def _least(sys: SetSystem, horizon: int) -> list[EPSet]:
         if image == nu:
             return nu
         if bound >= horizon:
-            raise HorizonTooSmall(f"enumerated index sets cut at {bound} leave the solution open")
+            raise SemanticError(f"enumerated index sets cut at {bound} leave the solution open")
         bound *= 2
 
 
@@ -573,7 +538,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
 
     _least solves the system exactly and proves the answer, with each
     enumerated index set bracketed between two eventually periodic ones
-    (HorizonTooSmall if the bracket is open at the horizon, which bounds
+    (SemanticError if the bracket is open at the horizon, which bounds
     nothing else). Certificates follow the structure: CertifiedLinear if
     every equation reached is linear, CertifiedDoubling if the component in
     the reduced system meets the doubling condition, else
@@ -582,10 +547,10 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     checks every q.
     """
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise SemanticError("horizon must be at least 1")
     cls = classify(sys)
     if not cls.is_basic:
-        raise NotBasic("system does not map positive-sets into positive-sets")
+        raise SemanticError("system does not map positive-sets into positive-sets")
     dg = dependency(sys)
     k = sys.k
     reached = [[j for j in range(k) if dg.reaches(i, j)] for i in range(k)]

@@ -16,10 +16,9 @@ import numpy as np
 
 from spectre import compile as compile_mod
 from spectre import epset, pseries, setsys
-from spectre.epset import EMPTY, index_member, index_parts, member, sumset
+from spectre.epset import EMPTY, SemanticError, index_member, index_parts, member, sumset
 from spectre.pseries import (
     Add,
-    CompositionAtNonzeroConstant,
     Const,
     Construct,
     Mul,
@@ -417,7 +416,7 @@ def const_at_origin(expr) -> Fraction:
         return const_at_origin(expr.base) ** expr.exp
     if isinstance(expr, Construct):
         if const_at_origin(expr.arg) != 0:
-            raise CompositionAtNonzeroConstant(
+            raise SemanticError(
                 f"{expr.kind} argument has a non-zero constant term"
             )
         return Fraction(0)
@@ -449,7 +448,7 @@ def dy_at_origin(expr, j: int) -> Fraction:
         return expr.exp * b0 ** (expr.exp - 1) * dy_at_origin(expr.base, j)
     if isinstance(expr, Construct):
         if const_at_origin(expr.arg) != 0:
-            raise CompositionAtNonzeroConstant(
+            raise SemanticError(
                 f"{expr.kind} argument has a non-zero constant term"
             )
         # weight one: 1 is in a (non-enumerated) index set

@@ -230,13 +230,75 @@ class TestExitCodes:
         assert "leave the solution open" in err
 
     def test_semantic_error(self, capsys, tmp_path):
-        trivial = tmp_path / "trivial.spec"
-        trivial.write_text(
-            "vars A, B; mode sets; A = B; B = {1} + B;"
-        )
-        code, _, err = run(capsys, "solve", str(trivial))
+        spec = tmp_path / "not_basic.spec"
+        spec.write_text("vars Y; mode sets; Y = {0} | {1} + Y;")
+        code, _, err = run(capsys, "solve", str(spec))
         assert code == 3
-        assert "bare variable" in err
+        assert err == "spectre: system does not map positive-sets into positive-sets\n"
+
+
+class TestInputRefusals:
+    """Every place where a command refuses its input by a check of its own:
+    a zero period is a syntax error, the rest raise SemanticError."""
+
+    @pytest.mark.parametrize(
+        "argv, text, code, err",
+        [
+            (["solve", "{binary}", "--horizon", "0"], None, 3, "horizon must be at least 1"),
+            (["coeffs", "{binary}", "--degree", "-1"], None, 3, "degree must be non-negative"),
+            (["coeffs", "{paths}"], None, 3, "coeffs requires a series-mode file"),
+            (["compile", "{paths}"], None, 3, "compile requires a series-mode file"),
+            (["frobenius", "0", "3"], None, 3, "generators must be positive"),
+            (
+                ["solve", "{spec}"],
+                "vars Y; mode sets; Y = {1} + (0*N)*Y;",
+                2,
+                "syntax error at 1:31: period must be positive",
+            ),
+            (
+                ["solve", "{spec}"],
+                "vars Y; mode sets;\nY = {1} | 2+0*N;",
+                2,
+                "syntax error at 2:13: period must be positive",
+            ),
+            (
+                ["coeffs", "{spec}"],
+                "vars Y; mode series; Y = x + Seq[2+0*N](x);",
+                2,
+                "syntax error at 1:36: period must be positive",
+            ),
+        ],
+        ids=[
+            "horizon", "degree", "coeffs-sets", "compile-sets", "frobenius",
+            "period", "start-period", "seq-period",
+        ],
+    )
+    def test_refused(self, capsys, tmp_path, argv, text, code, err):
+        spec = tmp_path / "input.spec"
+        if text is not None:
+            spec.write_text(text)
+        paths = {"spec": spec, "binary": fx("binary.spec"), "paths": fx("paths.spec")}
+        argv = [a.format(**paths) for a in argv]
+        assert run(capsys, *argv) == (code, "", f"spectre: {err}\n")
+
+
+class TestInternalErrors:
+    """Any exception but ParseError and SemanticError is an internal error,
+    a bare ValueError included."""
+
+    @pytest.mark.parametrize(
+        "command, module, helper",
+        [("solve", setsys, "min_vector"), ("coeffs", pseries, "_solve_orders")],
+        ids=["solve", "coeffs"],
+    )
+    def test_value_error_exits_4(self, capsys, monkeypatch, command, module, helper):
+        def planted(*args):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(module, helper, planted)
+        code, out, err = run(capsys, command, fx("binary.spec"))
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "spectre: internal error: ValueError('planted')\n"
 
 
 class TestLeastnessProof:

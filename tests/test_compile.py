@@ -5,8 +5,8 @@ import pytest
 
 from spectre import compile as compile_mod
 from spectre import dsl, epset, pseries, setsys
-from spectre.compile import CompileUnsupported, compile_system
-from spectre.epset import POS, ZERO, normalize, singleton
+from spectre.compile import compile_system
+from spectre.epset import POS, ZERO, SemanticError, normalize, singleton
 from spectre.pseries import Construct, PSSystem, Series, Var, X, evaluate
 from spectre.setsys import GammaTerm
 
@@ -73,7 +73,7 @@ class TestCompile:
     def test_enumerated_over_constant_rejected(self):
         primes = epset.ENUMERATED_SETS["Primes"]
         sys_ = PSSystem(("Y",), (Construct("MSet", primes, X()),))
-        with pytest.raises(CompileUnsupported):
+        with pytest.raises(SemanticError, match="enumerated index set over a constant spectrum"):
             compile_system(sys_)
 
     def test_finite_index_composite_argument(self):

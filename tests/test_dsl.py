@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from spectre import compile as compile_mod
-from spectre import dsl, epset, pseries
+from spectre import epset, pseries, setsys
 from spectre.dsl import ParseError, parse, print_system
-from spectre.epset import POS, ZERO, normalize, singleton
+from spectre.epset import POS, ZERO, SemanticError, normalize, singleton
 from spectre.pseries import (
     Add,
     Const,
@@ -102,6 +102,17 @@ class TestParseSets:
         )
         assert sys_.equations[1] == (term(ONE, 2, e1=normalize([2])),)
 
+    def test_zero_exponent_family(self):
+        # {0}*Y denotes {0}, as {0} does
+        refused = parse("vars Y; mode sets; Y = {0}*Y | {1};")
+        assert refused == parse("vars Y; mode sets; Y = {0} | {1};")
+        with pytest.raises(SemanticError, match="does not map positive-sets"):
+            setsys.solve(refused)
+        sys_ = parse("vars Y; mode sets; Y = {0}*Y + {1} | {1} + Y + Y;")
+        assert [v.closed_form for v in setsys.solve(sys_).variables] == [
+            normalize((), [(1, 2)])
+        ]
+
 
 class TestErrors:
     def test_position(self):
@@ -181,7 +192,7 @@ class TestPrint:
         # an equation without families prints as {}, which parses back
         try:
             compiled = compile_mod.compile_system(parse(text)).system
-        except compile_mod.CompileUnsupported as e:
+        except SemanticError as e:
             pytest.skip(f"does not compile: {e}")
         assert parse(print_system(compiled)) == compiled
 

@@ -10,8 +10,8 @@ from spectre.epset import (
     EMPTY,
     NAT,
     ZERO,
-    EmptyOrZeroOnly,
     EPSet,
+    SemanticError,
     enumerate_range,
     format_epset,
     gcd_of,
@@ -143,9 +143,9 @@ class TestOps:
         assert nat_closure(normalize([3, 5])) == FROB35
         assert nat_closure(normalize([4, 6])) == normalize([0], [(4, 2)])
         assert nat_closure(singleton(1)) == NAT
-        with pytest.raises(EmptyOrZeroOnly):
+        with pytest.raises(SemanticError, match="closure argument has no positive element"):
             nat_closure(ZERO)
-        with pytest.raises(EmptyOrZeroOnly):
+        with pytest.raises(SemanticError, match="closure argument has no positive element"):
             nat_closure(EMPTY)
 
     def test_gcd_of(self):

@@ -13,7 +13,7 @@ COMMANDS = ("check", "solve", "params", "digraph")
 SERIES_COMMANDS = ("compile", "coeffs")
 
 # Out of scope until composite construct arguments get auxiliary variables
-# and Cycle gets coefficients (ROADMAP item 1).
+# and Cycle gets coefficients (ROADMAP item 3).
 KNOWN_SEMANTIC_ERRORS = {
     ("compton", "solve"): "Cycle with an infinite index set over a composite argument",
     ("compton", "params"): "Cycle with an infinite index set over a composite argument",
@@ -32,7 +32,7 @@ def cases():
             known = KNOWN_SEMANTIC_ERRORS.get((path.stem, command))
             if known:
                 marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError, reason=f"ROADMAP item 1: {known}"
+                    strict=True, raises=AssertionError, reason=f"ROADMAP item 3: {known}"
                 )
             yield pytest.param(path.name, command, marks=marks, id=f"{path.stem}-{command}")
 
@@ -99,9 +99,9 @@ class TestCompareOutputs:
         root = str(FIXTURES.parent)
         argv = [root, root, "--count", "3", "--fixtures", str(tmp_path)]
         assert _script("compare_outputs").main(argv) == 0
-        # postage 6, three series systems 9 each, three set systems 6 each,
-        # and 6 frobenius lines
-        assert capsys.readouterr().out == "57 command lines, 0 differ\n"
+        # postage 11, the zero periods 6 + 6 + 9, three series systems 9
+        # each, three set systems 6 each, and 6 frobenius lines
+        assert capsys.readouterr().out == "83 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}
