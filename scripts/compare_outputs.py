@@ -4,11 +4,13 @@
     python3 scripts/compare_outputs.py OLD NEW [--count N]
 
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
-fixtures of this script's checkout, a few systems with a zero period,
---count seeded random series systems and as many random set systems, and a
-few frobenius generator lists.  Every command runs on each fixture, also
-with a horizon of 0 and a negative degree, so that the refusals are
-compared too, and every applicable command on each other input.  Each runs
+fixtures of this script's checkout, a few systems with a zero period, a few
+series systems that reach every verdict on the solution's constant terms
+and linear part, --count seeded random series systems and as many random
+set systems, and a few frobenius generator lists.  Every command runs on
+each fixture, also with a horizon of 0 and a negative degree, so that the
+refusals are compared too, and every applicable command on each other
+input.  Each runs
 in process through the ``spectre.cli.main`` of one checkout at a time, and
 its standard output, standard error and exit code are recorded.  The
 script prints every command line whose record differs between the
@@ -73,6 +75,18 @@ ZERO_PERIODS = (
     "vars Y; mode sets; Y = {1} | 2+0*N;\n",
     "vars Y; mode series; Y = x + Seq[2+0*N](x);\n",
 )
+# M = 1 from a construct's empty structure (three times); a constant term
+# written two ways; constant terms that never settle, with and without a
+# linear term
+ORIGIN_SYSTEMS = (
+    "vars Y; mode series; Y = x + Seq[N](x)*Y;\n",
+    "vars Y; mode series; Y = x + MSet[N](x)*Y;\n",
+    "vars Y; mode series; Y = x + Cycle[N](x)*Y;\n",
+    "vars Y; mode series; Y = 1 + x*Y;\n",
+    "vars Y; mode series; Y = Seq[N](x);\n",
+    "vars Y; mode series; Y = 1 + x + 1/2*Y;\n",
+    "vars Y; mode series; Y = 1 + Y^2;\n",
+)
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")
 TIMEOUT_S = 30
 
@@ -133,10 +147,11 @@ def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
     """(label, argv, spec) for every command line to run; spec is the text
     of a system made here, written to workdir, and None for the rest."""
     specs = [(p.name, p, None) for p in sorted(fixtures.glob("*.spec"))]
-    for n, text in enumerate(ZERO_PERIODS):
-        path = workdir / f"zero-period-{n}.spec"
-        path.write_text(text)
-        specs.append((path.name, path, text))
+    for prefix, texts in (("zero-period", ZERO_PERIODS), ("origin", ORIGIN_SYSTEMS)):
+        for n, text in enumerate(texts):
+            path = workdir / f"{prefix}-{n}.spec"
+            path.write_text(text)
+            specs.append((path.name, path, text))
     rng = random.Random(0)
     for n in range(count):
         for mode, make in (("series", _series_system), ("sets", _set_system)):

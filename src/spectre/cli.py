@@ -54,7 +54,8 @@ def _as_set_system(system) -> SetSystem:
 
 def _ill_posed_note(system) -> str:
     """The note for solve and params on a series system whose linear part
-    at the origin has no non-negative inverse, else ''."""
+    M at the solution's constant terms has no non-negative (I - M)^-1,
+    else ''."""
     verdict = system.linear_part.verdict if isinstance(system, PSSystem) else None
     if verdict in (None, "NonnegInverse"):
         return ""

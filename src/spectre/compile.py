@@ -147,6 +147,7 @@ def compile_system(sys: PSSystem) -> CompileReport:
     equations = []
     for rhs in sys.right_sides:
         fams = _compile_expr(rhs, k, notes, flags)
-        equations.append(tuple(GammaTerm(base, exps) for base, exps in fams))
+        # union is idempotent: keep the first of equal families
+        equations.append(tuple(GammaTerm(b, e) for b, e in dict.fromkeys(fams)))
     system = SetSystem(tuple(sys.variables), tuple(equations))
     return CompileReport(system, tuple(notes), tuple(flags))

@@ -2,8 +2,8 @@
 y = G(x,y), origin data with the Neumann test, and zero components.
 
 One order-by-order engine evaluates expressions and solves systems.  A
-system whose linear part J at the origin is nonzero is solved as it
-stands: each degree d >= 1 takes one exact linear solve,
+system whose linear part M at the solution's constant terms is nonzero is
+solved as it stands: each degree d >= 1 takes one exact linear solve,
 y_d = (I - M)^-1 r_d, so no polynomial rewrite is needed and constructs
 may appear anywhere."""
 from __future__ import annotations
@@ -260,8 +260,7 @@ class _Engine:
             if d == 0 and ac[0]:
                 raise SemanticError(f"{kind} argument has constant term {ac[0]}")
 
-        # rerun with the unknowns' constant terms once they are known
-        self.steps.append((step, a.touch))
+        self.steps.append((step, False))
 
     def _sum(self, nodes: list) -> _Node:
         nodes = [t for t in nodes if t.val <= self.n]
@@ -449,19 +448,21 @@ def evaluate(expr: SysExpr, env: Sequence[Series], n: int) -> Series:
 # origin data: constant terms and Jacobian
 
 
-def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
+def _origin(
+    expr: SysExpr, y0: Sequence[Fraction]
+) -> Tuple[Fraction, Dict[int, Fraction]]:
     """Constant term of expr and the nonzero entries j: d expr / d y_j,
-    both at x=0, y=0, in one walk."""
+    both at x = 0, y = y0, in one walk."""
     if isinstance(expr, Const):
         return expr.value, {}
     if isinstance(expr, X):
         return Fraction(0), {}
     if isinstance(expr, Var):
-        return Fraction(0), {expr.index: Fraction(1)}
+        return y0[expr.index], {expr.index: Fraction(1)}
     if isinstance(expr, Add):
         const, row = Fraction(0), {}
         for t in expr.terms:
-            c, r = _origin(t)
+            c, r = _origin(t, y0)
             const += c
             for j, v in r.items():
                 row[j] = row.get(j, 0) + v
@@ -470,7 +471,7 @@ def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
         # product rule, one factor at a time: (P f)' = P' f(0) + P(0) f'
         const, row = Fraction(1), {}
         for f in expr.factors:
-            c, r = _origin(f)
+            c, r = _origin(f, y0)
             row = {j: v * c for j, v in row.items()} if c else {}
             if const:
                 for j, v in r.items():
@@ -478,16 +479,18 @@ def _origin(expr: SysExpr) -> Tuple[Fraction, Dict[int, Fraction]]:
             const *= c
         return const, row
     if isinstance(expr, Pow):
-        c, r = _origin(expr.base)
+        c, r = _origin(expr.base, y0)
         if expr.exp == 0:
             return Fraction(1), {}
         scale = expr.exp * c ** (expr.exp - 1)
         return c ** expr.exp, ({j: scale * v for j, v in r.items()} if scale else {})
     if isinstance(expr, Construct):
-        c, r = _origin(expr.arg)
+        # the empty structure is the constant, one component the linear term
+        c, r = _origin(expr.arg, y0)
         if c != 0:
             raise SemanticError(f"{expr.kind} argument has a non-zero constant term")
-        return Fraction(0), (r if index_member(expr.index, 1) else {})
+        const = Fraction(int(index_member(expr.index, 0)))
+        return const, (r if index_member(expr.index, 1) else {})
     raise TypeError(repr(expr))
 
 
@@ -496,116 +499,97 @@ RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class LinearPart:
-    """Origin data of y = G(x, y): the constant terms G(0, 0), the
-    Jacobian J = dG/dy at x = 0, y = 0, the diagnostics that name their
-    nonzero entries, and the verdict of neumann_check on J (None when
-    J = 0).  The system is well posed when its constant terms vanish and
-    J = 0 or (I - J)^-1 exists and is non-negative."""
+    """Origin data of y = G(x, y).  The diagnostics name the constant
+    terms G(0, 0) and the nonzero entries of J = dG/dy at x = 0, y = 0; the
+    system is elementary when there are none.  constants are the solution's
+    constant terms, the least y0 = G(0, y0), and jacobian is M = dG/dy at
+    x = 0, y = y0 (at y = 0 when y0 is not found).  verdict and inverse are
+    neumann_check's on M, None when M = 0.  The system is well posed when
+    y0 settles within k + 1 rounds from 0, no construct argument has a
+    constant term at y0, and M = 0 or (I - M)^-1 exists and is
+    non-negative; refusal says which of these fails."""
 
     constants: Tuple[Fraction, ...]
     jacobian: RatMatrix
     diagnostics: Tuple[str, ...]
     verdict: Optional[str]
+    inverse: Optional[RatMatrix]
+    refusal: Optional[str]
 
     def require_well_posed(self) -> None:
-        if any(self.constants):
-            raise SemanticError("; ".join(self.diagnostics))
-        if self.verdict not in (None, "NonnegInverse"):
-            raise SemanticError(f"origin Jacobian check failed: {self.verdict}")
+        if self.refusal:
+            raise SemanticError(self.refusal)
 
 
 def _linear_part(sys: PSSystem) -> LinearPart:
-    origin = [_origin(rhs) for rhs in sys.right_sides]
-    names = sys.variables
+    names, k = sys.variables, sys.k
+    y0 = (Fraction(0),) * k
+    origin = walk = [_origin(rhs, y0) for rhs in sys.right_sides]
     diags = [f"{name}: constant term {c}" for name, (c, _) in zip(names, origin) if c]
     for name, (_, row) in zip(names, origin):
         for j in sorted(row):
             diags.append(
                 f"{name}: linear term {row[j]}*{names[j]} with constant coefficient"
             )
-    jac = tuple(
-        tuple(row.get(j, Fraction(0)) for j in range(sys.k)) for _, row in origin
-    )
-    verdict = neumann_check(jac).verdict if any(row for _, row in origin) else None
-    return LinearPart(tuple(c for c, _ in origin), jac, tuple(diags), verdict)
+    # y0 <- G(0, y0) from y0 = 0; then M is read at y0
+    refusal = None
+    for _ in range(k + 1):
+        consts = tuple(c for c, _ in walk)
+        if consts == y0:
+            break
+        y0 = consts
+        try:
+            walk = [_origin(rhs, y0) for rhs in sys.right_sides]
+        except SemanticError as e:
+            refusal = str(e)
+            break
+    else:
+        refusal = "coefficient 0 of the solution does not settle"
+    rows = [row for _, row in (origin if refusal else walk)]
+    jac = tuple(tuple(row.get(j, Fraction(0)) for j in range(k)) for row in rows)
+    verdict = inverse = None
+    if any(rows):
+        res = neumann_check(jac)
+        verdict, inverse = res.verdict, res.inverse
+        if refusal is None and verdict != "NonnegInverse":
+            refusal = f"origin Jacobian check failed: {verdict}"
+    return LinearPart(y0, jac, tuple(diags), verdict, inverse, refusal)
 
 
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
-    """Unique solution of a well-posed system, truncated at degree n."""
+    """Unique solution of a well-posed system, truncated at degree n.
+
+    The constant terms y_0 come from the linear part.  For d >= 1,
+    coefficient d of the right sides is r_d + M*y_d: r_d is their value
+    with y_d = 0, and M is the linear part at the constant terms, the same
+    at every degree.  So y_d = (I - M)^-1 r_d, and then the nodes that
+    read y_d are evaluated again.  When M = 0, y_d is r_d itself.  Every
+    degree, 0 included, is checked against the right sides."""
     if n < 0:
         raise SemanticError("degree must be non-negative")
-    sys.linear_part.require_well_posed()
-    # constant terms first: zero, unless a Seq or MSet over an index set
-    # with 0 supplies one
-    consts = _solve_orders(sys, 0, [0] * sys.k)
-    vals = [0 if y[0] else 1 for y in consts]
-    return tuple(_series(y) for y in _solve_orders(sys, n, vals))
-
-
-def _solve_orders(sys: PSSystem, n: int, vals: Sequence[int]) -> list[list]:
-    """Coefficients of the solution, one degree at a time; vals[i] is a
-    lower bound on the valuation of unknown i.
-
-    Degree 0 is evaluated with y_0 = 0 and again while that changes a
-    right side.  For d >= 1, coefficient d of the right sides is
-    r_d + M*y_d: r_d is their value with y_d = 0, and M is the Jacobian
-    at x = 0 and at the constant terms of the solution, the same at every
-    degree.  So y_d = (I - M)^-1 r_d, and then the nodes that read y_d
-    are evaluated again.  When M = 0, y_d is r_d itself."""
-    ys = [[0] * (n + 1) for _ in range(sys.k)]
-    engine = _Engine(n, lambda i: _Node(ys[i], vals[i], True))
+    linear = sys.linear_part
+    linear.require_well_posed()
+    ys = [[_exact(c)] + [0] * n for c in linear.constants]
+    engine = _Engine(n, lambda i: _Node(ys[i], 0 if ys[i][0] else 1, True))
     roots = [engine.node(rhs).c for rhs in sys.right_sides]
     again = [step for step, touch in engine.steps if touch]
-
-    def put(d: int, values: list) -> list:
-        """Coefficient d of the right sides once y_d = values."""
-        for y, v in zip(ys, values):
-            y[d] = v
-        for step in again:
-            step(d)
-        return [r[d] for r in roots]
-
-    engine.run(0)
-    got = [r[0] for r in roots]
-    for _ in range(sys.k + 1):
-        if got == [y[0] for y in ys]:
-            break
-        got = put(0, got)
-    else:
-        raise SemanticError("coefficient 0 of the solution does not settle")
-    inverse = None
-    for d in range(1, n + 1):
+    inverse = linear.inverse and [[_exact(v) for v in row] for row in linear.inverse]
+    for d in range(n + 1):
         engine.run(d)
-        y_d = [r[d] for r in roots]
-        if d == 1:
-            inverse = _inverse_linear_part(put, y_d)
-        if inverse is not None:
-            y_d = [_exact(sum(map(mul, row, y_d))) for row in inverse]
-        if put(d, y_d) != y_d:
+        got = [r[d] for r in roots]
+        if d:
+            if inverse:
+                got = [_exact(sum(map(mul, row, got))) for row in inverse]
+            for y, v in zip(ys, got):
+                y[d] = v
+            for step in again:
+                step(d)
+            got = [r[d] for r in roots]
+        if got != [y[d] for y in ys]:
             raise AssertionError(
                 f"coefficient {d} of the right sides differs from the solution"
             )
-    return ys
-
-
-def _inverse_linear_part(put, r_1: list) -> Optional[list]:
-    """(I - M)^-1, or None when M = 0.  Column j of M is the change of
-    coefficient 1 of the right sides when y_1 goes from 0 to e_j.  Read
-    off the engine, M also holds the linear terms that a Seq over an index
-    set with 0 contributes, which the origin data does not see."""
-    k = len(r_1)
-    if put(1, [1] * k) == r_1:  # M >= 0, so M*(1,...,1) = 0 only when M = 0
-        return None
-    cols = [
-        [a - b for a, b in zip(put(1, [int(i == j) for i in range(k)]), r_1)]
-        for j in range(k)
-    ]
-    res = neumann_check(tuple(tuple(map(Fraction, row)) for row in zip(*cols)))
-    if res.verdict != "NonnegInverse":
-        raise SemanticError(
-            f"Jacobian at the constant terms of the solution: {res.verdict}"
-        )
-    return [[_exact(v) for v in row] for row in res.inverse]
+    return tuple(_series(y) for y in ys)
 
 
 # ---------------------------------------------------------------------------

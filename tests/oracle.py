@@ -397,72 +397,88 @@ def naive_series(op: str, *args) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# origin data of series right sides, one recursive walk per entry
+# origin data of series right sides, one recursive walk per entry, at
+# x = 0 and a point y0 of the unknowns (y = 0 when y0 is None)
 
 
-def const_at_origin(expr) -> Fraction:
+def const_at_origin(expr, y0=None) -> Fraction:
     if isinstance(expr, Const):
         return expr.value
-    if isinstance(expr, (X, Var)):
+    if isinstance(expr, X):
         return Fraction(0)
+    if isinstance(expr, Var):
+        return Fraction(0) if y0 is None else y0[expr.index]
     if isinstance(expr, Add):
-        return sum((const_at_origin(t) for t in expr.terms), Fraction(0))
+        return sum((const_at_origin(t, y0) for t in expr.terms), Fraction(0))
     if isinstance(expr, Mul):
         out = Fraction(1)
         for f in expr.factors:
-            out *= const_at_origin(f)
+            out *= const_at_origin(f, y0)
         return out
     if isinstance(expr, Pow):
-        return const_at_origin(expr.base) ** expr.exp
+        return const_at_origin(expr.base, y0) ** expr.exp
     if isinstance(expr, Construct):
-        if const_at_origin(expr.arg) != 0:
+        if const_at_origin(expr.arg, y0) != 0:
             raise SemanticError(
                 f"{expr.kind} argument has a non-zero constant term"
             )
-        return Fraction(0)
+        # the empty structure: 0 is in the index set
+        return Fraction(int(0 in _index_set_members(expr.index, 0)))
     raise TypeError(repr(expr))
 
 
-def dy_at_origin(expr, j: int) -> Fraction:
-    """d expr / d y_j evaluated at x=0, y=0."""
+def dy_at_origin(expr, j: int, y0=None) -> Fraction:
+    """d expr / d y_j evaluated at x=0, y=y0."""
     if isinstance(expr, (Const, X)):
         return Fraction(0)
     if isinstance(expr, Var):
         return Fraction(1) if expr.index == j else Fraction(0)
     if isinstance(expr, Add):
-        return sum((dy_at_origin(t, j) for t in expr.terms), Fraction(0))
+        return sum((dy_at_origin(t, j, y0) for t in expr.terms), Fraction(0))
     if isinstance(expr, Mul):
         out = Fraction(0)
         for i, f in enumerate(expr.factors):
-            part = dy_at_origin(f, j)
+            part = dy_at_origin(f, j, y0)
             if part:
                 for l, g in enumerate(expr.factors):
                     if l != i:
-                        part *= const_at_origin(g)
+                        part *= const_at_origin(g, y0)
             out += part
         return out
     if isinstance(expr, Pow):
         if expr.exp == 0:
             return Fraction(0)
-        b0 = const_at_origin(expr.base)
-        return expr.exp * b0 ** (expr.exp - 1) * dy_at_origin(expr.base, j)
+        b0 = const_at_origin(expr.base, y0)
+        return expr.exp * b0 ** (expr.exp - 1) * dy_at_origin(expr.base, j, y0)
     if isinstance(expr, Construct):
-        if const_at_origin(expr.arg) != 0:
+        if const_at_origin(expr.arg, y0) != 0:
             raise SemanticError(
                 f"{expr.kind} argument has a non-zero constant term"
             )
         # weight one: 1 is in a (non-enumerated) index set
         if hasattr(expr.index, "members_upto") or 1 not in _epset_members(expr.index, 1):
             return Fraction(0)
-        return dy_at_origin(expr.arg, j)
+        return dy_at_origin(expr.arg, j, y0)
     raise TypeError(repr(expr))
 
 
-def jacobian_at_origin(system) -> tuple:
+def jacobian_at_origin(system, y0=None) -> tuple:
     return tuple(
-        tuple(dy_at_origin(rhs, j) for j in range(system.k))
+        tuple(dy_at_origin(rhs, j, y0) for j in range(system.k))
         for rhs in system.right_sides
     )
+
+
+def solution_constants(system):
+    """The solution's constant terms: y0 <- G(0, y0) from y0 = 0 until it
+    settles, for at most k + 1 rounds; None when it does not settle."""
+    y0 = (Fraction(0),) * system.k
+    for _ in range(system.k + 1):
+        nxt = tuple(const_at_origin(rhs, y0) for rhs in system.right_sides)
+        if nxt == y0:
+            return y0
+        y0 = nxt
+    return None
 
 
 def is_elementary(system) -> tuple[bool, list[str]]:

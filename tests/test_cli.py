@@ -288,7 +288,7 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize(
         "command, module, helper",
-        [("solve", setsys, "min_vector"), ("coeffs", pseries, "_solve_orders")],
+        [("solve", setsys, "min_vector"), ("coeffs", pseries, "_linear_part")],
         ids=["solve", "coeffs"],
     )
     def test_value_error_exits_4(self, capsys, monkeypatch, command, module, helper):
@@ -334,37 +334,51 @@ class TestLeastnessProof:
 
 
 class TestHatNote:
+    """A series system is well posed when its constant terms y0 settle and
+    (I - M)^-1 >= 0 at y0; check, coeffs, solve and params read the one
+    verdict."""
+
     @pytest.mark.parametrize("command", ["solve", "coeffs"])
-    def test_no_note_when_nothing_was_rewritten(self, capsys, tmp_path, command):
-        # only the constant term is at fault, so the rewrite changes nothing
+    def test_no_note_on_a_constant_term(self, capsys, tmp_path, command):
+        # the constant term settles and M = 0, so nothing is ill posed; the
+        # direct translation Y = {0} | {1} + Y is out of solve's scope
         spec = tmp_path / "constant.spec"
         spec.write_text("vars Y;\nmode series;\nY = 1 + x*Y;\n")
         code, out, _ = run(capsys, command, str(spec))
-        assert code == 3
+        assert code == {"solve": 3, "coeffs": 0}[command]
         assert "note:" not in out
 
-    def test_check_names_no_shift_when_nothing_was_rewritten(self, capsys, tmp_path):
+    def test_check_accepts_a_constant_term_that_settles(self, capsys, tmp_path):
         spec = tmp_path / "constant.spec"
         spec.write_text("vars Y;\nmode series;\nY = 1 + x*Y;\n")
-        code, out, _ = run(capsys, "check", str(spec))
-        assert code == 3
-        assert "elementary: no" in out
-        assert "origin-shifted" not in out
+        assert run(capsys, "check", str(spec)) == (
+            0,
+            "mode: series  variables: Y\nelementary: no\n  Y: constant term 1\n"
+            "identically zero: none\n",
+            "",
+        )
+
+    def test_one_rule_for_every_spelling_of_a_constant(self, capsys, tmp_path):
+        outs = []
+        for rhs in ("1 + x*Y", "Seq[N](x)"):
+            spec = tmp_path / "constant.spec"
+            spec.write_text(f"vars Y;\nmode series;\nY = {rhs};\n")
+            outs.append(run(capsys, "coeffs", str(spec), "--degree", "5"))
+        assert outs[0] == outs[1] == (0, "Y: [1, 1, 1, 1, 1, 1]\n", "")
 
     def test_check_prints_the_verdict(self, capsys):
         code, out, _ = run(capsys, "check", fx("bluered.spec"))
         assert code == 0
         assert "linear part at the origin: NonnegInverse\nidentically zero: none\n" in out
-        assert "origin-shifted" not in out
 
     @pytest.mark.parametrize("command", ["check", "coeffs"])
     def test_constant_and_linear_terms(self, capsys, tmp_path, command):
+        # y0 = 1 + y0/2 is reached only in the limit
         spec = tmp_path / "constant.spec"
         spec.write_text("vars Y;\nmode series;\nY = 1 + x + 1/2*Y;\n")
         code, _, err = run(capsys, command, str(spec))
         assert (code, err) == (
-            3,
-            "spectre: Y: constant term 1; Y: linear term 1/2*Y with constant coefficient\n",
+            3, "spectre: coefficient 0 of the solution does not settle\n"
         )
 
     @pytest.mark.parametrize(
@@ -386,18 +400,37 @@ class TestHatNote:
         code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
         assert "note:" not in out
 
+    @pytest.mark.parametrize("kind", ["Seq", "MSet", "Cycle"])
+    def test_construct_over_an_index_set_with_zero(self, capsys, tmp_path, kind):
+        # K[N](x) has constant term 1, so Y = x + K[N](x)*Y has M = 1
+        spec = tmp_path / "ill.spec"
+        spec.write_text(f"vars Y;\nmode series;\nY = x + {kind}[N](x)*Y;\n")
+        failed = "spectre: origin Jacobian check failed: Singular\n"
+        assert run(capsys, "check", str(spec)) == (
+            3,
+            "mode: series  variables: Y\nelementary: no\n"
+            "  Y: linear term 1*Y with constant coefficient\n"
+            "linear part at the origin: Singular\n",
+            failed,
+        )
+        assert run(capsys, "coeffs", str(spec)) == (3, "", failed)
+        note = "note: linear part at the origin: Singular; reporting the"
+        for command in ("solve", "params"):
+            code, out, _ = run(capsys, command, str(spec))
+            assert code == 0 and out.startswith(note)
+
 
 class TestOriginWalks:
     @pytest.mark.parametrize("command", ["check", "coeffs", "solve", "params"])
     def test_one_walk_per_right_side(self, capsys, monkeypatch, command):
         real, depth, walks = pseries._origin, [0], []
 
-        def counting(expr):
+        def counting(expr, y0):
             if not depth[0]:
                 walks.append(expr)
             depth[0] += 1
             try:
-                return real(expr)
+                return real(expr, y0)
             finally:
                 depth[0] -= 1
 

@@ -70,6 +70,13 @@ class TestCompile:
         expect = epset.star(POS, normalize([1, 2]))
         assert report.system.equations == ((term(expect, 1),),)
 
+    def test_equal_families_kept_once(self):
+        # union is idempotent, so a repeated family adds nothing
+        sys_ = dsl.parse("vars Y; mode series; Y = x + x + x*Y + x*Y;")
+        report = compile_system(sys_)
+        assert report.system.equations == ((term(ONE, 1), term(ONE, 1, e0=ONE)),)
+        assert dsl.print_system(report.system).endswith("Y = {1} | {1} + Y;\n")
+
     def test_enumerated_over_constant_rejected(self):
         primes = epset.ENUMERATED_SETS["Primes"]
         sys_ = PSSystem(("Y",), (Construct("MSet", primes, X()),))

@@ -167,12 +167,12 @@ class TestFixedPoint:
         sys_ = PSSystem(
             ("Y",), (Add((seq, Mul((X(), Construct("MSet", POS, Var(0)))))),)
         )
-        with pytest.raises(SemanticError, match="MSet argument has constant term 1"):
+        with pytest.raises(SemanticError, match="MSet argument has a non-zero constant term"):
             fixed_point_solve(sys_, 4)
 
     def test_linear_terms_of_empty_sequences(self):
-        # Seq[N](x) = 1/(1-x) has constant term 1, which the origin data
-        # does not see: these linear terms are read off the engine
+        # Seq[N](x) = 1/(1-x) has constant term 1, so a factor Seq[N](x)
+        # makes a linear term of the unknown it multiplies
         def solve(text):
             return [y.coeffs for y in fixed_point_solve(dsl.parse(text), 6)]
 
@@ -184,7 +184,7 @@ class TestFixedPoint:
         _, b = solve("vars A, B; mode series; A = Seq[N](x); B = x + 1/2*A*B;")
         assert b == tuple(frac_list(0, 2, 2, 4, 8, 16, 32))
         # Y = x + Y/(1-x): I - M is singular
-        with pytest.raises(SemanticError, match="constant terms of the solution: Singular"):
+        with pytest.raises(SemanticError, match="origin Jacobian check failed: Singular"):
             solve("vars Y; mode series; Y = x + Seq[N](x)*Y;")
 
     def test_catalan_high_degree(self):
@@ -325,13 +325,34 @@ def _origin_inputs():
     yield "Seq[N+](2) in second equation", PSSystem(
         ("A", "B"), (Add((Const(F(1)), y0)), Mul((y1, Construct("Seq", POS, Const(F(2)))))),
     )
+    seq = Construct("Seq", indices["N"], X())
+    yield "Seq[N](x) then x + 1/2*A*B", PSSystem(
+        ("A", "B"), (seq, Add((X(), Mul((Const(F(1, 2)), y0, y1))))),
+    )
+    yield "x + Seq[N](x)*A", PSSystem(("A",), (Add((X(), Mul((seq, y0)))),))
+    yield "1 + A^2", PSSystem(("A",), (Add((Const(F(1)), Pow(y0, 2))),))
 
 
 _ORIGIN_INPUTS = list(_origin_inputs())
 
 
+def _reference_point(sys_):
+    """The solution's constant terms by the reference, or None when they do
+    not settle or a construct argument has a constant term there."""
+    try:
+        return oracle.solution_constants(sys_)
+    except SemanticError:
+        return None
+
+
+def _reference_jacobian(sys_):
+    """M at the solution's constant terms, at y = 0 when there are none."""
+    return oracle.jacobian_at_origin(sys_, _reference_point(sys_))
+
+
 class TestOriginReference:
-    """The Jacobian and diagnostics of PSSystem.linear_part against the
+    """The diagnostics (at y = 0), constant terms and Jacobian (at the
+    solution's constant terms) of PSSystem.linear_part against the
     recursive reference in oracle: values, Fraction types, diagnostics in
     order, and the raised exception."""
 
@@ -342,15 +363,28 @@ class TestOriginReference:
         want = _outcome(lambda s: oracle.is_elementary(s)[1], sys_)
         assert _outcome(_diagnostics, sys_) == want
         got = _outcome(_jacobian, sys_)
-        assert got == _outcome(oracle.jacobian_at_origin, sys_)
+        assert got == _outcome(_reference_jacobian, sys_)
         if got[0] == "ok":
             assert all(type(v) is Fraction for row in got[1] for v in row)
+            y0 = _reference_point(sys_)
+            linear = sys_.linear_part
+            assert (linear.refusal is None) == (
+                y0 is not None and linear.verdict in (None, "NonnegInverse")
+            )
+            if y0 is not None:
+                assert linear.constants == y0
 
     def test_inputs_cover_every_outcome(self):
         outcomes = [_outcome(_diagnostics, s) for _, s in _ORIGIN_INPUTS]
         assert ("ok", []) in outcomes
         assert any(o[0] == "ok" and o[1] for o in outcomes)
         assert any(o[0] == "raises" for o in outcomes)
+        parts = [s.linear_part for _, s in _ORIGIN_INPUTS if _outcome(_jacobian, s)[0] == "ok"]
+        refusals = " ".join(p.refusal or "" for p in parts)
+        assert "does not settle" in refusals
+        assert "non-zero constant term" in refusals
+        assert "check failed" in refusals
+        assert any(p.refusal is None and any(p.constants) and p.verdict for p in parts)
 
     def test_ill_posed_construct_under_power_zero(self):
         # The reference Jacobian skips the base of a power 0; the one-pass
