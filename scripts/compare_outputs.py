@@ -6,11 +6,12 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, --count seeded random series systems and as many random
-set systems, and a few frobenius generator lists.  Every command runs on
-each fixture, also with a horizon of 0 and a negative degree, so that the
-refusals are compared too, and every applicable command on each other
-input.  Each runs
+and linear part, two set systems with large answers, --count seeded random
+series systems and as many random set systems, and a few frobenius
+generator lists.  Every command runs on each fixture, also with a horizon
+of 0 and a negative degree, so that the refusals are compared too, every
+applicable command on each other input, and solve at a horizon of 8192 on
+the large ones.  Each runs
 in process through the ``spectre.cli.main`` of one checkout at a time, and
 its standard output, standard error and exit code are recorded.  The
 script prints every command line whose record differs between the
@@ -87,6 +88,13 @@ ORIGIN_SYSTEMS = (
     "vars Y; mode series; Y = 1 + x + 1/2*Y;\n",
     "vars Y; mode series; Y = 1 + Y^2;\n",
 )
+# an aperiodic spectrum, whose refusal walks the primes up to the horizon,
+# and a closed form with a 5000-member finite part
+LARGE_SYSTEMS = (
+    "vars Y, Z; mode sets; Y = Primes*Z; Z = {1};\n",
+    "vars Y; mode sets; Y = {1} | {1} + {2}*Y | {10000};\n",
+)
+HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")
 TIMEOUT_S = 30
 
@@ -147,7 +155,8 @@ def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
     """(label, argv, spec) for every command line to run; spec is the text
     of a system made here, written to workdir, and None for the rest."""
     specs = [(p.name, p, None) for p in sorted(fixtures.glob("*.spec"))]
-    for prefix, texts in (("zero-period", ZERO_PERIODS), ("origin", ORIGIN_SYSTEMS)):
+    groups = (("zero-period", ZERO_PERIODS), ("origin", ORIGIN_SYSTEMS), ("large", LARGE_SYSTEMS))
+    for prefix, texts in groups:
         for n, text in enumerate(texts):
             path = workdir / f"{prefix}-{n}.spec"
             path.write_text(text)
@@ -164,6 +173,8 @@ def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
             commands = FIXTURE_COMMANDS
         else:
             commands = SET_COMMANDS if "mode sets" in text else SERIES_COMMANDS
+        if text in LARGE_SYSTEMS:
+            commands += (HIGH_HORIZON,)
         for command in commands:
             argv = [command[0], str(path), *command[1:]]
             yield " ".join([command[0], name, *command[1:]]), argv, text

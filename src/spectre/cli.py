@@ -99,9 +99,9 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     system = _load(args.file)
     note = _ill_posed_note(system)
+    sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     if note and args.format == "text":
         print(note)
-    sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     if args.format == "json":
         doc = setsys.solution_json(sol)
         doc["horizon"] = sol.horizon
@@ -115,9 +115,9 @@ def cmd_solve(args) -> int:
 def cmd_params(args) -> int:
     system = _load(args.file)
     note = _ill_posed_note(system)
+    sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     if note:
         print(note)
-    sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     print(f"{'var':<8} {'min':>6} {'gcd':>6} {'period':>6} {'onset':>6}")
     for v in sol.variables:
         m = "inf" if v.params.m == math.inf else str(v.params.m)

@@ -281,11 +281,15 @@ def decompose(a: EPSet) -> Tuple[list[int], list[Tuple[int, int]]]:
 
 
 def shift(a: EPSet, t: int) -> EPSet:
-    """a + t elementwise."""
+    """a + t elementwise. Shifting keeps a canonical form canonical: the
+    finite part and the threshold move by t, and the residues rotate."""
     if a.is_empty or t == 0:
         return a
-    fins, blocks = decompose(a)
-    return normalize([n + t for n in fins], [(s + t, p) for s, p in blocks])
+    fp = tuple(n + t for n in a.finite_part)
+    if a.period is None:
+        return EPSet(fp, a.threshold + t)
+    res = tuple(sorted((r + t) % a.period for r in a.residues))
+    return EPSet(fp, a.threshold + t, a.period, res)
 
 
 def union(a: EPSet, b: EPSet) -> EPSet:
@@ -314,8 +318,10 @@ def sumset(a: EPSet, b: EPSet) -> EPSet:
     """Elementwise sums {x+y}; empty if either side is empty."""
     if a.is_empty or b.is_empty:
         return EMPTY
-    if a == ZERO or b == ZERO:
-        return b if a == ZERO else a
+    if a.period is None and len(a.finite_part) == 1:
+        return shift(b, a.finite_part[0])
+    if b.period is None and len(b.finite_part) == 1:
+        return shift(a, b.finite_part[0])
     fa, ba = decompose(a)
     fb, bb = decompose(b)
     # pairwise sums of the finite parts
@@ -445,13 +451,29 @@ def star(a: EPSet, b: EPSet) -> EPSet:
     if b.is_empty:
         return ZERO if member(a, 0) else EMPTY
     fins, blocks = decompose(a)
-    acc = EMPTY
+    # walk the members upwards, reaching each power from the one before
+    # by the n-fold sum over the gap between them
+    gaps: dict[int, EPSet] = {}
+    parts = []
+    power, last = ZERO, 0
     for x in fins:
-        acc = union(acc, nstar(x, b))
+        if x - last not in gaps:
+            gaps[x - last] = nstar(x - last, b)
+        power, last = sumset(power, gaps[x - last]), x
+        parts.append(power)
     for s, r in blocks:
-        piece = sumset(nstar(s, b), _natstar(nstar(r, b)))
-        acc = union(acc, piece)
-    return acc
+        parts.append(sumset(nstar(s, b), _natstar(nstar(r, b))))
+    if len(parts) == 1:
+        return parts[0]  # already canonical
+    # the powers overlap, often heavily, so their members are deduplicated
+    # before normalize sorts them
+    out_fins: set[int] = set()
+    out_blocks: list[Tuple[int, int]] = []
+    for part in parts:
+        f, bl = decompose(part)
+        out_fins.update(f)
+        out_blocks += bl
+    return normalize(out_fins, out_blocks)
 
 
 def is_subset(a: EPSet, b: EPSet) -> bool:

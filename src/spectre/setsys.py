@@ -218,10 +218,24 @@ def digraph_dot(sys: SetSystem) -> str:
 # integer formulas
 
 
-def gamma_eval(sys: SetSystem, vec: Sequence[EPSet]) -> list[EPSet]:
-    """One application of Gamma to a vector of EPSets."""
+Stars = dict  # (index set, value) -> star(index set, value)
+
+
+def _star(stars: Stars, e: EPSet, v: EPSet) -> EPSet:
+    """star(e, v), computed once per table."""
+    key = (e, v)
+    if key not in stars:
+        stars[key] = star(e, v)
+    return stars[key]
+
+
+def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None) -> list[EPSet]:
+    """One application of Gamma to a vector of EPSets; stars is the star
+    table of the solve it belongs to, a fresh one by default."""
     if sys.has_enumerated():
         raise SemanticError("cannot apply Gamma with an enumerated index set")
+    if stars is None:
+        stars = {}
     out = []
     for eq in sys.equations:
         fins: list[int] = []
@@ -229,7 +243,7 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet]) -> list[EPSet]:
         for t in eq:
             v = t.base
             for j, e in t.factors():
-                v = sumset(v, star(e, vec[j]))
+                v = sumset(v, _star(stars, e, vec[j]))
                 if v.is_empty:
                     break
             f, b = decompose(v)
@@ -368,16 +382,16 @@ def _derivative(e: EPSet) -> EPSet:
     )
 
 
-def _jacobian(sys: SetSystem, nu: Sequence[EPSet]) -> list[list[EPSet]]:
+def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EPSet]]:
     """Entry (i, j) is the union, over the families of equation i that use
     Y_j, of the base, the other factors at nu and (E_j - 1)*nu_j."""
     k = sys.k
     c = [[EMPTY] * k for _ in range(k)]
     for i, eq in enumerate(sys.equations):
         for t in eq:
-            factors = {j: star(e, nu[j]) for j, e in t.factors()}
+            factors = {j: _star(stars, e, nu[j]) for j, e in t.factors()}
             for j, e in t.factors():
-                v = sumset(t.base, star(_derivative(e), nu[j]))
+                v = sumset(t.base, _star(stars, _derivative(e), nu[j]))
                 for l, f in factors.items():
                     if l != j:
                         v = sumset(v, f)
@@ -385,7 +399,7 @@ def _jacobian(sys: SetSystem, nu: Sequence[EPSet]) -> list[list[EPSet]]:
     return c
 
 
-def _newton(sys: SetSystem) -> list[EPSet]:
+def _newton(sys: SetSystem, stars: Stars) -> list[EPSet]:
     """Least solution of a system without enumerated index sets.
 
     Each step replaces nu by the least solution of X = Gamma(nu) | J(nu) X,
@@ -395,17 +409,17 @@ def _newton(sys: SetSystem) -> list[EPSet]:
     J. ACM 2010). On a system without unit rules (_without_units), a
     positive nu = Gamma(nu) is the least solution however it was reached.
     """
-    nu = gamma_eval(sys, [EMPTY] * sys.k)
+    nu = gamma_eval(sys, [EMPTY] * sys.k, stars)
     for _ in range(sys.k + 1):
-        image = gamma_eval(sys, nu)
+        image = gamma_eval(sys, nu, stars)
         if image == nu:
             return nu
-        nu = _solve_linear(_jacobian(sys, nu), image)
+        nu = _solve_linear(_jacobian(sys, nu, stars), image)
     raise AssertionError(f"Newton iteration did not settle in {sys.k} steps")
 
 
 def _component_system(
-    sys: SetSystem, comp: Sequence[int], values: Sequence[EPSet]
+    sys: SetSystem, comp: Sequence[int], values: Sequence[EPSet], stars: Stars
 ) -> SetSystem:
     """The equations of comp alone, with the values of the variables
     outside it folded into the family bases."""
@@ -420,7 +434,7 @@ def _component_system(
                 if j in pos:
                     exps[pos[j]] = e
                 else:
-                    base = sumset(base, star(e, values[j]))
+                    base = sumset(base, _star(stars, e, values[j]))
             if not base.is_empty:
                 terms.append(GammaTerm(base, tuple(exps)))
         eqs.append(tuple(terms))
@@ -500,8 +514,9 @@ def _without_units(sys: SetSystem) -> SetSystem:
     return SetSystem(sys.variables, tuple(eqs))
 
 
-def _least(sys: SetSystem, horizon: int) -> list[EPSet]:
-    """Least solution of a basic system, proven on all of N.
+def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
+    """Least solution of a basic system with dependency digraph dg, proven
+    on all of N.
 
     Newton solves Gamma', below first, one strong component at a time. Its
     closing test Gamma'(nu) = nu proves nu the least solution once nu is
@@ -511,18 +526,29 @@ def _least(sys: SetSystem, horizon: int) -> list[EPSet]:
     E_lo = {e in E : e <= P} and E_hi = E_lo | P+1+N the least solutions
     rise from E_lo through E to E_hi (Tarski, Pacific J. Math. 1955): the
     one for E_lo is the one for E once it solves the E_hi system. P doubles
-    from 2 until then, and up to the horizon."""
+    from 2 until then, and up to the horizon. The components that reach no
+    enumerated index set are the same at every P and are solved once.
+
+    Every star is computed once, in one table for the whole call."""
+    stars: Stars = {}
+    enumerated = [
+        i for i, eq in enumerate(sys.equations)
+        if any(isinstance(e, EnumeratedSet) for t in eq for e in t.exponents)
+    ]
+    settled = {i for i in range(sys.k) if not any(dg.reaches(i, j) for j in enumerated)}
+    nu = [EMPTY] * sys.k
     bound = 2
     while True:
-        lo = _cut(sys, bound, []) if sys.has_enumerated() else sys
+        lo = _cut(sys, bound, []) if enumerated else sys
         flat = _without_units(lo)
-        nu = [EMPTY] * sys.k
         for comp in _components(dependency(flat)):
-            for i, v in zip(comp, _newton(_component_system(flat, comp, nu))):
+            if bound > 2 and settled.issuperset(comp):
+                continue  # solved at the first bound
+            for i, v in zip(comp, _newton(_component_system(flat, comp, nu, stars), stars)):
                 nu[i] = v
         if lo is sys:
             return nu
-        image = gamma_eval(_cut(sys, bound, [(bound + 1, 1)]), nu)
+        image = gamma_eval(_cut(sys, bound, [(bound + 1, 1)]), nu, stars)
         for name, v, w in zip(sys.variables, nu, image):
             if not is_subset(v, w):  # Gamma_hi lies above Gamma_lo, which fixes nu
                 raise AssertionError(f"exact answer for {name} is no fixed point of the cut system")
@@ -562,7 +588,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
         rdg = dependency(red)
         doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
 
-    closed = _least(sys, horizon)
+    closed = _least(sys, dg, horizon)
 
     # the gcd formula holds on reduced systems
     gcds = _q_report(sys, cls.minima, dg).q if cls.is_reduced else None

@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,18 @@ class TestSolve:
         a = run(capsys, "solve", fx("paths.spec"), "--format", "json")
         b = run(capsys, "solve", fx("paths.spec"), "--format", "json")
         assert a == b
+
+    def test_aperiodic_spectrum_refused_cheaply(self, capsys, tmp_path):
+        # the bracket on Primes stays open up to P = 8192; each star over
+        # the cut primes walks them once, and Z is solved once
+        spec = tmp_path / "primes.spec"
+        spec.write_text("vars Y, Z;\nmode sets;\nY = Primes*Z;\nZ = {1};\n")
+        start = time.perf_counter()
+        result = run(capsys, "solve", str(spec), "--horizon", "8192")
+        assert time.perf_counter() - start < 1.0
+        assert result == (
+            3, "", "spectre: enumerated index sets cut at 8192 leave the solution open\n"
+        )
 
 
 class TestParams:
@@ -313,7 +326,7 @@ class TestLeastnessProof:
         faults = [
             ("_solve_linear", lambda c, d: [union(v, singleton(7)) for v in solve_linear(c, d)]),
             ("_solve_linear", lambda c, d: [POS] * len(d)),
-            ("_jacobian", lambda s, nu: [[union(e, singleton(1)) for e in row] for row in jacobian(s, nu)]),
+            ("_jacobian", lambda s, nu, stars: [[union(e, singleton(1)) for e in row] for row in jacobian(s, nu, stars)]),
         ]
         for name in ("postage", "structured"):
             for target, fault in faults:
@@ -399,6 +412,15 @@ class TestHatNote:
             assert code == 0 and out.startswith(note)
         code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
         assert "note:" not in out
+
+    @pytest.mark.parametrize("command", ["solve", "params"])
+    def test_no_note_before_a_refusal(self, capsys, tmp_path, command):
+        # M is singular, and the direct translation is refused
+        spec = tmp_path / "ill.spec"
+        spec.write_text("vars Y;\nmode series;\nY = x + Y + x*MSet[2+2*N](x*Y);\n")
+        code, out, err = run(capsys, command, str(spec))
+        assert (code, out) == (3, "")
+        assert "MSet with an infinite index set over a composite argument" in err
 
     @pytest.mark.parametrize("kind", ["Seq", "MSet", "Cycle"])
     def test_construct_over_an_index_set_with_zero(self, capsys, tmp_path, kind):

@@ -12,6 +12,7 @@ from spectre.epset import (
     ZERO,
     EPSet,
     SemanticError,
+    decompose,
     enumerate_range,
     format_epset,
     gcd_of,
@@ -20,6 +21,7 @@ from spectre.epset import (
     normalize,
     nstar,
     params,
+    shift,
     singleton,
     star,
     sumset,
@@ -305,6 +307,39 @@ class TestOracle:
         assert vec(nat_closure(b), h) == oracle.brute_set_op(
             "natstar", None, vec(b, h), h
         )
+
+
+class TestStarOverManyMembers:
+    """star over a finite index set reaches each power from the one before;
+    the members are all below H, so no truncation is needed."""
+
+    H = 256
+    PRIMES = [n for n in range(2, 101) if all(n % d for d in range(2, n))]
+
+    def check(self, index: list[int], b: EPSet) -> None:
+        h = self.H
+        got = oracle.brute_set_op("star", oracle.vec_of(index, h), vec(b, h), h)
+        assert vec(star(normalize(index), b), h) == got
+
+    @given(st.lists(st.integers(0, 199), min_size=2, max_size=40), epsets(max_elem=20))
+    @settings(max_examples=40, deadline=None)
+    def test_uneven_gaps(self, index, b):
+        self.check(index, b)
+
+    @pytest.mark.parametrize(
+        "b",
+        [singleton(1), normalize([3, 5]), normalize([0, 7]), ODDS, normalize([2], [(7, 3)])],
+        ids=["one", "three-five", "zero-seven", "odds", "two-and-7+3N"],
+    )
+    def test_primes(self, b):
+        self.check(self.PRIMES, b)
+
+
+@given(epsets(max_elem=40, max_period=12), st.integers(0, 50))
+@settings(max_examples=100, deadline=None)
+def test_shift_is_canonical(a, t):
+    fins, blocks = decompose(a)
+    assert shift(a, t) == normalize([n + t for n in fins], [(s + t, p) for s, p in blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,9 @@ class TestCompareOutputs:
         argv = [root, root, "--count", "3", "--fixtures", str(tmp_path)]
         assert _script("compare_outputs").main(argv) == 0
         # postage 11, the zero periods 6 + 6 + 9, the seven origin systems 9
-        # each, three series systems 9 each, three set systems 6 each, and
-        # 6 frobenius lines
-        assert capsys.readouterr().out == "146 command lines, 0 differ\n"
+        # each, the two large systems 7 each, three series systems 9 each,
+        # three set systems 6 each, and 6 frobenius lines
+        assert capsys.readouterr().out == "160 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}

@@ -668,3 +668,25 @@ class TestExactSolve:
                 solve(fixture_system(f"{name}.spec"), horizon=h)
                 counts.append(len(calls))
             assert counts[0] == counts[1], name
+
+    @pytest.mark.parametrize("name", ["paths", "bluered"])
+    def test_each_star_computed_once(self, monkeypatch, name):
+        # gamma_eval, the Jacobian and the folding of solved components
+        # all read one star table per solve
+        pairs = []
+        real = setsys.star
+        monkeypatch.setattr(setsys, "star", lambda e, b: pairs.append((e, b)) or real(e, b))
+        solve(fixture_system(f"{name}.spec"))
+        assert pairs and len(set(pairs)) == len(pairs), name
+
+    def test_components_without_enumerated_sets_solved_once(self, monkeypatch):
+        # the bracket on Primes doubles P up to 64; Z reaches no Primes
+        solved = []
+        newton = setsys._newton
+        monkeypatch.setattr(
+            setsys, "_newton", lambda s, stars: solved.append(s.variables) or newton(s, stars)
+        )
+        with pytest.raises(SemanticError, match="cut at 64 leave the solution open"):
+            solve(sets_system("Y = Primes*Z;", "Z = {1};"), horizon=64)
+        assert solved.count(("Z",)) == 1
+        assert solved.count(("Y",)) == 6
