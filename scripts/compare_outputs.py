@@ -7,15 +7,16 @@ OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
 and linear part, two set systems with large answers, --count seeded random
-series systems and as many random set systems, and a few frobenius
-generator lists.  Every command runs on each fixture, also with a horizon
-of 0 and a negative degree, so that the refusals are compared too, every
-applicable command on each other input, and solve at a horizon of 8192 on
-the large ones.  Each runs
-in process through the ``spectre.cli.main`` of one checkout at a time, and
-its standard output, standard error and exit code are recorded.  The
-script prints every command line whose record differs between the
-checkouts and exits 1 if there is one, else 0.
+series systems and as many random set systems, a few frobenius generator
+lists, and a fixed list of command lines for the argument parser: usage
+errors and the option forms it accepts.  Every command runs on each
+fixture, also with a horizon of 0 and a negative degree, so that the
+refusals are compared too, every applicable command on each other input,
+and solve at a horizon of 8192 on the large ones.  Each runs in process
+through the ``spectre.cli.main`` of one checkout at a time, and its
+standard output, standard error and exit code are recorded.  The script
+prints every command line whose record differs between the checkouts and
+exits 1 if there is one, else 0.
 
 The random systems draw their index sets from {}, {0}, {1}, {0,2}, {1,2},
 N, P, 2+2*N, 1+3*N and Primes, so they reach the empty index set, index
@@ -96,6 +97,31 @@ LARGE_SYSTEMS = (
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")
+# command lines for the argument parser: usage errors and the forms it
+# accepts; FILE stands for PARSER_SYSTEM
+PARSER_SYSTEM = "vars Y; mode sets; Y = {3,5} | {3,5} + Y;\n"
+PARSER_LINES = (
+    "",
+    "frobnicate",
+    "solve",
+    "solve FILE --enumeration-cap 1",
+    "solve FILE --horizon abc",
+    "solve FILE --format xml",
+    "solve FILE --horizon",
+    "solve FILE --horizon -1",
+    "frobenius -3 5",
+    "solve FILE --hor 64 --format=json",
+    "solve FILE --h 64",
+    "solve --horizon=64 FILE",
+    "solve FILE --horizon 0 --horizon 64",
+    "solve -- FILE",
+    "solve FILE -- --horizon 3",
+    "frobenius 3 x",
+    "frobenius",
+    "check FILE --horizon 3",
+    "-hx",
+    "--foo solve FILE --bar",
+)
 TIMEOUT_S = 30
 
 
@@ -180,6 +206,11 @@ def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
             yield " ".join([command[0], name, *command[1:]]), argv, text
     for gens in FROBENIUS:
         yield f"frobenius {gens}", ["frobenius", *gens.split()], None
+    path = workdir / "usage.spec"
+    path.write_text(PARSER_SYSTEM)
+    for line in PARSER_LINES:
+        argv = [str(path) if a == "FILE" else a for a in line.split()]
+        yield f"argv: {line.replace('FILE', path.name)}", argv, PARSER_SYSTEM
 
 
 class _Timeout(BaseException):

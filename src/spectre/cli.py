@@ -6,12 +6,13 @@ Exit codes: 0 success, 1 usage error, 2 syntax error in the input file,
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import compile as compile_mod
 from . import dsl, epset, pseries, setsys
@@ -24,13 +25,6 @@ EXIT_USAGE = 1
 EXIT_SYNTAX = 2
 EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
-
 
 def _read(path: str) -> str:
     try:
@@ -197,47 +191,186 @@ def cmd_frobenius(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command line, read from a table as argparse read it
+
+
+class _Parser:
+    """Reads a command line against the command table of build_parser.
+
+    The reading is argparse's: --opt value, --opt=value and unique
+    prefixes of a flag; a negative number is a value, not a flag; the
+    first -- ends the options; the last repeat of an option wins; -h and
+    --help print help and exit 0. A usage error prints the usage line of
+    the parser that found it and exits 1."""
+
+    def __init__(self, commands: dict):
+        self.commands = commands
+
+    def usage(self, name: str | None) -> str:
+        if name is None:
+            return f"usage: spectre [-h] {{{','.join(self.commands)}}} ..."
+        _, _, (pos, _, many), options = self.commands[name]
+        flags = "".join(f" [{flag} {_metavar(flag, o[2])}]" for flag, o in options.items())
+        return f"usage: spectre {name} [-h]{flags} {pos}" + (f" [{pos} ...]" if many else "")
+
+    def error(self, name: str | None, message: str):
+        print(self.usage(name), file=sys.stderr)
+        print(f"spectre{' ' + name if name else ''}: error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+    def help(self, name: str | None, flag: str, glued: str | None):
+        """-h or --help, with whatever was glued to it: -hh is -h twice,
+        and any other glued text is refused."""
+        if glued is not None:
+            rest = glued.lstrip("h") if flag == "-h" else glued
+            if rest or not glued:
+                self.error(name, f"argument -h/--help: ignored explicit argument {rest!r}")
+        rows = [("-h, --help", "print this help and exit")]
+        if name is None:
+            commands = [(c, entry[1]) for c, entry in self.commands.items()]
+            body = [__doc__.strip(), "", "commands:", *_rows(commands)]
+        else:
+            _, text, (pos, _, many), options = self.commands[name]
+            what = "one or more integers" if many else "a system file"
+            body = [text, "", "arguments:", *_rows([(pos, what)])]
+            rows += [(f"{flag} {_metavar(flag, o[2])}", f"default: {o[1]}")
+                     for flag, o in options.items()]
+        print(self.usage(name), "", *body, "", "options:", *_rows(rows), sep="\n")
+        sys.exit(EXIT_OK)
+
+    def flag(self, name: str | None, arg: str, flags) -> tuple | None:
+        """(flag, glued value or None) for an option, ("", None) for an
+        unknown one, None for a positional argument."""
+        if not arg.startswith("-") or arg == "-":
+            return None
+        if arg in flags:
+            return arg, None
+        head, eq, value = arg.partition("=")
+        if eq and head in flags:
+            return head, value
+        if arg[1] == "-":
+            found = [(f, value if eq else None) for f in flags if f.startswith(head)]
+        else:
+            found = [(arg[:2], arg[2:])] if arg[:2] in flags else []
+        if len(found) > 1:
+            matches = ", ".join(f for f, _ in found)
+            self.error(name, f"ambiguous option: {arg} could match {matches}")
+        if found:
+            return found[0]
+        if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+            return None
+        return "", None
+
+    def value(self, name: str, argument: str, kind, choices, arg: str):
+        try:
+            v = kind(arg)
+        except ValueError:
+            self.error(name, f"argument {argument}: invalid {kind.__name__} value: {arg!r}")
+        if choices and v not in choices:
+            listed = ", ".join(map(repr, choices))
+            self.error(name, f"argument {argument}: invalid choice: {arg!r} (choose from {listed})")
+        return v
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        extras: list[str] = []
+        # before the command: -h, and unknown options left for the end
+        for i, arg in enumerate(argv):
+            flag = None if arg == "--" else self.flag(None, arg, ("-h", "--help"))
+            if flag is None:
+                break
+            if flag[0]:
+                self.help(None, *flag)
+            extras.append(arg)
+        else:
+            i = len(argv)
+        if argv[i:] in ([], ["--"]):
+            self.error(None, "the following arguments are required: command")
+        name, rest = argv[i], argv[i + 1:]
+        if name not in self.commands:
+            listed = ", ".join(map(repr, self.commands))
+            self.error(None, f"argument command: invalid choice: {name!r} (choose from {listed})")
+        args = self.read(name, rest, extras)
+        if extras:
+            self.error(None, f"unrecognized arguments: {' '.join(extras)}")
+        return args
+
+    def read(self, name: str, rest: list[str], extras: list[str]) -> SimpleNamespace:
+        """The arguments after command name; what it does not read goes to
+        extras."""
+        func, _, (pos, kind, many), options = self.commands[name]
+        flags = ("-h", "--help", *options)
+        # (argument, flag, glued value); every argument after the first --
+        # is positional, and that -- stays as a marker with flag "--"
+        mark = ("--", "--", None)
+        cut = rest.index("--") if "--" in rest else len(rest)
+        tokens = [(arg, *(self.flag(name, arg, flags) or (None, None))) for arg in rest[:cut]]
+        if cut < len(rest):
+            tokens += [mark] + [(arg, None, None) for arg in rest[cut + 1:]]
+        values = {flag[2:]: o[1] for flag, o in options.items()}
+        found = None
+        i = 0
+        while i < len(tokens):
+            arg, flag, glued = tokens[i]
+            i += 1
+            if flag == "":
+                extras.append(arg)
+            elif flag in ("-h", "--help"):
+                self.help(name, flag, glued)
+            elif flag in options:
+                if glued is None:
+                    if i == len(tokens) or tokens[i][1] is not None:
+                        self.error(name, f"argument {flag}: expected one argument")
+                    glued = tokens[i][0]
+                    i += 1
+                values[flag[2:]] = self.value(name, flag, options[flag][0], options[flag][2], glued)
+            else:
+                # positional arguments up to the next option, the marker
+                # perhaps among them: an unread positional takes the first
+                # (with a marker on either side) or, if many, all of them
+                start = i - 1
+                while i < len(tokens) and tokens[i][1] in (None, "--"):
+                    i += 1
+                run = tokens[start:i]
+                taken = 0
+                if found is None and run != [mark]:
+                    taken = len(run) if many else 1 + (mark in run[:2])
+                    found = [self.value(name, pos, kind, None, a)
+                             for a, f, _ in run[:taken] if f is None]
+                extras += [a for a, _, _ in run[taken:]]
+        if found is None:
+            self.error(name, f"the following arguments are required: {pos}")
+        values[pos] = found if many else found[0]
+        return SimpleNamespace(func=func, **values)
+
+
+def _metavar(flag: str, choices) -> str:
+    return f"{{{','.join(choices)}}}" if choices else flag[2:].upper()
+
+
+def _rows(rows) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:<{width}}  {right}" for left, right in rows]
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="spectre", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="classify a system")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("solve", help="solve the set system")
-    p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=512)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("params", help="min/gcd/period/onset per variable")
-    p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=512)
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("coeffs", help="series coefficients")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, default=32)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("digraph", help="dependency digraph")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "dot"), default="text")
-    p.set_defaults(func=cmd_digraph)
-
-    p = sub.add_parser("compile", help="translate a series file to sets")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("frobenius", help="numerical closure of generators")
-    p.add_argument("generators", type=int, nargs="+")
-    p.set_defaults(func=cmd_frobenius)
-
-    return parser
+    """The command table: each command's handler, help line, positional
+    argument (name, type, whether it takes one or more) and options
+    (flag -> (type, default, choices))."""
+    file, generators = ("file", str, False), ("generators", int, True)
+    horizon = {"--horizon": (int, 512, None)}
+    return _Parser({
+        "check": (cmd_check, "classify a system", file, {}),
+        "solve": (cmd_solve, "solve the set system", file,
+                  {**horizon, "--format": (str, "text", ("text", "json"))}),
+        "params": (cmd_params, "min/gcd/period/onset per variable", file, horizon),
+        "coeffs": (cmd_coeffs, "series coefficients", file,
+                   {"--degree": (int, 32, None), "--format": (str, "text", ("text", "json"))}),
+        "digraph": (cmd_digraph, "dependency digraph", file,
+                    {"--format": (str, "text", ("text", "dot"))}),
+        "compile": (cmd_compile, "translate a series file to sets", file, {}),
+        "frobenius": (cmd_frobenius, "numerical closure of generators", generators, {}),
+    })
 
 
 @functools.cache

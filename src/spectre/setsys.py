@@ -218,7 +218,7 @@ def digraph_dot(sys: SetSystem) -> str:
 # integer formulas
 
 
-Stars = dict  # (index set, value) -> star(index set, value)
+Stars = dict  # (index set, value) -> star(index set, value); index set -> _derivative(index set)
 
 
 def _star(stars: Stars, e: EPSet, v: EPSet) -> EPSet:
@@ -382,6 +382,13 @@ def _derivative(e: EPSet) -> EPSet:
     )
 
 
+def _derived(stars: Stars, e: EPSet) -> EPSet:
+    """_derivative(e), computed once per table."""
+    if e not in stars:
+        stars[e] = _derivative(e)
+    return stars[e]
+
+
 def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EPSet]]:
     """Entry (i, j) is the union, over the families of equation i that use
     Y_j, of the base, the other factors at nu and (E_j - 1)*nu_j."""
@@ -391,7 +398,7 @@ def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EP
         for t in eq:
             factors = {j: _star(stars, e, nu[j]) for j, e in t.factors()}
             for j, e in t.factors():
-                v = sumset(t.base, _star(stars, _derivative(e), nu[j]))
+                v = sumset(t.base, _star(stars, _derived(stars, e), nu[j]))
                 for l, f in factors.items():
                     if l != j:
                         v = sumset(v, f)

@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -550,6 +554,109 @@ class TestIndexSets:
         spec = tmp_path / "empty.spec"
         spec.write_text("vars Y;\nmode sets;\nY = {} | {1};\n")
         assert run(capsys, "solve", str(spec)) == (0, "Y = {1}   [CertifiedLinear]\n", "")
+
+
+_TOP = 'usage: spectre [-h] {check,solve,params,coeffs,digraph,compile,frobenius} ...\n'
+_SOLVE = 'usage: spectre solve [-h] [--horizon HORIZON] [--format {text,json}] file\n'
+_FROBENIUS = 'usage: spectre frobenius [-h] generators [generators ...]\n'
+
+
+class TestParser:
+    """The command line is read as argparse read it: these exit codes and
+    error messages are those of the argparse parser the table replaced."""
+
+    @pytest.mark.parametrize(
+        "line, code, err",
+        [
+            ("", 1, _TOP + "spectre: error: the following arguments are required: command\n"),
+            ("frobnicate", 1, _TOP + "spectre: error: argument command: invalid choice: "
+             "'frobnicate' (choose from 'check', 'solve', 'params', 'coeffs', 'digraph', "
+             "'compile', 'frobenius')\n"),
+            ("solve", 1,
+             _SOLVE + "spectre solve: error: the following arguments are required: file\n"),
+            ("solve FILE --enumeration-cap 1", 1,
+             _TOP + "spectre: error: unrecognized arguments: --enumeration-cap 1\n"),
+            ("solve FILE --horizon abc", 1,
+             _SOLVE + "spectre solve: error: argument --horizon: invalid int value: 'abc'\n"),
+            ("solve FILE --format xml", 1, _SOLVE + "spectre solve: error: argument --format: "
+             "invalid choice: 'xml' (choose from 'text', 'json')\n"),
+            ("solve FILE --horizon", 1,
+             _SOLVE + "spectre solve: error: argument --horizon: expected one argument\n"),
+            ("solve FILE --horizon -1", 3, "spectre: horizon must be at least 1\n"),
+            ("frobenius -3 5", 3, "spectre: generators must be positive\n"),
+            ("solve FILE --hor 64 --format=json", 0, ""),
+            ("solve FILE --h 64", 1, _SOLVE + "spectre solve: error: ambiguous option: --h could "
+             "match --help, --horizon\n"),
+            ("solve --horizon=64 FILE", 0, ""),
+            ("solve FILE --horizon 0 --horizon 64", 0, ""),
+            ("solve -- FILE", 0, ""),
+            ("solve FILE -- --horizon 3", 1,
+             _TOP + "spectre: error: unrecognized arguments: --horizon 3\n"),
+            ("frobenius 3 x", 1, _FROBENIUS + "spectre frobenius: error: argument generators: "
+             "invalid int value: 'x'\n"),
+            ("frobenius", 1, _FROBENIUS + "spectre frobenius: error: the following arguments "
+             "are required: generators\n"),
+            ("check FILE --horizon 3", 1,
+             _TOP + "spectre: error: unrecognized arguments: --horizon 3\n"),
+            ("-hx", 1,
+             _TOP + "spectre: error: argument -h/--help: ignored explicit argument 'x'\n"),
+            ("--foo solve FILE --bar", 1,
+             _TOP + "spectre: error: unrecognized arguments: --foo --bar\n"),
+        ],
+    )
+    def test_line(self, capsys, line, code, err):
+        argv = [fx("postage.spec") if a == "FILE" else a for a in line.split()]
+        try:
+            got = cli.main(argv)
+        except SystemExit as e:
+            got = e.code
+        assert (got, capsys.readouterr().err) == (code, err)
+
+    OPTIONS = {
+        "check": {},
+        "solve": {"--horizon": 512, "--format": "text"},
+        "params": {"--horizon": 512},
+        "coeffs": {"--degree": 32, "--format": "text"},
+        "digraph": {"--format": "text"},
+        "compile": {},
+        "frobenius": {},
+    }
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["-x", "--he", "solve"]])
+    def test_top_level_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert ei.value.code == 0 and err == ""
+        assert out.startswith(_TOP)
+        listed = [line.split()[0] for line in out.split("commands:\n")[1].splitlines() if line]
+        assert listed[: len(self.OPTIONS)] == list(self.OPTIONS)
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_command_help(self, capsys, command):
+        with pytest.raises(SystemExit) as ei:
+            cli.main([command, "-h"] if command == "frobenius" else [command, "FILE", "--help"])
+        out, err = capsys.readouterr()
+        assert ei.value.code == 0 and err == ""
+        assert out.startswith(f"usage: spectre {command} [-h]")
+        lines = out.splitlines()
+        for flag, default in self.OPTIONS[command].items():
+            assert any(
+                line.split()[:1] == [flag] and line.endswith(f"default: {default}")
+                for line in lines
+            ), flag
+        assert sum(line.lstrip().startswith("--") for line in lines) == len(self.OPTIONS[command])
+
+    def test_no_argparse_gettext_or_locale(self):
+        code = (
+            "import sys; from spectre import cli; cli.main(['frobenius', '3', '5']); "
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestRemovedOptions:
