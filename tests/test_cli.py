@@ -1,7 +1,11 @@
+import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -657,6 +661,94 @@ class TestParser:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _argparse_reference():
+    """The argparse parser that the command table replaced, as a reference
+    for how a command line is read."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            sys.exit(1)
+
+    parser = Parser(prog="spectre")
+    sub = parser.add_subparsers(dest="command", required=True)
+    horizon = ("--horizon", int, 512, None)
+    for name, func, options in [
+        ("check", "cmd_check", []),
+        ("solve", "cmd_solve", [horizon, ("--format", None, "text", ("text", "json"))]),
+        ("params", "cmd_params", [horizon]),
+        ("coeffs", "cmd_coeffs",
+         [("--degree", int, 32, None), ("--format", None, "text", ("text", "json"))]),
+        ("digraph", "cmd_digraph", [("--format", None, "text", ("text", "dot"))]),
+        ("compile", "cmd_compile", []),
+        ("frobenius", "cmd_frobenius", None),
+    ]:
+        p = sub.add_parser(name)
+        if options is None:
+            p.add_argument("generators", type=int, nargs="+")
+        else:
+            p.add_argument("file")
+        for flag, kind, default, choices in options or []:
+            p.add_argument(flag, type=kind, default=default, choices=choices)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _read(parser, argv):
+    """What parser makes of argv: the values it read, or the exit code
+    and error output; help counts as exit 0 whatever it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return e.code, "" if e.code == 0 else err.getvalue()
+    args.pop("command", None)
+    func = args.pop("func")
+    return getattr(func, "__name__", func), args
+
+
+class TestReadsAsArgparse:
+    # every token but a glued "--" (--format=--), which argparse turned
+    # into an empty list of values and the table refuses
+    TOKENS = [
+        "solve", "check", "frobenius", "coeffs", "digraph", "params", "compile", "sol", "", "f",
+        "3", "5", "-1", "-3", "0", "x", "1_0", " 7", "-1.5", "-.5", "-5x", "-", "--", "--",
+        "-h", "--help", "--h", "--he", "-hx", "-hh", "-h=", "-h=h", "--help=", "--help=x",
+        "--horizon", "--horizon=3", "--horizon=", "--hor", "--hor=9", "--ho", "--format",
+        "--format=json", "--form", "--f", "--fo=dot", "json", "text", "dot", "xml", "--degree",
+        "--deg=4", "--d", "--degree=-2", "--x", "-x", "--=x", "a b", "-a b", "-1 x", "---x",
+        "--horizonx", "-h x", "--format=", "+3",
+    ]
+
+    def test_random_command_lines(self):
+        rng = random.Random(0)
+        reference, table = _argparse_reference(), cli.build_parser()
+        commands = list(table.commands)
+        for _ in range(3000):
+            argv = [rng.choice(self.TOKENS) for _ in range(rng.randint(0, 6))]
+            if argv and rng.random() < 0.7:
+                argv[0] = rng.choice(commands)
+            assert _read(table, argv) == _read(reference, argv), argv
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["solve", "FILE", "--horizon=--"], _SOLVE + "spectre solve: error: argument "
+             "--horizon: invalid int value: '--'\n"),
+            (["solve", "FILE", "--format=--"], _SOLVE + "spectre solve: error: argument "
+             "--format: invalid choice: '--' (choose from 'text', 'json')\n"),
+        ],
+    )
+    def test_glued_double_dash_is_a_value(self, capsys, argv, err):
+        # argparse read no value here: --horizon=-- exited 4 and --format=--
+        # printed text
+        with pytest.raises(SystemExit) as ei:
+            cli.main([fx("postage.spec") if a == "FILE" else a for a in argv])
+        assert (ei.value.code, capsys.readouterr().err) == (1, err)
 
 
 class TestRemovedOptions:

@@ -679,6 +679,22 @@ class TestExactSolve:
         solve(fixture_system(f"{name}.spec"))
         assert pairs and len(set(pairs)) == len(pairs), name
 
+    @pytest.mark.parametrize("name", ["paths", "bluered"])
+    def test_each_index_set_derived_once(self, monkeypatch, name):
+        # the Jacobian reads E - 1 from the star table it is given, so a
+        # second Jacobian on the same table derives nothing
+        system = fixture_system(f"{name}.spec")
+        stars = {}
+        nu = setsys.gamma_eval(system, [EMPTY] * system.k, stars)
+        derived = []
+        real = setsys._derivative
+        monkeypatch.setattr(setsys, "_derivative", lambda e: derived.append(e) or real(e))
+        first = setsys._jacobian(system, nu, stars)
+        count = len(derived)
+        assert count and len(set(derived)) == count, name
+        assert setsys._jacobian(system, nu, stars) == first
+        assert len(derived) == count, name
+
     def test_components_without_enumerated_sets_solved_once(self, monkeypatch):
         # the bracket on Primes doubles P up to 64; Z reaches no Primes
         solved = []
