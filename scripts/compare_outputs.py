@@ -6,7 +6,7 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, two set systems with large answers, --count seeded random
+and linear part, three set systems with large answers, --count seeded random
 series systems and as many random set systems, a few frobenius generator
 lists, and a fixed list of command lines for the argument parser: usage
 errors and the option forms it accepts.  Every command runs on each
@@ -94,6 +94,7 @@ ORIGIN_SYSTEMS = (
 LARGE_SYSTEMS = (
     "vars Y, Z; mode sets; Y = Primes*Z; Z = {1};\n",
     "vars Y; mode sets; Y = {1} | {1} + {2}*Y | {10000};\n",
+    "vars Y, Z; mode sets; Y = Primes*Z; Z = {3,5};\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")

@@ -2,17 +2,17 @@
 
 The central value type is EPSet: a canonical representation of a set of
 naturals as a finite part together with a union of residue classes past a
-threshold.  All operations are pure and return canonical values, so
-structural equality decides set equality.
+threshold, both kept as integer bitmasks.  All operations are pure and
+return canonical values, so structural equality decides set equality.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Tuple, Union
 
 
 class SemanticError(Exception):
@@ -24,20 +24,34 @@ class SemanticError(Exception):
 class EPSet:
     """Canonical eventually periodic subset of the naturals.
 
-    Denotes finite_part ∪ {n >= threshold : n mod period in residues}.
-    Finite sets carry no period/residues and threshold = max+1 (0 when
-    empty).  Instances must be built through normalize(); direct
-    construction bypasses canonicalization.
+    Denotes {n < threshold : bit n of low} ∪ {n >= threshold : bit
+    (n mod period) of res}.  The threshold is the first member of the
+    periodic tail, and period is the tail's least period.  Finite sets
+    have period None, res 0 and threshold max+1 (0 when empty).
+    Instances must be built through normalize() or the operations below;
+    direct construction bypasses canonicalization.
+
+    finite_part (the members below the threshold) and residues (the
+    tail's residues, None for a finite set) are sorted tuples, built from
+    the masks on first read and kept.  The algebra reads only the masks.
     """
 
-    finite_part: Tuple[int, ...]
+    low: int
     threshold: int
     period: Optional[int] = None
-    residues: Optional[Tuple[int, ...]] = None
+    res: int = 0
+
+    @cached_property
+    def finite_part(self) -> Tuple[int, ...]:
+        return tuple(_bits(self.low))
+
+    @cached_property
+    def residues(self) -> Optional[Tuple[int, ...]]:
+        return None if self.period is None else tuple(_bits(self.res))
 
     @property
     def is_empty(self) -> bool:
-        return not self.finite_part and self.period is None
+        return not self.low and self.period is None
 
     def __repr__(self) -> str:
         return f"EPSet[{format_epset(self)}]"
@@ -70,79 +84,19 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def normalize(finite: Iterable[int], blocks: Iterable[Tuple[int, int]] = ()) -> EPSet:
-    """Canonical EPSet denoting finite ∪ ⋃ (start_i + step_i·ℕ)."""
-    fin = [int(n) for n in finite]
-    if fin and min(fin) < 0:
-        raise ValueError(f"negative element {min(fin)}")
-    blocks = [(int(s), int(p)) for s, p in blocks]
-    if not blocks:
-        fp = tuple(n for n, _ in itertools.groupby(sorted(fin)))
-        return EPSet(fp, fp[-1] + 1 if fp else 0)
-    mem = bytearray(max(fin) + 1 if fin else 0)
-    for n in fin:
-        mem[n] = 1
-    return _canonical(mem, blocks)
-
-
-def _canonical(mem: bytearray, blocks: Iterable[Tuple[int, int]]) -> EPSet:
-    """Canonical EPSet of the n with mem[n] == 1 together with at least one
-    progression start + step·ℕ; extends mem in place."""
-    best: dict[Tuple[int, int], int] = {}
-    for s, p in blocks:
-        if s < 0 or p <= 0:
-            raise ValueError(f"bad progression ({s},{p})")
-        key = (p, s % p)
-        if key not in best or s < best[key]:
-            best[key] = s
-    blist = [(s, p) for (p, _), s in best.items()]
-
-    big = 1
-    for _, p in blist:
-        big = big * p // math.gcd(big, p)
-    start_m = max(max(s for s, _ in blist), len(mem))
-    size = start_m + big
-    mem.extend(bytes(size - len(mem)))
-    for s, p in blist:
-        mem[s::p] = b"\x01" * len(range(s, size, p))
-
-    occupied = {
-        (start_m + i) % big for i in itertools.compress(range(big), mem[start_m:])
-    }
-    period = big
-    for d in _divisors(big):
-        if all(((r + d) % big) in occupied for r in occupied):
-            period = d
-            break
-    res = frozenset(r % period for r in occupied)
-
-    # minimal point from which the residue pattern describes membership:
-    # one past the last n below start_m with mem[n] != mem[n + period],
-    # since from start_m on membership repeats with the period
-    diff = int.from_bytes(mem[:start_m], "little") ^ int.from_bytes(
-        mem[period : start_m + period], "little"
-    )
-    t0 = (diff.bit_length() + 7) // 8
-    # advance to the first member of the periodic tail
-    thr = t0
-    while (thr % period) not in res:
-        thr += 1
-    fp = tuple(itertools.compress(range(thr), mem))
-    return EPSet(fp, thr, period, tuple(sorted(res)))
-
-
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _membership(m: int) -> bytes:
-    """Byte n is 1 iff bit n of m >= 0 is set; linear in the length of m."""
-    return format(m, "b").encode()[::-1].translate(_BIT_DIGITS)
-
-
 def _bits(m: int) -> list[int]:
-    """Positions of the set bits of m >= 0, ascending."""
-    digits = _membership(m)
+    """Positions of the set bits of m >= 0, ascending; linear in the
+    length of m."""
+    digits = format(m, "b").encode()[::-1].translate(_BIT_DIGITS)
     return list(itertools.compress(range(len(digits)), digits))
+
+
+def _lowest(m: int) -> int:
+    """Position of the lowest set bit of m > 0."""
+    return (m & -m).bit_length() - 1
 
 
 def _mask(elems: Iterable[int], size: int) -> int:
@@ -151,6 +105,91 @@ def _mask(elems: Iterable[int], size: int) -> int:
     for n in elems:
         digits[n] = 49  # "1"
     return int(digits[::-1], 2)
+
+
+def _rotate(m: int, t: int, p: int) -> int:
+    """The p-bit mask m rotated up by t: bit r moves to bit (r + t) mod p."""
+    t %= p
+    return (m << t | m >> p - t) & ((1 << p) - 1)
+
+
+def _repeat(pattern: int, p: int, k: int) -> int:
+    """The p-bit mask pattern repeated k times, p bits apart."""
+    return pattern * (((1 << p * k) - 1) // ((1 << p) - 1))
+
+
+def _tail(a: EPSet) -> Tuple[int, int, int]:
+    """The tail of an infinite a as (start, period, pattern): bit i of the
+    pattern is set iff start + i + k·period is a member for every k."""
+    return a.threshold, a.period, _rotate(a.res, -a.threshold, a.period)
+
+
+def _blocks(a: EPSet) -> list[Tuple[int, int]]:
+    """The tail of a as progressions (start, period), one per residue."""
+    if a.period is None:
+        return []
+    t, p = a.threshold, a.period
+    return [(t + (r - t) % p, p) for r in _bits(a.res)]
+
+
+def _upto(a: EPSet, hi: int) -> int:
+    """The bitmask of the members of a up to hi."""
+    if hi < 0:
+        return 0
+    m = a.low
+    if a.period is not None and hi >= a.threshold:
+        s, p, pattern = _tail(a)
+        m |= _repeat(pattern, p, (hi - s) // p + 1) << s
+    return m & ((1 << hi + 1) - 1)
+
+
+def normalize(finite: Iterable[int], blocks: Iterable[Tuple[int, int]] = ()) -> EPSet:
+    """Canonical EPSet denoting finite ∪ ⋃ (start_i + step_i·ℕ)."""
+    fin = [int(n) for n in finite]
+    if fin and min(fin) < 0:
+        raise ValueError(f"negative element {min(fin)}")
+    mask = _mask(fin, max(fin) + 1) if fin else 0
+    tails = []
+    for s, p in blocks:
+        s, p = int(s), int(p)
+        if s < 0 or p <= 0:
+            raise ValueError(f"bad progression ({s},{p})")
+        tails.append((s, p, 1))
+    return _canonical(mask, tails) if tails else EPSet(mask, mask.bit_length())
+
+
+def _canonical(mask: int, tails: Iterable[Tuple[int, int, int]]) -> EPSet:
+    """Canonical EPSet of the members of mask together with at least one
+    periodic tail (start, period, pattern), as _tail gives them."""
+    best: dict[Tuple[int, int], Tuple[int, int]] = {}
+    for s, p, pattern in tails:
+        key = (p, _rotate(pattern, s, p))  # the residues mod p
+        if key not in best or s < best[key][0]:
+            best[key] = (s, pattern)
+    big = 1
+    for p, _ in best:
+        big = big * p // math.gcd(big, p)
+    if big == 1:
+        # one tail, of period 1 from s: its threshold is the start of the
+        # run of members of mask that ends at s
+        ((s, _),) = best.values()
+        thr = (~mask & ((1 << s) - 1)).bit_length()
+        return EPSet(mask & ((1 << thr) - 1), thr, 1, 1)
+    start = max(max(s for s, _ in best.values()), mask.bit_length())
+    size = start + big
+    for (p, _), (s, pattern) in best.items():
+        mask |= _repeat(pattern, p, -(-(size - s) // p)) << s
+
+    # from start on, membership repeats with big; the period is the least
+    # rotation that leaves one window of it unchanged
+    window = mask >> start & ((1 << big) - 1)
+    period = next(d for d in _divisors(big) if _rotate(window, d, big) == window)
+    res = _rotate(window & ((1 << period) - 1), start, period)
+    # one past the last n below start with membership unlike n + period's,
+    # then up to the first member of the periodic tail
+    t0 = ((mask ^ mask >> period) & ((1 << start) - 1)).bit_length()
+    thr = t0 + _lowest(_rotate(res, -t0, period))
+    return EPSet(mask & ((1 << thr) - 1), thr, period, res)
 
 
 def _positions(m: int, count: int) -> list[int]:
@@ -177,7 +216,8 @@ def _smear(b: int, n: int) -> int:
 
 
 def _mask_sum(a: int, b: int) -> int:
-    """The bitmask of {x + y : bit x of a and bit y of b set}.
+    """The bitmask of {x + y : bit x of a and bit y of b set}; sumset
+    passes it the stored masks of two finite parts.
 
     Shifts the denser operand once per member of the sparser one; or, when
     an operand is a few long runs of consecutive members, smears the other
@@ -236,48 +276,21 @@ def member(a: EPSet, n: int) -> bool:
     if n < 0:
         return False
     if n < a.threshold:
-        fp = a.finite_part
-        i = bisect_left(fp, n)
-        return i < len(fp) and fp[i] == n
-    if a.period is None:
-        return False
-    return (n % a.period) in a.residues
+        return bool(a.low >> n & 1)
+    return a.period is not None and bool(a.res >> n % a.period & 1)
 
 
 def enumerate_range(a: EPSet, lo: int, hi: int) -> list[int]:
     """All members of a in [lo, hi], sorted."""
     if lo > hi:
         raise ValueError("lo > hi")
-    out = [n for n in a.finite_part if lo <= n <= hi]
-    if a.period is not None:
-        res = set(a.residues)
-        start = max(lo, a.threshold)
-        out.extend(n for n in range(start, hi + 1) if (n % a.period) in res)
-    return out
-
-
-def iter_members(a: EPSet) -> Iterator[int]:
-    """Members in increasing order (infinite iterator for infinite sets)."""
-    yield from a.finite_part
-    if a.period is not None:
-        res = set(a.residues)
-        n = a.threshold
-        while True:
-            if (n % a.period) in res:
-                yield n
-            n += 1
+    lo = max(lo, 0)
+    return [n + lo for n in _bits(_upto(a, hi) >> lo)]
 
 
 def decompose(a: EPSet) -> Tuple[list[int], list[Tuple[int, int]]]:
     """Split into explicit elements and full arithmetic progressions."""
-    fins = list(a.finite_part)
-    blocks = []
-    if a.period is not None:
-        p = a.period
-        for r in a.residues:
-            start = a.threshold + ((r - a.threshold) % p)
-            blocks.append((start, p))
-    return fins, blocks
+    return list(a.finite_part), _blocks(a)
 
 
 def shift(a: EPSet, t: int) -> EPSet:
@@ -285,19 +298,22 @@ def shift(a: EPSet, t: int) -> EPSet:
     finite part and the threshold move by t, and the residues rotate."""
     if a.is_empty or t == 0:
         return a
-    fp = tuple(n + t for n in a.finite_part)
     if a.period is None:
-        return EPSet(fp, a.threshold + t)
-    res = tuple(sorted((r + t) % a.period for r in a.residues))
-    return EPSet(fp, a.threshold + t, a.period, res)
+        return EPSet(a.low << t, a.threshold + t)
+    return EPSet(a.low << t, a.threshold + t, a.period, _rotate(a.res, t, a.period))
 
 
-def union(a: EPSet, b: EPSet) -> EPSet:
-    if a.is_empty or b.is_empty:
-        return b if a.is_empty else a
-    fa, ba = decompose(a)
-    fb, bb = decompose(b)
-    return normalize(fa + fb, ba + bb)
+def union(*sets: EPSet) -> EPSet:
+    """The union of any number of sets: their finite masks ORed, their
+    tails joined in one canonical form."""
+    sets = [s for s in sets if not s.is_empty]
+    if len(sets) <= 1:
+        return sets[0] if sets else EMPTY
+    low = 0
+    for s in sets:
+        low |= s.low
+    tails = [_tail(s) for s in sets if s.period is not None]
+    return _canonical(low, tails) if tails else EPSet(low, low.bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -306,45 +322,45 @@ def _pair_step_closure(p1: int, p2: int) -> EPSet:
     return _natstar(normalize((p1, p2)))
 
 
-def _least_per_residue(fins: Tuple[int, ...], p: int) -> Iterable[int]:
-    """The least member of each residue class mod p of a sorted tuple."""
+def _least_per_residue(m: int, p: int) -> list[int]:
+    """The least set bit of m in each residue class mod p."""
     least: dict[int, int] = {}
-    for x in fins:
+    while m and len(least) < p:
+        x = _lowest(m)
         least.setdefault(x % p, x)
-    return least.values()
+        m &= m - 1
+    return list(least.values())
 
 
 def sumset(a: EPSet, b: EPSet) -> EPSet:
     """Elementwise sums {x+y}; empty if either side is empty."""
     if a.is_empty or b.is_empty:
         return EMPTY
-    if a.period is None and len(a.finite_part) == 1:
-        return shift(b, a.finite_part[0])
-    if b.period is None and len(b.finite_part) == 1:
-        return shift(a, b.finite_part[0])
-    fa, ba = decompose(a)
-    fb, bb = decompose(b)
+    if a.period is None and not a.low & (a.low - 1):
+        return shift(b, a.threshold - 1)
+    if b.period is None and not b.low & (b.low - 1):
+        return shift(a, b.threshold - 1)
     # pairwise sums of the finite parts
-    acc = _mask_sum(_mask(fa, fa[-1] + 1), _mask(fb, fb[-1] + 1)) if fa and fb else 0
-    if not ba and not bb:
-        fp = tuple(_bits(acc))
-        return EPSet(fp, fp[-1] + 1)
-    mem = bytearray(_membership(acc))
-    # a finite member x adds x + s + p*N, which the least member of its
-    # residue class mod p already contains
-    blocks = [(x + s, p) for s, p in bb for x in _least_per_residue(fa, p)]
-    blocks += [(y + s, p) for s, p in ba for y in _least_per_residue(fb, p)]
-    for s1, p1 in ba:
-        for s2, p2 in bb:
-            clo = _pair_step_closure(p1, p2)
-            cf, cb = decompose(clo)
-            off = s1 + s2
-            if cf:
-                mem.extend(bytes(max(0, cf[-1] + off + 1 - len(mem))))
-                for c in cf:
-                    mem[c + off] = 1
-            blocks.extend((s + off, p) for s, p in cb)
-    return _canonical(mem, blocks)
+    acc = _mask_sum(a.low, b.low)
+    if a.period is None and b.period is None:
+        return EPSet(acc, acc.bit_length())
+    # a finite member x adds x + the other set's tail, which the least
+    # member of its residue class mod that tail's period already adds
+    tails, starts = [], []
+    for x, y in ((a, b), (b, a)):
+        if y.period is not None:
+            s, p, pattern = _tail(y)
+            tails += [(s + n, p, pattern) for n in _least_per_residue(x.low, p)]
+            starts.append(pattern << s)
+    if len(starts) == 2:
+        # the progressions s1 + p1·ℕ and s2 + p2·ℕ of the two tails, which
+        # start in each tail's first period, add up to s1 + s2 + (p1·ℕ + p2·ℕ)
+        clo = _pair_step_closure(a.period, b.period)
+        offsets = _mask_sum(*starts)
+        acc |= _mask_sum(offsets, clo.low)
+        s, p, pattern = _tail(clo)
+        tails += [(s + off, p, pattern) for off in _least_per_residue(offsets, p)]
+    return _canonical(acc, tails)
 
 
 def nstar(n: int, b: EPSet) -> EPSet:
@@ -363,19 +379,19 @@ def nstar(n: int, b: EPSet) -> EPSet:
 
 
 def has_positive(a: EPSet) -> bool:
-    return any(n > 0 for n in a.finite_part) or a.period is not None
+    return a.period is not None or a.low > 1
 
 
 def gcd_of(a: EPSet) -> int:
     """gcd of all elements (0 for the empty set)."""
-    g = 0
-    for n in a.finite_part:
-        g = math.gcd(g, n)
-    if a.period is not None:
-        _, blocks = decompose(a)
-        for s, p in blocks:
-            g = math.gcd(g, math.gcd(s, p))
-    return g
+    return math.gcd(*_bits(a.low), *itertools.chain(*_blocks(a)))
+
+
+def _scale(m: int, g: int) -> int:
+    """The bitmask with bit g·x set for each set bit x of m."""
+    if g == 1:
+        return m
+    return int(("0" * (g - 1)).join(format(m, "b")), 2)
 
 
 @lru_cache(maxsize=4096)
@@ -392,9 +408,9 @@ def _natstar(b: EPSet) -> EPSet:
     if not has_positive(b):
         return ZERO
     g = gcd_of(b)
-    n1 = next(x for x in iter_members(b) if x > 0) // g
+    n1 = _lowest(_upto(b, b.threshold + (b.period or 0)) & ~1) // g
     if b.period is None:
-        nk = b.finite_part[-1] // g
+        nk = (b.threshold - 1) // g
         run_needed = n1
         limit = 2 * max(n1, nk) + 2
     else:
@@ -409,15 +425,7 @@ def _natstar(b: EPSet) -> EPSet:
         run_needed = tail[0] + delta + 1
         limit = 2 * max(n1, run_needed) + 2
     while True:
-        gens = sorted(
-            {
-                x // g
-                for x in itertools.takewhile(
-                    lambda m: m <= limit * g, iter_members(b)
-                )
-                if x > 0
-            }
-        )
+        gens = [x // g for x in _bits(_upto(b, limit * g) & ~1)]
         mask = (1 << (limit + 1)) - 1
         reach = 1
         for x in gens:
@@ -431,9 +439,8 @@ def _natstar(b: EPSet) -> EPSet:
         zeros = ~reach & mask
         cond = zeros.bit_length()  # one past the largest non-member
         if limit + 1 - cond >= n1:
-            mem = bytearray(cond * g)
-            mem[::g] = _membership(reach)[:cond]
-            return _canonical(mem, [(cond * g, g)])
+            below = _scale(reach & ((1 << cond) - 1), g)
+            return _canonical(below, [(cond * g, g, 1)])
         limit *= 2
 
 
@@ -450,30 +457,19 @@ def star(a: EPSet, b: EPSet) -> EPSet:
         return EMPTY
     if b.is_empty:
         return ZERO if member(a, 0) else EMPTY
-    fins, blocks = decompose(a)
     # walk the members upwards, reaching each power from the one before
     # by the n-fold sum over the gap between them
     gaps: dict[int, EPSet] = {}
     parts = []
     power, last = ZERO, 0
-    for x in fins:
+    for x in _bits(a.low):
         if x - last not in gaps:
             gaps[x - last] = nstar(x - last, b)
         power, last = sumset(power, gaps[x - last]), x
         parts.append(power)
-    for s, r in blocks:
+    for s, r in _blocks(a):
         parts.append(sumset(nstar(s, b), _natstar(nstar(r, b))))
-    if len(parts) == 1:
-        return parts[0]  # already canonical
-    # the powers overlap, often heavily, so their members are deduplicated
-    # before normalize sorts them
-    out_fins: set[int] = set()
-    out_blocks: list[Tuple[int, int]] = []
-    for part in parts:
-        f, bl = decompose(part)
-        out_fins.update(f)
-        out_blocks += bl
-    return normalize(out_fins, out_blocks)
+    return union(*parts)
 
 
 def is_subset(a: EPSet, b: EPSet) -> bool:
@@ -484,22 +480,23 @@ def params(a: EPSet) -> PeriodicityParams:
     """The periodicity parameters (m, q, p, c) of a."""
     if a.is_empty:
         return PeriodicityParams(math.inf, 0, 0, 0)
-    m = a.finite_part[0] if a.finite_part else a.threshold
+    fp = a.finite_part
+    m = fp[0] if fp else a.threshold
     q = 0
-    for n in a.finite_part:
+    for n in fp:
         q = math.gcd(q, n - m)
-    fins, blocks = decompose(a)
-    for s, p in blocks:
-        q = math.gcd(q, math.gcd(s - m, p))
-    if a.period is None:
-        return PeriodicityParams(m, q, 0, a.finite_part[-1] + 1)
-    # c is the least member x such that every member >= x stays in a when
-    # the period is added; past the threshold that holds by periodicity
-    c = a.threshold
-    for x in reversed(a.finite_part):
-        if not member(a, x + a.period):
+        if q == 1:
             break
-        c = x
+    for s, p in _blocks(a):
+        q = math.gcd(q, s - m, p)
+    if a.period is None:
+        return PeriodicityParams(m, q, 0, a.threshold)
+    # c is the least member x such that every member >= x stays in a when
+    # the period is added; past the threshold that holds by periodicity,
+    # and below it the members that leave are these
+    leave = a.low & ~(_upto(a, a.threshold + a.period) >> a.period)
+    top = leave.bit_length()
+    c = _lowest((a.low | 1 << a.threshold) >> top << top)
     return PeriodicityParams(m, q, a.period, c)
 
 
@@ -509,9 +506,8 @@ def format_epset(a: EPSet) -> str:
         return "{}"
     parts = []
     if a.finite_part:
-        parts.append("{" + ",".join(str(n) for n in a.finite_part) + "}")
-    _, blocks = decompose(a)
-    for s, p in sorted(blocks):
+        parts.append("{" + ",".join(map(str, a.finite_part)) + "}")
+    for s, p in sorted(_blocks(a)):
         parts.append(f"{s}+{p}*N")
     return " | ".join(parts)
 
@@ -574,7 +570,7 @@ def index_min(j: IndexSet) -> Union[int, float]:
         return j.first()
     if j.is_empty:
         return math.inf
-    return j.finite_part[0] if j.finite_part else j.threshold
+    return _lowest(j.low) if j.low else j.threshold
 
 
 def index_member(j: IndexSet, n: int) -> bool:
@@ -585,7 +581,7 @@ def index_reaches(j: IndexSet, n: int) -> bool:
     """True iff the index set has a member >= n."""
     if isinstance(j, EnumeratedSet) or j.period is not None:
         return True
-    return bool(j.finite_part) and j.finite_part[-1] >= n
+    return j.low.bit_length() > n
 
 
 def index_parts(j: IndexSet, hi: int) -> Tuple[list[int], list[Tuple[int, int]]]:
@@ -593,8 +589,7 @@ def index_parts(j: IndexSet, hi: int) -> Tuple[list[int], list[Tuple[int, int]]]
     its progressions (start, step); an enumerated set has none."""
     if isinstance(j, EnumeratedSet):
         return j.members_upto(hi), []
-    fins, blocks = decompose(j)
-    return fins[: bisect_right(fins, hi)], blocks
+    return _bits(j.low & ((1 << max(hi + 1, 0)) - 1)), _blocks(j)
 
 
 def index_q(j: IndexSet) -> int:

@@ -238,18 +238,15 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None)
         stars = {}
     out = []
     for eq in sys.equations:
-        fins: list[int] = []
-        blocks: list[Tuple[int, int]] = []
+        values = []
         for t in eq:
             v = t.base
             for j, e in t.factors():
                 v = sumset(v, _star(stars, e, vec[j]))
                 if v.is_empty:
                     break
-            f, b = decompose(v)
-            fins += f
-            blocks += b
-        out.append(normalize(fins, blocks))
+            values.append(v)
+        out.append(union(*values))
     return out
 
 

@@ -230,6 +230,19 @@ class TestKarensTable:
 
 
 class TestClosureLaws:
+    @given(epsets(max_elem=40, max_period=12))
+    def test_c_by_membership(self, a):
+        # c is the least member x such that every member >= x stays in a
+        # when p is added (one past the largest member for a finite set);
+        # past threshold + p that holds or fails by periodicity
+        pp = params(a)
+        found = [n for n in range(a.threshold + pp.p + 1) if member(a, n)]
+        if pp.p == 0:
+            want = found[-1] + 1 if found else 0
+        else:
+            want = next(x for x in found if all(member(a, y + pp.p) for y in found if y >= x))
+        assert pp.c == want
+
     @given(epsets())
     @settings(deadline=None)
     def test_closure_params(self, b):
@@ -272,13 +285,15 @@ class TestClosureLaws:
 class TestOracle:
     H = 128
 
-    @given(epsets(), epsets())
+    @given(epsets(), epsets(), epsets())
     @settings(max_examples=60, deadline=None)
-    def test_union_sum(self, a, b):
+    def test_union_sum(self, a, b, c):
         h = self.H
         va, vb = vec(a, h), vec(b, h)
         assert vec(union(a, b), h) == oracle.brute_set_op("union", va, vb, h)
         assert vec(sumset(a, b), h) == oracle.brute_set_op("sum", va, vb, h)
+        vab = oracle.brute_set_op("union", va, vb, h)
+        assert vec(union(a, b, c), h) == oracle.brute_set_op("union", vab, vec(c, h), h)
 
     @given(st.integers(0, 5), epsets())
     @settings(max_examples=60, deadline=None)

@@ -12,15 +12,15 @@ from conftest import FIXTURES
 COMMANDS = ("check", "solve", "params", "digraph")
 SERIES_COMMANDS = ("compile", "coeffs")
 
-# Out of scope until composite construct arguments get auxiliary variables
-# and Cycle gets coefficients (ROADMAP item 3).
+# Out of scope until composite construct arguments get hidden variables
+# (ROADMAP item 2) and Cycle gets coefficients (ROADMAP item 3).
 KNOWN_SEMANTIC_ERRORS = {
-    ("compton", "solve"): "Cycle with an infinite index set over a composite argument",
-    ("compton", "params"): "Cycle with an infinite index set over a composite argument",
-    ("compton", "digraph"): "Cycle with an infinite index set over a composite argument",
-    ("compton", "compile"): "Cycle with an infinite index set over a composite argument",
-    ("compton", "coeffs"): "Cycle has spectrum-only semantics",
-    ("structured", "coeffs"): "Cycle has spectrum-only semantics",
+    ("compton", "solve"): "item 2: Cycle with an infinite index set over a composite argument",
+    ("compton", "params"): "item 2: Cycle with an infinite index set over a composite argument",
+    ("compton", "digraph"): "item 2: Cycle with an infinite index set over a composite argument",
+    ("compton", "compile"): "item 2: Cycle with an infinite index set over a composite argument",
+    ("compton", "coeffs"): "item 3: Cycle has spectrum-only semantics",
+    ("structured", "coeffs"): "item 3: Cycle has spectrum-only semantics",
 }
 
 
@@ -32,7 +32,7 @@ def cases():
             known = KNOWN_SEMANTIC_ERRORS.get((path.stem, command))
             if known:
                 marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError, reason=f"ROADMAP item 3: {known}"
+                    strict=True, raises=AssertionError, reason=f"ROADMAP {known}"
                 )
             yield pytest.param(path.name, command, marks=marks, id=f"{path.stem}-{command}")
 
@@ -100,9 +100,9 @@ class TestCompareOutputs:
         argv = [root, root, "--count", "3", "--fixtures", str(tmp_path)]
         assert _script("compare_outputs").main(argv) == 0
         # postage 11, the zero periods 6 + 6 + 9, the seven origin systems 9
-        # each, the two large systems 7 each, three series systems 9 each,
+        # each, the three large systems 7 each, three series systems 9 each,
         # three set systems 6 each, 6 frobenius lines and 20 parser lines
-        assert capsys.readouterr().out == "180 command lines, 0 differ\n"
+        assert capsys.readouterr().out == "187 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}
