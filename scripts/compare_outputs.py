@@ -6,9 +6,10 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, three set systems with large answers, --count seeded random
-series systems and as many random set systems, a few frobenius generator
-lists, and a fixed list of command lines for the argument parser: usage
+and linear part, three set systems with large answers, two edge cases of
+the tokenizer and the certificates, --count seeded random series systems
+and as many random set systems, a few frobenius generator lists, and a
+fixed list of command lines for the argument parser: usage
 errors and the option forms it accepts.  Every command runs on each
 fixture, also with a horizon of 0 and a negative degree, so that the
 refusals are compared too, every applicable command on each other input,
@@ -96,6 +97,12 @@ LARGE_SYSTEMS = (
     "vars Y; mode sets; Y = {1} | {1} + {2}*Y | {10000};\n",
     "vars Y, Z; mode sets; Y = Primes*Z; Z = {3,5};\n",
 )
+# a superscript digit, which is no number, and a family that needs an
+# empty variable, which must not count toward a certificate
+EDGE_SYSTEMS = (
+    "vars Y; mode sets; Y = {²};\n",
+    "vars Y, W; mode sets; Y = {1} | Y + Y + W; W = {1} + W;\n",
+)
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")
 # command lines for the argument parser: usage errors and the forms it
@@ -182,7 +189,12 @@ def cases(fixtures: pathlib.Path, count: int, workdir: pathlib.Path):
     """(label, argv, spec) for every command line to run; spec is the text
     of a system made here, written to workdir, and None for the rest."""
     specs = [(p.name, p, None) for p in sorted(fixtures.glob("*.spec"))]
-    groups = (("zero-period", ZERO_PERIODS), ("origin", ORIGIN_SYSTEMS), ("large", LARGE_SYSTEMS))
+    groups = (
+        ("zero-period", ZERO_PERIODS),
+        ("origin", ORIGIN_SYSTEMS),
+        ("large", LARGE_SYSTEMS),
+        ("edge", EDGE_SYSTEMS),
+    )
     for prefix, texts in groups:
         for n, text in enumerate(texts):
             path = workdir / f"{prefix}-{n}.spec"

@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 
-from spectre import member, nat_closure, normalize, params
+from spectre import nat_closure, normalize, params
+from spectre.epset import gaps_below
 
 
 def main(argv=None) -> int:
@@ -30,7 +31,7 @@ def main(argv=None) -> int:
             p = params(closure)
             expected = (a - 1) * (b - 1)
             assert p.c == expected, (a, b, p.c, expected)
-            gaps = sum(1 for n in range(p.c) if not member(closure, n))
+            gaps = len(gaps_below(closure, p.c))
             print(f"{a:>4} {b:>4} {p.c:>10} {gaps:>6}")
             if gaps > worst[0]:
                 worst = (gaps, (a, b))

@@ -153,7 +153,7 @@ def cmd_digraph(args) -> int:
     for i, j in sorted(dg.edges):
         print(f"{names[i]} -> {names[j]}")
     for comp in dg.strong_components():
-        members = ", ".join(names[i] for i in sorted(comp))
+        members = ", ".join(names[i] for i in comp)
         print(f"component: {{{members}}}")
     return EXIT_OK
 
@@ -179,9 +179,7 @@ def cmd_frobenius(args) -> int:
     p = params(closure)
     g = epset.gcd_of(normalize(gens))
     conductor = p.c
-    # every member below the conductor lies in the finite part
-    members = set(closure.finite_part)
-    gaps = [n for n in range(conductor) if n not in members]
+    gaps = epset.gaps_below(closure, conductor)
     print(f"generators: {', '.join(str(x) for x in sorted(set(gens)))}")
     print(f"gcd: {g}")
     print(f"conductor: {conductor}")

@@ -95,9 +95,9 @@ def _tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("INT", text[i:j], line, start_col))
             col += j - i

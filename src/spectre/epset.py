@@ -288,9 +288,9 @@ def enumerate_range(a: EPSet, lo: int, hi: int) -> list[int]:
     return [n + lo for n in _bits(_upto(a, hi) >> lo)]
 
 
-def decompose(a: EPSet) -> Tuple[list[int], list[Tuple[int, int]]]:
-    """Split into explicit elements and full arithmetic progressions."""
-    return list(a.finite_part), _blocks(a)
+def gaps_below(a: EPSet, hi: int) -> list[int]:
+    """The non-members of a below hi, sorted."""
+    return _bits(~_upto(a, hi - 1) & ((1 << hi) - 1))
 
 
 def shift(a: EPSet, t: int) -> EPSet:
@@ -301,6 +301,28 @@ def shift(a: EPSet, t: int) -> EPSet:
     if a.period is None:
         return EPSet(a.low << t, a.threshold + t)
     return EPSet(a.low << t, a.threshold + t, a.period, _rotate(a.res, t, a.period))
+
+
+def unshift(a: EPSet, t: int) -> EPSet:
+    """{x - t : x in a, x >= t}, the inverse of shift(., t).
+
+    Unshifting keeps a canonical form canonical. The finite mask moves
+    down by t and the residues rotate back by t, which keeps their least
+    period. No member below the old threshold joins the tail, and dropping
+    the members below t moves the start of periodicity down by t, or to 0
+    when it lies below t. So while t is at most the threshold, the
+    threshold moves down by t too. Past it, every member left lies in the
+    tail, and the threshold is the least of them.
+    """
+    if t == 0:
+        return a
+    if a.period is None:
+        low = a.low >> t
+        return EPSet(low, low.bit_length())
+    res = _rotate(a.res, -t, a.period)
+    if a.threshold >= t:
+        return EPSet(a.low >> t, a.threshold - t, a.period, res)
+    return EPSet(0, _lowest(res), a.period, res)
 
 
 def union(*sets: EPSet) -> EPSet:

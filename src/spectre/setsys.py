@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from . import epset
 from .epset import (
@@ -16,7 +16,6 @@ from .epset import (
     IndexSet,
     PeriodicityParams,
     SemanticError,
-    decompose,
     format_epset,
     index_member,
     index_min,
@@ -31,6 +30,7 @@ from .epset import (
     star,
     sumset,
     union,
+    unshift,
 )
 
 ONE = singleton(1)
@@ -123,23 +123,6 @@ def classify(sys: SetSystem) -> SystemClassification:
     return SystemClassification(basic, elem, not emp and elem, emp, tuple(m))
 
 
-def reduce(sys: SetSystem, emp: Collection[int]) -> SetSystem:
-    """Drop the empty variables emp, deleting term families that require
-    them."""
-    if not emp:
-        return sys
-    keep = [i for i in range(sys.k) if i not in emp]
-    new_eqs = []
-    for i in keep:
-        terms = []
-        for t in sys.equations[i]:
-            if any(not index_member(t.exponents[j], 0) for j in emp):
-                continue
-            terms.append(GammaTerm(t.base, tuple(t.exponents[j] for j in keep)))
-        new_eqs.append(tuple(terms))
-    return SetSystem(tuple(sys.variables[i] for i in keep), tuple(new_eqs))
-
-
 @dataclass(frozen=True)
 class Digraph:
     """Dependency digraph with transitive closure and strong components."""
@@ -160,15 +143,16 @@ class Digraph:
             if self.reach_plus[i][j] and self.reach_plus[j][i]
         )
 
-    def strong_components(self) -> list[frozenset[int]]:
-        seen = set()
-        out = []
-        for i in range(self.n):
-            c = self.component(i)
-            if c and c not in seen:
-                seen.add(c)
-                out.append(c)
-        return out
+    def components(self) -> list[Tuple[int, ...]]:
+        """Every strong component as a sorted tuple, with each variable
+        outside every cycle on its own, every component after all the
+        components it reaches."""
+        comps = {tuple(sorted(self.component(i) or {i})) for i in range(self.n)}
+        return sorted(comps, key=lambda c: (sum(self.reaches(c[0], j) for j in range(self.n)), c))
+
+    def strong_components(self) -> list[Tuple[int, ...]]:
+        """The components on a cycle, by least member."""
+        return sorted(c for c in self.components() if self.reach_plus[c[0]][c[0]])
 
 
 def dependency(sys: SetSystem) -> Digraph:
@@ -200,7 +184,7 @@ def digraph_dot(sys: SetSystem) -> str:
     for idx, comp in enumerate(dg.strong_components()):
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append("    style=dashed;")
-        for i in sorted(comp):
+        for i in comp:
             lines.append(f'    "{sys.variables[i]}";')
             clustered.add(i)
         lines.append("  }")
@@ -218,7 +202,7 @@ def digraph_dot(sys: SetSystem) -> str:
 # integer formulas
 
 
-Stars = dict  # (index set, value) -> star(index set, value); index set -> _derivative(index set)
+Stars = dict  # (index set, value) -> star(index set, value)
 
 
 def _star(stars: Stars, e: EPSet, v: EPSet) -> EPSet:
@@ -371,31 +355,17 @@ def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
     return d
 
 
-def _derivative(e: EPSet) -> EPSet:
-    """{x - 1 : x in e, x >= 1}, the index set of d(e*Y)/dY."""
-    fins, blocks = decompose(e)
-    return normalize(
-        [x - 1 for x in fins if x], [(s - 1 if s else p - 1, p) for s, p in blocks]
-    )
-
-
-def _derived(stars: Stars, e: EPSet) -> EPSet:
-    """_derivative(e), computed once per table."""
-    if e not in stars:
-        stars[e] = _derivative(e)
-    return stars[e]
-
-
 def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EPSet]]:
     """Entry (i, j) is the union, over the families of equation i that use
-    Y_j, of the base, the other factors at nu and (E_j - 1)*nu_j."""
+    Y_j, of the base, the other factors at nu and (E_j - 1)*nu_j, where
+    E_j - 1 = {x - 1 : x in E_j, x >= 1}."""
     k = sys.k
     c = [[EMPTY] * k for _ in range(k)]
     for i, eq in enumerate(sys.equations):
         for t in eq:
             factors = {j: _star(stars, e, nu[j]) for j, e in t.factors()}
             for j, e in t.factors():
-                v = sumset(t.base, _star(stars, _derived(stars, e), nu[j]))
+                v = sumset(t.base, _star(stars, unshift(e, 1), nu[j]))
                 for l, f in factors.items():
                     if l != j:
                         v = sumset(v, f)
@@ -445,27 +415,26 @@ def _component_system(
     return SetSystem(tuple(sys.variables[i] for i in comp), tuple(eqs))
 
 
-def _components(dg: Digraph) -> list[Tuple[int, ...]]:
-    """Strong components, with each variable outside every cycle on its
-    own, every component after all the components it reaches."""
-    comps = {tuple(sorted(dg.component(i) or {i})) for i in range(dg.n)}
-    return sorted(comps, key=lambda c: (sum(dg.reaches(c[0], j) for j in range(dg.n)), c))
-
-
-def _doubling_condition(sys: SetSystem, dg: Digraph, i: int) -> bool:
-    """Some equation in i's strong component has a family with total
-    component-internal weight at least 2."""
-    comp = dg.component(i)
-    if not comp:
-        return False
+def _doubling_condition(sys: SetSystem, comp: Sequence[int]) -> bool:
+    """Some equation in the strong component comp has a family with total
+    component-internal weight at least 2. A variable outside every cycle
+    has no family that uses it, so it never meets the condition."""
     for j in comp:
         for t in sys.equations[j]:
             members = [l for l in comp if t.uses(l)]
-            if not members:
-                continue
-            if len(members) >= 2 or index_reaches(t.exponents[members[0]], 2):
+            if len(members) >= 2 or (members and index_reaches(t.exponents[members[0]], 2)):
                 return True
     return False
+
+
+def _live(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSystem:
+    """sys with only the families whose minimum at minima is finite: the
+    reduced system's families, on all the variables. An empty variable
+    keeps no family."""
+    def finite(t: GammaTerm) -> bool:
+        return sum(w * y for w, y in zip(map(index_min, t.exponents), minima) if w) < math.inf
+
+    return SetSystem(sys.variables, tuple(tuple(filter(finite, eq)) for eq in sys.equations))
 
 
 def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
@@ -481,7 +450,7 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
 def _classes(e: EPSet) -> list[EPSet]:
     """The non-empty parts of e in {0}, {1} and 2+N."""
     parts = [ZERO if member(e, 0) else EMPTY, ONE if member(e, 1) else EMPTY]
-    return [c for c in parts + [shift(_derivative(_derivative(e)), 2)] if not c.is_empty]
+    return [c for c in parts + [shift(unshift(e, 2), 2)] if not c.is_empty]
 
 
 def _without_units(sys: SetSystem) -> SetSystem:
@@ -504,7 +473,7 @@ def _without_units(sys: SetSystem) -> SetSystem:
             if not member(t.base, 0) or t.min_weight() >= 2:
                 rest[i].append(t)
                 continue
-            positive = shift(_derivative(t.base), 1)
+            positive = shift(unshift(t.base, 1), 1)
             if not positive.is_empty:
                 rest[i].append(GammaTerm(positive, t.exponents))
             for exps in itertools.product(*map(_classes, t.exponents)):
@@ -545,7 +514,7 @@ def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
     while True:
         lo = _cut(sys, bound, []) if enumerated else sys
         flat = _without_units(lo)
-        for comp in _components(dependency(flat)):
+        for comp in dependency(flat).components():
             if bound > 2 and settled.issuperset(comp):
                 continue  # solved at the first bound
             for i, v in zip(comp, _newton(_component_system(flat, comp, nu, stars), stars)):
@@ -570,8 +539,9 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     enumerated index set bracketed between two eventually periodic ones
     (SemanticError if the bracket is open at the horizon, which bounds
     nothing else). Certificates follow the structure: CertifiedLinear if
-    every equation reached is linear, CertifiedDoubling if the component in
-    the reduced system meets the doubling condition, else
+    every equation reached is linear, CertifiedDoubling if the variable's
+    component meets the doubling condition on the live families (those of
+    the reduced system, where the condition gives p = q), else
     CertifiedFiniteConvergence. min_vector checks every m, which makes the
     answer positive as the proof needs, and on a reduced system q_vector
     checks every q.
@@ -585,12 +555,9 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     k = sys.k
     reached = [[j for j in range(k) if dg.reaches(i, j)] for i in range(k)]
     linear = [all(_is_linear(t, k) for j in r for t in sys.equations[j]) for r in reached]
-    live = [i for i in range(k) if i not in cls.empties]
-    doubling = set()
-    if live:
-        red = reduce(sys, cls.empties)
-        rdg = dependency(red)
-        doubling = {live[n] for n in range(red.k) if _doubling_condition(red, rdg, n)}
+    live = _live(sys, cls.minima) if cls.empties else sys
+    ldg = dependency(live) if cls.empties else dg
+    doubling = {i for comp in ldg.components() if _doubling_condition(live, comp) for i in comp}
 
     closed = _least(sys, dg, horizon)
 

@@ -153,6 +153,19 @@ class TestErrors:
         with pytest.raises(ParseError, match="not allowed"):
             parse("vars Y; mode sets; set P2 = Primes; Y = {1};")
 
+    @pytest.mark.parametrize("body, col", [("{²}", 6), ("{1²}", 7)])
+    def test_superscript_digit_is_no_number(self, body, col):
+        # str.isdigit accepts '²', which int() refuses
+        with pytest.raises(ParseError) as ei:
+            parse(f"vars Y;\nmode sets;\nY = {body};")
+        assert str(ei.value) == f"3:{col}: unexpected character '²'"
+
+    def test_decimal_digits_are_numbers(self):
+        # what int() reads is a number; '²' still belongs in a name
+        sys_ = parse("vars Y²; mode sets; Y² = {٣};")
+        assert sys_.variables == ("Y²",)
+        assert sys_.equations[0][0].base == singleton(3)
+
     def test_mode_required_before_equation(self):
         with pytest.raises(ParseError, match="mode"):
             parse("vars T; T = x;")

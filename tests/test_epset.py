@@ -12,9 +12,9 @@ from spectre.epset import (
     ZERO,
     EPSet,
     SemanticError,
-    decompose,
     enumerate_range,
     format_epset,
+    gaps_below,
     gcd_of,
     member,
     nat_closure,
@@ -26,6 +26,7 @@ from spectre.epset import (
     star,
     sumset,
     union,
+    unshift,
 )
 
 import oracle
@@ -84,8 +85,7 @@ class TestNormalize:
 
     @given(epsets())
     def test_retraction(self, a):
-        fins, blocks = epset.decompose(a)
-        assert normalize(fins, blocks) == a
+        assert normalize(a.finite_part, epset._blocks(a)) == a
 
     @given(epsets(), epsets())
     def test_equality_is_set_equality(self, a, b):
@@ -353,8 +353,31 @@ class TestStarOverManyMembers:
 @given(epsets(max_elem=40, max_period=12), st.integers(0, 50))
 @settings(max_examples=100, deadline=None)
 def test_shift_is_canonical(a, t):
-    fins, blocks = decompose(a)
-    assert shift(a, t) == normalize([n + t for n in fins], [(s + t, p) for s, p in blocks])
+    shifted = normalize([n + t for n in a.finite_part], [(s + t, p) for s, p in epset._blocks(a)])
+    assert shift(a, t) == shifted
+
+
+@given(epsets(max_elem=40, max_period=12), st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_unshift_is_canonical(a, t):
+    # the members >= t moved down by t: those up to the threshold, and
+    # each tail progression from its first member >= t; t past the
+    # threshold leaves only tail members
+    down = [n - t for n in enumerate_range(a, t, max(t, a.threshold))]
+    blocks = [(s + max(0, -(-(t - s) // p)) * p - t, p) for s, p in epset._blocks(a)]
+    assert unshift(a, t) == normalize(down, blocks)
+
+
+@given(epsets(max_elem=40, max_period=12), st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_unshift_inverts_shift(a, t):
+    assert unshift(shift(a, t), t) == a
+
+
+@given(epsets(max_elem=40, max_period=12), st.integers(0, 80))
+@settings(max_examples=200, deadline=None)
+def test_gaps_below_by_membership(a, hi):
+    assert gaps_below(a, hi) == [n for n in range(hi) if not member(a, n)]
 
 
 # ---------------------------------------------------------------------------

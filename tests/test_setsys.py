@@ -33,7 +33,7 @@ from spectre.setsys import (
     min_vector,
     q_report,
     q_vector,
-    reduce,
+    solution_json,
     solve,
 )
 
@@ -160,23 +160,17 @@ class TestEmptiesReduce:
     def test_paths_no_empties(self):
         assert classify(paths_system()).empties == set()
 
-    def test_reduce_drops_empty(self):
-        sys_ = SetSystem(
-            ("Y1", "Y2"),
-            (
-                (term(ONE, 2), term(ONE, 2, e1=ONE)),
-                (term(normalize([2]), 2, e1=ONE),),
-            ),
-        )
-        red = reduce(sys_, classify(sys_).empties)
-        assert red.variables == ("Y1",)
-        assert red.equations == ((term(ONE, 1),),)
-        sol = solve(red, horizon=32)
-        assert sol.variables[0].closed_form == ONE
-
-    def test_reduce_fixed_point(self):
-        sys_ = paths_system()
-        assert reduce(sys_, classify(sys_).empties) is sys_
+    def test_dead_family_leaves_the_certificate(self):
+        # Y + Y + W needs the empty W, so the reduced system drops it and
+        # Y's component meets no doubling condition there: the certificate
+        # is read on the live families, not on every family of the system
+        sys_ = dsl.parse("vars Y, W; mode sets; Y = {1} | Y + Y + W; W = {1} + W;")
+        doc = solution_json(solve(sys_))
+        assert doc["classification"]["empties"] == [1]
+        assert [(v["var"], v["certificate"]) for v in doc["solution"]] == [
+            ("Y", setsys.CERT_FINITE),
+            ("W", CERT_LINEAR),
+        ]
 
 
 class TestDependency:
@@ -678,22 +672,6 @@ class TestExactSolve:
         monkeypatch.setattr(setsys, "star", lambda e, b: pairs.append((e, b)) or real(e, b))
         solve(fixture_system(f"{name}.spec"))
         assert pairs and len(set(pairs)) == len(pairs), name
-
-    @pytest.mark.parametrize("name", ["paths", "bluered"])
-    def test_each_index_set_derived_once(self, monkeypatch, name):
-        # the Jacobian reads E - 1 from the star table it is given, so a
-        # second Jacobian on the same table derives nothing
-        system = fixture_system(f"{name}.spec")
-        stars = {}
-        nu = setsys.gamma_eval(system, [EMPTY] * system.k, stars)
-        derived = []
-        real = setsys._derivative
-        monkeypatch.setattr(setsys, "_derivative", lambda e: derived.append(e) or real(e))
-        first = setsys._jacobian(system, nu, stars)
-        count = len(derived)
-        assert count and len(set(derived)) == count, name
-        assert setsys._jacobian(system, nu, stars) == first
-        assert len(derived) == count, name
 
     def test_components_without_enumerated_sets_solved_once(self, monkeypatch):
         # the bracket on Primes doubles P up to 64; Z reaches no Primes
