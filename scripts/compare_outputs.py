@@ -6,7 +6,7 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, three set systems with large answers, two edge cases of
+and linear part, three set systems with large answers, five edge cases of
 the tokenizer and the certificates, --count seeded random series systems
 and as many random set systems, a few frobenius generator lists, and a
 fixed list of command lines for the argument parser: usage
@@ -97,11 +97,17 @@ LARGE_SYSTEMS = (
     "vars Y; mode sets; Y = {1} | {1} + {2}*Y | {10000};\n",
     "vars Y, Z; mode sets; Y = Primes*Z; Z = {3,5};\n",
 )
-# a superscript digit, which is no number, and a family that needs an
-# empty variable, which must not count toward a certificate
+# a superscript digit, which is no number; a family that needs an empty
+# variable, which must not count toward a certificate; a missing equation
+# after a closing comment with no newline, whose error sits at the '#'; a
+# form feed, which is no blank, after tabs; and names with '½' and 'é'
+# beside a number in Arabic-Indic digits
 EDGE_SYSTEMS = (
     "vars Y; mode sets; Y = {²};\n",
     "vars Y, W; mode sets; Y = {1} | Y + Y + W; W = {1} + W;\n",
+    "vars Y, Z; mode sets; Y = {1};\t# Z has no equation",
+    "vars Y;\n\tmode sets;\n\tY = {1} |\x0c Y;\n",
+    "vars Y½, é; mode sets; Y½ = {٣} | é; é = {1};\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")

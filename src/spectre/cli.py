@@ -380,6 +380,11 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # answers are exact at any size: lift the interpreter's int <-> str digit
+    # limit (Python 3.11 on) for the command, and put it back afterwards
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -401,6 +406,9 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"spectre: internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ bindings, and one equation per variable:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -63,66 +63,43 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME INT PUNCT EOF
-    text: str
-    line: int
-    col: int
+# blanks (not \s, which also takes a form feed), comments, numbers (\d is
+# what str.isdecimal accepts), names (\w is what isalnum accepts, or _; the
+# first character must also be a letter or _), punctuation, and any other
+# character, which is an error
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<INT>\d+)|(?P<NAME>\w+)"
+    r"|(?P<PUNCT>[=;,|+*^(){}\[\]/])|(?P<other>.)"
+)
 
 
-_PUNCT = set("=;,|+*^(){}[]/")
+def _error(text: str, msg: str, at: int) -> ParseError:
+    """A ParseError at offset at of text, as line:column counted from 1."""
+    line = text.count("\n", 0, at) + 1
+    return ParseError(msg, line, at - text.rfind("\n", 0, at))
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list:
+    """The tokens of text as (kind, text, offset), kind one of NAME, INT,
+    PUNCT and EOF.  EOF sits at the end of the text, or at the # of a
+    closing comment that no newline ends, and is repeated so that
+    lookahead past the end needs no clamp."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m[0]
+        if kind == "blank" or kind == "comment":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
+        if kind == "other" or kind == "NAME" and not (word[0].isalpha() or word[0] == "_"):
+            raise _error(text, f"unexpected character {word[0]!r}", m.start())
+        toks.append((kind, word, m.start()))
+    eof = m.start() if m and m.lastgroup == "comment" else len(text)
+    return toks + [("EOF", "", eof)] * 4
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.mode: Optional[str] = None
@@ -132,49 +109,50 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.toks[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.pos += 1
         return t
 
-    def expect(self, text: str) -> Token:
+    def error(self, msg: str, t: tuple) -> ParseError:
+        return _error(self.text, msg, t[2])
+
+    def expect(self, text: str) -> tuple:
         t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if t[1] != text:
+            raise self.error(f"expected {text!r}, found {t[1]!r}", t)
         return t
 
     def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise self.error(msg, self.peek())
 
     def at_punct(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "PUNCT" and t.text == text
+        return self.peek(ahead)[1] == text
 
     # -- file structure
 
     def parse_file(self):
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             t = self.peek()
-            if t.kind == "NAME" and t.text == "vars":
+            if t[1] == "vars":
                 self.next()
                 self.variables.append(self._name("variable name"))
                 while self.at_punct(","):
                     self.next()
                     self.variables.append(self._name("variable name"))
                 self.expect(";")
-            elif t.kind == "NAME" and t.text == "mode":
+            elif t[1] == "mode":
                 self.next()
                 m = self.next()
-                if m.text not in ("series", "sets"):
-                    raise ParseError("mode must be series or sets", m.line, m.col)
-                self.mode = m.text
+                if m[1] not in ("series", "sets"):
+                    raise self.error("mode must be series or sets", m)
+                self.mode = m[1]
                 self.expect(";")
-            elif t.kind == "NAME" and t.text == "set":
+            elif t[1] == "set":
                 self.next()
                 name = self._fresh_name("set name")
                 self.expect("=")
@@ -183,10 +161,10 @@ class _Parser:
                     self.fail("set bindings must be eventually periodic")
                 self.expect(";")
                 self.sets[name] = val
-            elif t.kind == "NAME":
+            elif t[0] == "NAME":
                 self._parse_equation()
             else:
-                self.fail(f"unexpected {t.text!r}")
+                self.fail(f"unexpected {t[1]!r}")
         if not self.variables:
             self.fail("no variables declared")
         missing = [v for v in self.variables if v not in self.equations]
@@ -206,26 +184,26 @@ class _Parser:
 
     def _name(self, what: str) -> str:
         t = self.next()
-        if t.kind != "NAME":
-            raise ParseError(f"expected {what}", t.line, t.col)
-        if t.text in RESERVED:
-            raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
-        return t.text
+        if t[0] != "NAME":
+            raise self.error(f"expected {what}", t)
+        if t[1] in RESERVED:
+            raise self.error(f"{t[1]!r} is reserved", t)
+        return t[1]
 
     def _fresh_name(self, what: str) -> str:
         t = self.peek()
         name = self._name(what)
         if name in self.sets or name in self.variables:
-            raise ParseError(f"{name!r} already declared", t.line, t.col)
+            raise self.error(f"{name!r} already declared", t)
         return name
 
     def _parse_equation(self):
         t = self.peek()
-        name = self.next().text
+        name = self.next()[1]
         if name not in self.variables:
-            raise ParseError(f"undeclared variable {name!r}", t.line, t.col)
+            raise self.error(f"undeclared variable {name!r}", t)
         if name in self.equations:
-            raise ParseError(f"duplicate equation for {name!r}", t.line, t.col)
+            raise self.error(f"duplicate equation for {name!r}", t)
         self.expect("=")
         if self.mode is None:
             self.fail("mode must be declared before equations")
@@ -262,53 +240,51 @@ class _Parser:
                     elems.append(self._int())
             self.expect("}")
             return normalize(elems)
-        if t.kind == "INT":
+        if t[0] == "INT":
             a = self._int()
-            if self.at_punct("+") and self.peek(1).kind == "INT" and self._is_progression_tail(1):
+            if self.at_punct("+") and self._is_progression_tail(1):
                 self.next()  # +
                 pt = self.peek()
                 p = self._int()
                 self.expect("*")
                 self.expect("N")
                 return self._progression(a, p, pt)
-            if self.at_punct("*") and self.peek(1).text == "N":
+            if self.at_punct("*") and self.peek(1)[1] == "N":
                 self.next()
                 self.next()
                 return self._progression(0, a, t)
             return singleton(a)
-        if t.kind == "NAME":
-            name = self.next().text
+        if t[0] == "NAME":
+            name = self.next()[1]
             if name in BUILTIN_SETS:
                 return BUILTIN_SETS[name]
             if name in ENUMERATED_SETS:
                 if not allow_enumerated:
-                    raise ParseError(
-                        f"{name} is enumeration-only and not allowed here", t.line, t.col
-                    )
+                    raise self.error(f"{name} is enumeration-only and not allowed here", t)
                 return ENUMERATED_SETS[name]
             if name in self.sets:
                 return self.sets[name]
-            raise ParseError(f"unknown set {name!r}", t.line, t.col)
-        raise ParseError("expected a set", t.line, t.col)
+            raise self.error(f"unknown set {name!r}", t)
+        raise self.error("expected a set", t)
 
     def _is_progression_tail(self, ahead: int) -> bool:
         return (
-            self.peek(ahead).kind == "INT"
+            self.peek(ahead)[0] == "INT"
             and self.at_punct("*", ahead + 1)
-            and self.peek(ahead + 2).text == "N"
+            and self.peek(ahead + 2)[1] == "N"
         )
 
-    def _progression(self, start: int, period: int, t: Token) -> EPSet:
+    def _progression(self, start: int, period: int, t: tuple) -> EPSet:
         """start + period*N, with t the token of the period."""
         if period == 0:
-            raise ParseError("period must be positive", t.line, t.col)
+            raise self.error("period must be positive", t)
         return normalize((), [(start, period)])
 
     def _int(self) -> int:
         t = self.next()
-        if t.kind != "INT":
-            raise ParseError("expected a number", t.line, t.col)
-        return int(t.text)
+        if t[0] != "INT":
+            raise self.error("expected a number", t)
+        return int(t[1])
 
     # -- set equations
 
@@ -327,24 +303,20 @@ class _Parser:
         exps: list[IndexSet] = [ZERO] * k
         while True:
             t = self.peek()
-            if t.kind == "NAME" and t.text in self.variables:
+            if t[1] in self.variables:
                 self.next()
-                j = self.variables.index(t.text)
+                j = self.variables.index(t[1])
                 exps[j] = exponent_sum(exps[j], singleton(1))
             else:
                 atom = self.parse_setatom()
-                if self.at_punct("*") and self.peek(1).kind == "NAME" and self.peek(1).text in self.variables:
+                if self.at_punct("*") and self.peek(1)[1] in self.variables:
                     self.next()
                     vt = self.next()
-                    j = self.variables.index(vt.text)
+                    j = self.variables.index(vt[1])
                     exps[j] = exponent_sum(exps[j], atom)
                 else:
                     if isinstance(atom, EnumeratedSet):
-                        raise ParseError(
-                            "enumerated sets may only appear as exponents",
-                            t.line,
-                            t.col,
-                        )
+                        raise self.error("enumerated sets may only appear as exponents", t)
                     base = sumset(base, atom)
             if self.at_punct("+"):
                 self.next()
@@ -384,17 +356,17 @@ class _Parser:
             val = self.parse_series_expr()
             self.expect(")")
             return val
-        if t.kind == "INT":
+        if t[0] == "INT":
             num = self._int()
             if self.at_punct("/"):
                 self.next()
                 den = self._int()
                 if den == 0:
-                    raise ParseError("zero denominator", t.line, t.col)
+                    raise self.error("zero denominator", t)
                 return Const(Fraction(num, den))
             return Const(Fraction(num))
-        if t.kind == "NAME":
-            name = self.next().text
+        if t[0] == "NAME":
+            name = self.next()[1]
             if name == "x":
                 return X()
             if name in CONSTRUCT_NAMES:
@@ -414,8 +386,8 @@ class _Parser:
                 return Construct(name, index, arg)
             if name in self.variables:
                 return Var(self.variables.index(name))
-            raise ParseError(f"unknown name {name!r}", t.line, t.col)
-        raise ParseError("expected an expression", t.line, t.col)
+            raise self.error(f"unknown name {name!r}", t)
+        raise self.error("expected an expression", t)
 
 
 def parse(text: str) -> Union[PSSystem, SetSystem]:

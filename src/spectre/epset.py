@@ -31,9 +31,9 @@ class EPSet:
     Instances must be built through normalize() or the operations below;
     direct construction bypasses canonicalization.
 
-    finite_part (the members below the threshold) and residues (the
-    tail's residues, None for a finite set) are sorted tuples, built from
-    the masks on first read and kept.  The algebra reads only the masks.
+    finite_part (the members below the threshold) is a sorted tuple,
+    built from low on first read and kept.  The algebra reads only the
+    masks.
     """
 
     low: int
@@ -44,10 +44,6 @@ class EPSet:
     @cached_property
     def finite_part(self) -> Tuple[int, ...]:
         return tuple(_bits(self.low))
-
-    @cached_property
-    def residues(self) -> Optional[Tuple[int, ...]]:
-        return None if self.period is None else tuple(_bits(self.res))
 
     @property
     def is_empty(self) -> bool:

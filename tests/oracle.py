@@ -279,8 +279,7 @@ def symbolic_iterate(system, n: int) -> list[list]:
 def _epset_members(s, h: int) -> set[int]:
     out = set(n for n in s.finite_part if n <= h)
     if s.period is not None:
-        res = set(s.residues)
-        out |= {n for n in range(s.threshold, h + 1) if n % s.period in res}
+        out |= {n for n in range(s.threshold, h + 1) if s.res >> (n % s.period) & 1}
     return out
 
 

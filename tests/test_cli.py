@@ -178,6 +178,51 @@ class TestCoeffs:
         assert "degree must be non-negative" in err
 
 
+def _digit_limit():
+    """The interpreter's int <-> str digit limit, None where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestDigitLimit:
+    """Numbers past the interpreter's 4300-digit int <-> str limit, in the
+    answer and in the input, are read and printed exactly; main puts the
+    limit back afterwards."""
+
+    @pytest.mark.parametrize(
+        "text, degree, expected",
+        [
+            ("vars Y; mode series; Y = x*(1 + 999999*Y);", 800, lambda: str(999999**799)),
+            (
+                f"vars Y; mode series; Y = x + {'1' * 5000}/3*x;",
+                1,
+                lambda: f"{(10**5000 - 1) // 9 + 3}/3",
+            ),
+        ],
+        ids=["answer", "input"],
+    )
+    def test_exact(self, capsys, tmp_path, text, degree, expected):
+        spec = tmp_path / "big.spec"
+        spec.write_text(text)
+        limit = _digit_limit()
+        code, out, err = run(capsys, "coeffs", str(spec), "--degree", str(degree))
+        assert (code, err) == (0, "")
+        assert _digit_limit() == limit
+        with _no_digit_limit():
+            assert out.startswith("Y: [0, ") and out.endswith(f", {expected()}]\n")
+
+
 class TestCheck:
     def test_series_elementary(self, capsys):
         code, out, _ = run(capsys, "check", fx("binary.spec"))

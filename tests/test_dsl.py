@@ -153,18 +153,49 @@ class TestErrors:
         with pytest.raises(ParseError, match="not allowed"):
             parse("vars Y; mode sets; set P2 = Primes; Y = {1};")
 
-    @pytest.mark.parametrize("body, col", [("{²}", 6), ("{1²}", 7)])
-    def test_superscript_digit_is_no_number(self, body, col):
-        # str.isdigit accepts '²', which int() refuses
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # str.isdigit accepts '²', which int() refuses
+            ("vars Y;\nmode sets;\nY = {²};", "3:6: unexpected character '²'"),
+            ("vars Y;\nmode sets;\nY = {1²};", "3:7: unexpected character '²'"),
+            # blanks are space, tab, CR and LF only; a tab is one column
+            (
+                "vars Y;\n\tmode sets;\n\tY = {1} |\x0c Y;\n",
+                "3:11: unexpected character '\\x0c'",
+            ),
+            # the end of a text that closes with a comment is at its '#'
+            (
+                "vars Y, Z; mode sets; Y = {1};\t# Z has no equation",
+                "1:32: missing equation for Z",
+            ),
+            (
+                "vars Y, Z; mode sets; Y = {1};\t# Z has no equation\n",
+                "2:1: missing equation for Z",
+            ),
+            # a name starts with a letter or '_'
+            ("vars ½Y; mode sets; ½Y = {1};\n", "1:6: unexpected character '½'"),
+            ("# only a comment", "1:1: no variables declared"),
+        ],
+        ids=[
+            "superscript", "superscript-after-digit", "form-feed", "eof-at-comment",
+            "eof-after-comment-line", "fraction-starts-name", "only-comment",
+        ],
+    )
+    def test_lexical_error(self, text, message):
         with pytest.raises(ParseError) as ei:
-            parse(f"vars Y;\nmode sets;\nY = {body};")
-        assert str(ei.value) == f"3:{col}: unexpected character '²'"
+            parse(text)
+        assert str(ei.value) == message
 
     def test_decimal_digits_are_numbers(self):
-        # what int() reads is a number; '²' still belongs in a name
+        # what int() reads is a number; '²' and '½' still belong in a name
         sys_ = parse("vars Y²; mode sets; Y² = {٣};")
         assert sys_.variables == ("Y²",)
         assert sys_.equations[0][0].base == singleton(3)
+        sys_ = parse("vars Y½, é; mode sets; Y½ = {٣} | é; é = {1};")
+        assert sys_.variables == ("Y½", "é")
+        assert [t.base for t in sys_.equations[0]] == [singleton(3), ZERO]
+        assert sys_.equations[0][1].exponents == (ZERO, singleton(1))
 
     def test_mode_required_before_equation(self):
         with pytest.raises(ParseError, match="mode"):

@@ -63,7 +63,7 @@ class TestNormalize:
         assert ODDS.finite_part == ()
         assert ODDS.threshold == 1
         assert ODDS.period == 2
-        assert ODDS.residues == (1,)
+        assert ODDS.res == 0b10  # residue 1 mod 2
 
     def test_redundant_finite_elements_absorbed(self):
         assert normalize([1], [(3, 2)]) == ODDS
