@@ -27,12 +27,22 @@ EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file, its line ends read as open() reads them;
+    a byte that is not UTF-8 is a syntax error at that byte."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         print(f"spectre: cannot read {path}: {e.strerror}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as e:
+        text, bad = data[: e.start].decode("utf-8"), data[e.start]
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if bad is not None:
+        raise dsl.error_at(text, f"byte {bad:#04x} is not UTF-8", len(text))
+    return text
 
 
 def _load(path: str):

@@ -2,7 +2,6 @@
 set-equation systems."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .epset import (
@@ -12,6 +11,7 @@ from .epset import (
     EnumeratedSet,
     IndexSet,
     SemanticError,
+    _Value,
     singleton,
     star,
     sumset,
@@ -31,8 +31,7 @@ from .pseries import (
 from .setsys import GammaTerm, SetSystem, exponent_sum
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(_Value):
     system: SetSystem
     notes: Tuple[str, ...]
     flags: Tuple[str, ...]  # enumerated-set usages

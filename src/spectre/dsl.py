@@ -56,6 +56,12 @@ RESERVED = set(BUILTIN_SETS) | set(ENUMERATED_SETS) | set(CONSTRUCT_NAMES) | {
 }
 
 
+# deepest nesting of parentheses the parser reads; the parser and the
+# series walkers recurse once or a few times per level, so this keeps them
+# well inside the interpreter's recursion limit
+MAX_NESTING = 50
+
+
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
@@ -73,7 +79,7 @@ _TOKEN = re.compile(
 )
 
 
-def _error(text: str, msg: str, at: int) -> ParseError:
+def error_at(text: str, msg: str, at: int) -> ParseError:
     """A ParseError at offset at of text, as line:column counted from 1."""
     line = text.count("\n", 0, at) + 1
     return ParseError(msg, line, at - text.rfind("\n", 0, at))
@@ -91,7 +97,7 @@ def _tokenize(text: str) -> list:
         if kind == "blank" or kind == "comment":
             continue
         if kind == "other" or kind == "NAME" and not (word[0].isalpha() or word[0] == "_"):
-            raise _error(text, f"unexpected character {word[0]!r}", m.start())
+            raise error_at(text, f"unexpected character {word[0]!r}", m.start())
         toks.append((kind, word, m.start()))
     eof = m.start() if m and m.lastgroup == "comment" else len(text)
     return toks + [("EOF", "", eof)] * 4
@@ -102,6 +108,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.mode: Optional[str] = None
         self.variables: list[str] = []
         self.sets: dict[str, EPSet] = {}
@@ -119,7 +126,7 @@ class _Parser:
         return t
 
     def error(self, msg: str, t: tuple) -> ParseError:
-        return _error(self.text, msg, t[2])
+        return error_at(self.text, msg, t[2])
 
     def expect(self, text: str) -> tuple:
         t = self.next()
@@ -132,6 +139,17 @@ class _Parser:
 
     def at_punct(self, text: str, ahead: int = 0) -> bool:
         return self.peek(ahead)[1] == text
+
+    def group(self, parse):
+        """parse() between ( and ), at most MAX_NESTING groups deep."""
+        t = self.expect("(")
+        if self.depth == MAX_NESTING:
+            raise self.error("nesting too deep", t)
+        self.depth += 1
+        val = parse()
+        self.depth -= 1
+        self.expect(")")
+        return val
 
     # -- file structure
 
@@ -226,10 +244,7 @@ class _Parser:
     def parse_setatom(self, allow_enumerated: bool = True) -> IndexSet:
         t = self.peek()
         if self.at_punct("("):
-            self.next()
-            val = self.parse_setexpr()
-            self.expect(")")
-            return val
+            return self.group(self.parse_setexpr)
         if self.at_punct("{"):
             self.next()
             elems = []
@@ -352,10 +367,7 @@ class _Parser:
     def parse_series_atom(self) -> SysExpr:
         t = self.peek()
         if self.at_punct("("):
-            self.next()
-            val = self.parse_series_expr()
-            self.expect(")")
-            return val
+            return self.group(self.parse_series_expr)
         if t[0] == "INT":
             num = self._int()
             if self.at_punct("/"):
@@ -380,10 +392,7 @@ class _Parser:
                         atom = union(atom, nxt)
                     index = atom
                     self.expect("]")
-                self.expect("(")
-                arg = self.parse_series_expr()
-                self.expect(")")
-                return Construct(name, index, arg)
+                return Construct(name, index, self.group(self.parse_series_expr))
             if name in self.variables:
                 return Var(self.variables.index(name))
             raise self.error(f"unknown name {name!r}", t)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Tuple, Union
 
@@ -20,7 +19,36 @@ class SemanticError(Exception):
     scope or ill posed.  Every other exception is an internal failure."""
 
 
-@dataclass(frozen=True)
+class _Value:
+    """Base of the package's value classes.  The fields are the names
+    annotated in the class body, in order (_fields), and their values are
+    kept as one tuple (_values): instances of one class are equal, and hash
+    equal, when their values are.  The base __init__ takes the fields
+    positionally; a class that checks its fields does so before calling it.
+    Nothing assigns a field after construction."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        self._values = values
+        self.__dict__.update(zip(self._fields, values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
 class EPSet:
     """Canonical eventually periodic subset of the naturals.
 
@@ -33,13 +61,25 @@ class EPSet:
 
     finite_part (the members below the threshold) is a sorted tuple,
     built from low on first read and kept.  The algebra reads only the
-    masks.
+    masks.  Nothing assigns a field after construction, so the hash is
+    computed once, on first use.
     """
 
-    low: int
-    threshold: int
-    period: Optional[int] = None
-    res: int = 0
+    def __init__(self, low: int, threshold: int, period: Optional[int] = None, res: int = 0):
+        self.low, self.threshold, self.period, self.res = low, threshold, period, res
+
+    def __eq__(self, other):
+        if other.__class__ is not EPSet:
+            return NotImplemented
+        return (self.low == other.low and self.threshold == other.threshold
+                and self.period == other.period and self.res == other.res)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.low, self.threshold, self.period, self.res))
+            return self._hash
 
     @cached_property
     def finite_part(self) -> Tuple[int, ...]:
@@ -53,8 +93,7 @@ class EPSet:
         return f"EPSet[{format_epset(self)}]"
 
 
-@dataclass(frozen=True)
-class PeriodicityParams:
+class PeriodicityParams(_Value):
     """The four periodicity parameters of an eventually periodic set.
 
     m: minimum element (math.inf for the empty set)
@@ -547,8 +586,7 @@ def _primes(hi: int) -> list[int]:
 _GENERATORS = {"Primes": _primes}
 
 
-@dataclass(frozen=True)
-class EnumeratedSet:
+class EnumeratedSet(_Value):
     """A strictly increasing set of naturals known only by enumeration.
 
     Used for index sets (like the primes) that are not eventually

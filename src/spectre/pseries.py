@@ -9,7 +9,6 @@ may appear anywhere."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -19,6 +18,7 @@ from .epset import (
     IndexSet,
     POS,
     SemanticError,
+    _Value,
     index_member,
     index_members,
     index_min,
@@ -30,8 +30,7 @@ from .epset import (
 # series values
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Value):
     """Power series truncated at degree len(coeffs)-1, exact coefficients."""
 
     coeffs: Tuple[Fraction, ...]
@@ -52,63 +51,58 @@ class Series:
 # system syntax
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Value):
     value: Fraction
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: Fraction):
+        if value < 0:
             raise ValueError("constants must be non-negative")
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
-class X:
+class X(_Value):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Value):
     index: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(_Value):
     terms: Tuple["SysExpr", ...]
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(_Value):
     factors: Tuple["SysExpr", ...]
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(_Value):
     base: "SysExpr"
     exp: int
 
 
-@dataclass(frozen=True)
-class Construct:
+class Construct(_Value):
     kind: str  # Seq | MSet | Cycle | DCycle
     index: IndexSet  # POS means unrestricted
     arg: "SysExpr"
 
-    def __post_init__(self):
-        if self.kind not in ("Seq", "MSet", "Cycle", "DCycle"):
-            raise ValueError(f"unknown construction {self.kind}")
+    def __init__(self, kind: str, index: IndexSet, arg: "SysExpr"):
+        if kind not in ("Seq", "MSet", "Cycle", "DCycle"):
+            raise ValueError(f"unknown construction {kind}")
+        super().__init__(kind, index, arg)
 
 
 SysExpr = Union[Const, X, Var, Add, Mul, Pow, Construct]
 
 
-@dataclass(frozen=True)
-class PSSystem:
+class PSSystem(_Value):
     variables: Tuple[str, ...]
     right_sides: Tuple[SysExpr, ...]
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.right_sides):
+    def __init__(self, variables: Tuple[str, ...], right_sides: Tuple["SysExpr", ...]):
+        if len(variables) != len(right_sides):
             raise ValueError("need one right side per variable")
+        super().__init__(variables, right_sides)
 
     @property
     def k(self) -> int:
@@ -497,8 +491,7 @@ def _origin(
 RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class LinearPart:
+class LinearPart(_Value):
     """Origin data of y = G(x, y).  The diagnostics name the constant
     terms G(0, 0) and the nonzero entries of J = dG/dy at x = 0, y = 0; the
     system is elementary when there are none.  constants are the solution's
@@ -626,8 +619,7 @@ def mat_inverse(m: RatMatrix) -> Optional[RatMatrix]:
     return tuple(tuple(row[k:]) for row in a)
 
 
-@dataclass(frozen=True)
-class NeumannResult:
+class NeumannResult(_Value):
     verdict: str  # NonnegInverse | Singular | NegativeEntries
     inverse: Optional[RatMatrix]
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 from . import epset
@@ -16,6 +15,7 @@ from .epset import (
     IndexSet,
     PeriodicityParams,
     SemanticError,
+    _Value,
     format_epset,
     index_member,
     index_min,
@@ -48,8 +48,7 @@ def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
     raise SemanticError("cannot combine an enumerated index set with another exponent")
 
 
-@dataclass(frozen=True)
-class GammaTerm:
+class GammaTerm(_Value):
     """One product family: base + E1*Y1 + ... + Ek*Yk.
 
     base is the coefficient set; exponents[j] is the set of admissible
@@ -59,11 +58,12 @@ class GammaTerm:
     base: EPSet
     exponents: Tuple[IndexSet, ...]
 
-    def __post_init__(self):
-        if self.base.is_empty:
+    def __init__(self, base: EPSet, exponents: Tuple[IndexSet, ...]):
+        if base.is_empty:
             raise ValueError("term base must be non-empty")
-        if EMPTY in self.exponents:
+        if EMPTY in exponents:
             raise ValueError("exponent sets must be non-empty")
+        super().__init__(base, exponents)
 
     def uses(self, j: int) -> bool:
         return index_reaches(self.exponents[j], 1)
@@ -76,19 +76,19 @@ class GammaTerm:
         return sum(map(index_min, self.exponents))
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(_Value):
     variables: Tuple[str, ...]
     equations: Tuple[Tuple[GammaTerm, ...], ...]
 
-    def __post_init__(self):
-        k = len(self.variables)
-        if k < 1 or len(self.equations) != k:
+    def __init__(self, variables: Tuple[str, ...], equations: Tuple[Tuple[GammaTerm, ...], ...]):
+        k = len(variables)
+        if k < 1 or len(equations) != k:
             raise ValueError("need one equation per variable")
-        for eq in self.equations:
+        for eq in equations:
             for t in eq:
                 if len(t.exponents) != k:
                     raise ValueError("term arity mismatch")
+        super().__init__(variables, equations)
 
     @property
     def k(self) -> int:
@@ -103,8 +103,7 @@ class SetSystem:
         )
 
 
-@dataclass(frozen=True)
-class SystemClassification:
+class SystemClassification(_Value):
     is_basic: bool
     is_elementary: bool
     is_reduced: bool
@@ -123,8 +122,7 @@ def classify(sys: SetSystem) -> SystemClassification:
     return SystemClassification(basic, elem, not emp and elem, emp, tuple(m))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Value):
     """Dependency digraph with transitive closure and strong components."""
 
     n: int
@@ -256,8 +254,7 @@ def min_vector(sys: SetSystem) -> list[Union[int, float]]:
     return m
 
 
-@dataclass(frozen=True)
-class QReport:
+class QReport(_Value):
     q: Tuple[int, ...]
     per_equation: Tuple[int, ...]
 
@@ -305,16 +302,14 @@ CERT_DOUBLING = "CertifiedDoubling"
 CERT_FINITE = "CertifiedFiniteConvergence"
 
 
-@dataclass(frozen=True)
-class VariableSolution:
+class VariableSolution(_Value):
     name: str
     closed_form: EPSet
     certificate: str
     params: PeriodicityParams
 
 
-@dataclass(frozen=True)
-class SpectrumSolution:
+class SpectrumSolution(_Value):
     horizon: int
     variables: Tuple[VariableSolution, ...]
     classification: SystemClassification

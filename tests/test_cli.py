@@ -286,6 +286,13 @@ class TestExitCodes:
         assert code == 2
         assert "3:" in err
 
+    def test_non_utf8_is_a_syntax_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.spec"
+        bad.write_bytes(b"vars Y; mode sets;\r\nY = {1}; # \xff\n")
+        code, out, err = run(capsys, "solve", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "spectre: syntax error at 2:12: byte 0xff is not UTF-8\n"
+
     def test_non_periodic_spectrum(self, capsys, tmp_path):
         # the spectrum of Y is Primes, so no closed form can be proven
         spec = tmp_path / "primes.spec"
@@ -346,6 +353,48 @@ class TestInputRefusals:
         paths = {"spec": spec, "binary": fx("binary.spec"), "paths": fx("paths.spec")}
         argv = [a.format(**paths) for a in argv]
         assert run(capsys, *argv) == (code, "", f"spectre: {err}\n")
+
+
+def _nested(mode: str, depth: int) -> str:
+    """A file nested depth groups deep.  The series form puts a sum, a
+    product, a power and a construct at every level, the most nodes per
+    group that the series walkers recurse through."""
+    if mode == "sets":
+        return "vars Y; mode sets; Y = " + "(" * depth + "{1}" + ")" * depth + " | {2} + Y;"
+    rhs = "x"
+    for _ in range(depth):
+        rhs = f"x + x*Seq({rhs})^2"
+    return f"vars Y; mode series; Y = {rhs};"
+
+
+class TestNesting:
+    """Nesting deeper than dsl.MAX_NESTING is a syntax error, so that no
+    command recurses past the interpreter's limit."""
+
+    @pytest.mark.parametrize("mode", ["sets", "series"])
+    def test_too_deep(self, capsys, tmp_path, mode):
+        spec = tmp_path / "deep.spec"
+        text = _nested(mode, dsl.MAX_NESTING + 1)
+        spec.write_text(text)
+        # the error sits at the ( of the first group too deep
+        opening, at = "(" if mode == "sets" else "Seq(", -1
+        for _ in range(dsl.MAX_NESTING + 1):
+            at = text.index(opening, at + 1)
+        col = at + len(opening)
+        assert run(capsys, "solve", str(spec)) == (
+            2, "", f"spectre: syntax error at 1:{col}: nesting too deep\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["sets", "series"])
+    def test_deepest_is_read(self, capsys, tmp_path, mode):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(_nested(mode, dsl.MAX_NESTING))
+        commands = ["check", "solve", "params", "digraph"]
+        if mode == "series":
+            commands += ["compile", "coeffs"]
+        for command in commands:
+            code, _, err = run(capsys, command, str(spec))
+            assert code in (0, 3), (command, err)
 
 
 class TestInternalErrors:
@@ -697,9 +746,13 @@ class TestParser:
         assert sum(line.lstrip().startswith("--") for line in lines) == len(self.OPTIONS[command])
 
     def test_no_argparse_gettext_or_locale(self):
+        # solve on a set file loads dsl and setsys too; none of them may
+        # pull in the heavy modules that a start-up would pay for
+        heavy = ("argparse", "gettext", "locale", "dataclasses", "inspect")
         code = (
             "import sys; from spectre import cli; cli.main(['frobenius', '3', '5']); "
-            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+            f"cli.main(['solve', {fx('paths.spec')!r}]); "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
         done = subprocess.run(
