@@ -6,11 +6,11 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, three set systems with large answers, seven edge cases of
-the tokenizer, the parser and the certificates, --count seeded random
-series systems and as many random set systems, a few frobenius generator
-lists, and a fixed list of command lines for the argument parser: usage
-errors and the option forms it accepts.  Every command runs on each
+and linear part, six systems with large answers or many variables, seven
+edge cases of the tokenizer, the parser and the certificates, --count
+seeded random series systems and as many random set systems, a few
+frobenius generator lists, and a fixed list of command lines for the
+argument parser: usage errors and the option forms it accepts.  Every command runs on each
 fixture, also with a horizon of 0 and a negative degree, so that the
 refusals are compared too, every applicable command on each other input,
 and solve at a horizon of 8192 on the large ones.  Each runs in process
@@ -90,12 +90,17 @@ ORIGIN_SYSTEMS = (
     "vars Y; mode series; Y = 1 + x + 1/2*Y;\n",
     "vars Y; mode series; Y = 1 + Y^2;\n",
 )
-# an aperiodic spectrum, whose refusal walks the primes up to the horizon,
-# and a closed form with a 5000-member finite part
+# an aperiodic spectrum, whose refusal walks the primes up to the horizon;
+# a closed form with a 5000-member finite part; a 64-variable cycle; a
+# period of a million; and a power whose termwise expansion repeats families
 LARGE_SYSTEMS = (
     "vars Y, Z; mode sets; Y = Primes*Z; Z = {1};\n",
     "vars Y; mode sets; Y = {1} | {1} + {2}*Y | {10000};\n",
     "vars Y, Z; mode sets; Y = Primes*Z; Z = {3,5};\n",
+    "vars " + ", ".join(f"Y{i}" for i in range(64)) + "; mode sets;\n"
+    + "".join(f"Y{i} = {{1}} | {{2}} + Y{(i + 1) % 64};\n" for i in range(64)),
+    "vars Y; mode sets; Y = {1} | 5+1000000*N;\n",
+    "vars Y; mode series; Y = x*(1 + (x + Y)^14);\n",
 )
 # a superscript digit, which is no number; a family that needs an empty
 # variable, which must not count toward a certificate; a missing equation

@@ -37,6 +37,7 @@ class CompileReport(_Value):
     flags: Tuple[str, ...]  # enumerated-set usages
 
 
+# a family list holds each family once, where it first occurs: union is idempotent
 Family = Tuple[EPSet, Tuple[IndexSet, ...]]
 
 
@@ -45,11 +46,11 @@ def _zeros(k: int) -> Tuple[IndexSet, ...]:
 
 
 def _mul_families(fa: Sequence[Family], fb: Sequence[Family]) -> list[Family]:
-    return [
+    return list(dict.fromkeys(
         (sumset(base_a, base_b), tuple(map(exponent_sum, exps_a, exps_b)))
         for base_a, exps_a in fa
         for base_b, exps_b in fb
-    ]
+    ))
 
 
 def _is_pure_var(fams: Sequence[Family], k: int) -> Optional[int]:
@@ -79,10 +80,7 @@ def _compile_expr(
         exps[expr.index] = singleton(1)
         return [(ZERO, tuple(exps))]
     if isinstance(expr, Add):
-        out: list[Family] = []
-        for t in expr.terms:
-            out.extend(_compile_expr(t, k, notes, flags))
-        return out
+        return list(dict.fromkeys(f for t in expr.terms for f in _compile_expr(t, k, notes, flags)))
     if isinstance(expr, Mul):
         out = [(ZERO, _zeros(k))]
         for f in expr.factors:
@@ -132,7 +130,7 @@ def _compile_construct(
                 power = _mul_families(power, fams)
             out.extend(power)
         notes.append(f"{expr.kind} with finite index set expanded termwise")
-        return out
+        return list(dict.fromkeys(out))
     raise SemanticError(
         f"{expr.kind} with an infinite index set over a composite argument"
     )
@@ -146,7 +144,6 @@ def compile_system(sys: PSSystem) -> CompileReport:
     equations = []
     for rhs in sys.right_sides:
         fams = _compile_expr(rhs, k, notes, flags)
-        # union is idempotent: keep the first of equal families
-        equations.append(tuple(GammaTerm(b, e) for b, e in dict.fromkeys(fams)))
+        equations.append(tuple(GammaTerm(b, e) for b, e in fams))
     system = SetSystem(tuple(sys.variables), tuple(equations))
     return CompileReport(system, tuple(notes), tuple(flags))

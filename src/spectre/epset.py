@@ -149,8 +149,14 @@ def _rotate(m: int, t: int, p: int) -> int:
 
 
 def _repeat(pattern: int, p: int, k: int) -> int:
-    """The p-bit mask pattern repeated k times, p bits apart."""
-    return pattern * (((1 << p * k) - 1) // ((1 << p) - 1))
+    """The p-bit mask pattern repeated k >= 1 times, p bits apart, by
+    shifting the copies so far past themselves: about log2(k) shifts."""
+    out, n = pattern, 1
+    while n < k:
+        step = min(n, k - n)
+        out |= out << step * p
+        n += step
+    return out
 
 
 def _tail(a: EPSet) -> Tuple[int, int, int]:

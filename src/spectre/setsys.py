@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 from . import epset
@@ -15,6 +16,7 @@ from .epset import (
     IndexSet,
     PeriodicityParams,
     SemanticError,
+    _bits,
     _Value,
     format_epset,
     index_member,
@@ -53,6 +55,8 @@ class GammaTerm(_Value):
 
     base is the coefficient set; exponents[j] is the set of admissible
     repeat counts for variable j ({0} meaning the variable is absent).
+    Bit j of used is set iff exponents[j] has a member >= 1, and of twice
+    iff it has one >= 2; both are computed on first read.
     """
 
     base: EPSet
@@ -65,8 +69,13 @@ class GammaTerm(_Value):
             raise ValueError("exponent sets must be non-empty")
         super().__init__(base, exponents)
 
-    def uses(self, j: int) -> bool:
-        return index_reaches(self.exponents[j], 1)
+    @cached_property
+    def used(self) -> int:
+        return sum(1 << j for j, e in enumerate(self.exponents) if index_reaches(e, 1))
+
+    @cached_property
+    def twice(self) -> int:
+        return sum(1 << j for j, e in enumerate(self.exponents) if index_reaches(e, 2))
 
     def factors(self) -> list[Tuple[int, IndexSet]]:
         """(j, exponents[j]) for every variable j not absent."""
@@ -123,55 +132,47 @@ def classify(sys: SetSystem) -> SystemClassification:
 
 
 class Digraph(_Value):
-    """Dependency digraph with transitive closure and strong components."""
+    """Dependency digraph with transitive closure and strong components:
+    bit j of reach[i] is set iff i ->+ j."""
 
     n: int
     edges: frozenset[Tuple[int, int]]
-    reach_plus: Tuple[Tuple[bool, ...], ...]
+    reach: Tuple[int, ...]
 
-    def reaches(self, i: int, j: int) -> bool:
-        """Reflexive-transitive reachability."""
-        return i == j or self.reach_plus[i][j]
+    def closure(self, i: int) -> int:
+        """The mask of {j : i ->* j}."""
+        return self.reach[i] | 1 << i
 
     def component(self, i: int) -> frozenset[int]:
         """{j : i ->+ j ->+ i}; possibly empty."""
-        return frozenset(
-            j
-            for j in range(self.n)
-            if self.reach_plus[i][j] and self.reach_plus[j][i]
-        )
+        return frozenset(j for j in _bits(self.reach[i]) if self.reach[j] >> i & 1)
 
     def components(self) -> list[Tuple[int, ...]]:
         """Every strong component as a sorted tuple, with each variable
         outside every cycle on its own, every component after all the
         components it reaches."""
         comps = {tuple(sorted(self.component(i) or {i})) for i in range(self.n)}
-        return sorted(comps, key=lambda c: (sum(self.reaches(c[0], j) for j in range(self.n)), c))
+        return sorted(comps, key=lambda c: (self.closure(c[0]).bit_count(), c))
 
     def strong_components(self) -> list[Tuple[int, ...]]:
         """The components on a cycle, by least member."""
-        return sorted(c for c in self.components() if self.reach_plus[c[0]][c[0]])
+        return sorted(c for c in self.components() if self.reach[c[0]] >> c[0] & 1)
 
 
 def dependency(sys: SetSystem) -> Digraph:
-    k = sys.k
-    adj = [[False] * k for _ in range(k)]
+    """Edges i -> j for every family of equation i that uses Y_j, closed
+    by Warshall's algorithm on row masks."""
+    adj = [0] * sys.k
     for i, eq in enumerate(sys.equations):
         for t in eq:
-            for j in range(k):
-                if t.uses(j):
-                    adj[i][j] = True
-    reach = [row[:] for row in adj]
-    for mid in range(k):
-        for i in range(k):
-            if reach[i][mid]:
-                for j in range(k):
-                    if reach[mid][j]:
-                        reach[i][j] = True
-    edges = frozenset(
-        (i, j) for i in range(k) for j in range(k) if adj[i][j]
-    )
-    return Digraph(k, edges, tuple(tuple(row) for row in reach))
+            adj[i] |= t.used
+    reach = adj[:]
+    for mid, row in enumerate(reach):
+        for i, r in enumerate(reach):
+            if r >> mid & 1:
+                reach[i] = r | row
+    edges = frozenset((i, j) for i, a in enumerate(adj) for j in _bits(a))
+    return Digraph(sys.k, edges, tuple(reach))
 
 
 def digraph_dot(sys: SetSystem) -> str:
@@ -242,13 +243,13 @@ def min_vector(sys: SetSystem) -> list[Union[int, float]]:
     (Knuth, "A generalization of Dijkstra's algorithm", IPL 1977).
     """
     families = [
-        [(index_min(t.base), list(map(index_min, t.exponents))) for t in eq]
+        [(index_min(t.base), [(j, index_min(e)) for j, e in t.factors()]) for t in eq]
         for eq in sys.equations
     ]
     m: list[Union[int, float]] = [math.inf] * sys.k
     for _ in range(sys.k):
         m = [
-            min((b + sum(w * y for w, y in zip(ws, m) if w) for b, ws in eq), default=math.inf)
+            min((b + sum(w * m[j] for j, w in ws if w) for b, ws in eq), default=math.inf)
             for eq in families
         ]
     return m
@@ -274,7 +275,7 @@ def _q_report(sys: SetSystem, m: Sequence[int], dg: Digraph) -> QReport:
         for j, eq in enumerate(sys.equations)
     ]
     q = [
-        math.gcd(*(per_eq[j] for j in range(sys.k) if dg.reaches(i, j)))
+        math.gcd(*(per_eq[j] for j in _bits(dg.closure(i))))
         for i in range(sys.k)
     ]
     return QReport(tuple(q), tuple(per_eq))
@@ -315,14 +316,6 @@ class SpectrumSolution(_Value):
     classification: SystemClassification
 
 
-def _is_linear(t: GammaTerm, k: int) -> bool:
-    """At most one variable used, with an exponent set inside {0,1}."""
-    used = [j for j in range(k) if t.uses(j)]
-    if not used:
-        return True
-    return len(used) == 1 and not index_reaches(t.exponents[used[0]], 2)
-
-
 def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
     """Least solution of X_i = d_i | U_j (c_ij + X_j) by Gauss-Jordan
     elimination over the (union, sum, closure) algebra; consumes c and d."""
@@ -337,6 +330,7 @@ def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
                 if j != i and not c[i][j].is_empty:
                     c[i][j] = sumset(clo, c[i][j])
             c[i][i] = EMPTY
+        row = [(j, e) for j, e in enumerate(c[i]) if not e.is_empty]
         for l in range(n):
             if l == i or c[l][i].is_empty:
                 continue
@@ -344,9 +338,8 @@ def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
             c[l][i] = EMPTY
             if not d[i].is_empty:
                 d[l] = union(d[l], sumset(coef, d[i]))
-            for j in range(n):
-                if not c[i][j].is_empty:
-                    c[l][j] = union(c[l][j], sumset(coef, c[i][j]))
+            for j, e in row:
+                c[l][j] = union(c[l][j], sumset(coef, e))
     return d
 
 
@@ -414,12 +407,11 @@ def _doubling_condition(sys: SetSystem, comp: Sequence[int]) -> bool:
     """Some equation in the strong component comp has a family with total
     component-internal weight at least 2. A variable outside every cycle
     has no family that uses it, so it never meets the condition."""
-    for j in comp:
-        for t in sys.equations[j]:
-            members = [l for l in comp if t.uses(l)]
-            if len(members) >= 2 or (members and index_reaches(t.exponents[members[0]], 2)):
-                return True
-    return False
+    inside = sum(1 << l for l in comp)
+    return any(
+        (t.used & inside).bit_count() > 1 or t.twice & inside
+        for j in comp for t in sys.equations[j]
+    )
 
 
 def _live(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSystem:
@@ -476,7 +468,7 @@ def _without_units(sys: SetSystem) -> SetSystem:
                 (units if part.min_weight() == 1 else rest)[i].append(part)
     dg = dependency(SetSystem(sys.variables, tuple(map(tuple, units))))
     eqs = [
-        tuple(t for j in range(sys.k) if dg.reaches(i, j) for t in rest[j])
+        tuple(t for j in _bits(dg.closure(i)) for t in rest[j])
         for i in range(sys.k)
     ]
     return SetSystem(sys.variables, tuple(eqs))
@@ -499,11 +491,11 @@ def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
 
     Every star is computed once, in one table for the whole call."""
     stars: Stars = {}
-    enumerated = [
-        i for i, eq in enumerate(sys.equations)
+    enumerated = sum(
+        1 << i for i, eq in enumerate(sys.equations)
         if any(isinstance(e, EnumeratedSet) for t in eq for e in t.exponents)
-    ]
-    settled = {i for i in range(sys.k) if not any(dg.reaches(i, j) for j in enumerated)}
+    )
+    settled = {i for i in range(sys.k) if not dg.closure(i) & enumerated}
     nu = [EMPTY] * sys.k
     bound = 2
     while True:
@@ -548,8 +540,12 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
         raise SemanticError("system does not map positive-sets into positive-sets")
     dg = dependency(sys)
     k = sys.k
-    reached = [[j for j in range(k) if dg.reaches(i, j)] for i in range(k)]
-    linear = [all(_is_linear(t, k) for j in r for t in sys.equations[j]) for r in reached]
+    # the equations with a family that uses two variables, or one with an
+    # exponent set reaching 2
+    nonlinear = sum(
+        1 << j for j, eq in enumerate(sys.equations)
+        if any(t.used.bit_count() > 1 or t.twice for t in eq)
+    )
     live = _live(sys, cls.minima) if cls.empties else sys
     ldg = dependency(live) if cls.empties else dg
     doubling = {i for comp in ldg.components() if _doubling_condition(live, comp) for i in comp}
@@ -561,7 +557,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     out = []
     for i in range(k):
         pp = params(closed[i])
-        if linear[i]:
+        if not dg.closure(i) & nonlinear:
             cert = CERT_LINEAR
         elif i in doubling:
             if pp.p != pp.q:

@@ -6,7 +6,7 @@ import pytest
 from spectre import compile as compile_mod
 from spectre import dsl, epset, pseries, setsys
 from spectre.compile import compile_system
-from spectre.epset import POS, ZERO, SemanticError, normalize, singleton
+from spectre.epset import POS, ZERO, SemanticError, format_epset, normalize, singleton
 from spectre.pseries import Construct, PSSystem, Series, Var, X, evaluate
 from spectre.setsys import GammaTerm
 
@@ -76,6 +76,31 @@ class TestCompile:
         report = compile_system(sys_)
         assert report.system.equations == ((term(ONE, 1), term(ONE, 1, e0=ONE)),)
         assert dsl.print_system(report.system).endswith("Y = {1} | {1} + Y;\n")
+
+    def test_power_keeps_each_family_once(self):
+        # (x + Y)^24 has 2^24 products but 25 distinct families; with the
+        # 1 and x outside, the equation has 26
+        sys_ = dsl.parse("vars Y; mode series; Y = x*(1 + (x + Y)^24);")
+        report = compile_system(sys_)
+        assert len(report.system.equations[0]) == 26
+        assert format_epset(setsys.solve(report.system).variables[0].closed_form) == "1+24*N"
+
+    def test_repeated_family_argument_is_a_variable(self):
+        # (Y + Y)*1 is the one family Y, so Seq over it takes an index-set
+        # exponent; 2Y has the support of Y
+        sys_ = dsl.parse("vars Y; mode series; Y = x + x*Seq[(2+1*N)]((Y + Y)*1);")
+        report = compile_system(sys_)
+        assert report.system.equations == (
+            (term(ONE, 1), term(ONE, 1, e0=normalize((), [(2, 1)]))),
+        )
+
+    def test_termwise_expansion_keeps_each_family_once(self):
+        # Seq[{1,2}](1 + Y) expands to 1 | Y | 1 | Y | 2Y
+        sys_ = dsl.parse("vars Y; mode series; Y = x + x*Seq[{1,2}](1 + Y);")
+        report = compile_system(sys_)
+        assert report.system.equations == (
+            (term(ONE, 1), term(ONE, 1, e0=ONE), term(ONE, 1, e0=normalize([2]))),
+        )
 
     def test_enumerated_over_constant_rejected(self):
         primes = epset.ENUMERATED_SETS["Primes"]

@@ -428,6 +428,18 @@ class TestMaskSum:
             assert epset._mask_sum(b, a) == want, (a, b)
 
 
+def test_repeat_against_shift_loop():
+    rng = random.Random(1931)
+    for _ in range(2000):
+        p = rng.choice([1, 2, 3, 7, 64, 200])
+        k = rng.randint(1, 300)
+        pattern = rng.getrandbits(p)
+        want = 0
+        for n in range(k):
+            want |= pattern << n * p
+        assert epset._repeat(pattern, p, k) == want, (pattern, p, k)
+
+
 def sieve(hi: int) -> list[int]:
     """The primes up to hi by the sieve of Eratosthenes."""
     flags = bytearray([0, 0]) + bytearray([1]) * (hi - 1)

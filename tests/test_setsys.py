@@ -191,6 +191,39 @@ class TestDependency:
         assert dg.edges == frozenset()
         assert dg.component(0) == frozenset()
 
+    def test_reach_masks_vs_search(self):
+        # bit j of reach[i] is set iff a path of one or more edges leads
+        # from i to j; components() lists every component after the ones
+        # it reaches, and strong_components() those on a cycle
+        rng = random.Random(4242)
+        for _ in range(60):
+            sys_ = random_basic_system(rng, rng.randint(1, 7))
+            dg = dependency(sys_)
+            k = sys_.k
+            assert dg.edges == {
+                (i, j) for i, eq in enumerate(sys_.equations) for t in eq
+                for j, e in enumerate(t.exponents) if epset.index_reaches(e, 1)
+            }
+            reached = []
+            for i in range(k):
+                seen, todo = set(), [j for a, j in dg.edges if a == i]
+                while todo:
+                    j = todo.pop()
+                    if j not in seen:
+                        seen.add(j)
+                        todo.extend(b for a, b in dg.edges if a == j)
+                reached.append(seen)
+                assert dg.reach[i] == sum(1 << j for j in seen), sys_
+            comps = dg.components()
+            assert set(comps) == {
+                tuple(j for j in range(k) if j == i or j in reached[i] and i in reached[j])
+                for i in range(k)
+            }
+            for n, c in enumerate(comps):
+                for later in comps[n + 1:]:
+                    assert not reached[c[0]] & set(later), sys_
+            assert dg.strong_components() == sorted(c for c in comps if c[0] in reached[c[0]])
+
 
 class TestIterates:
     def test_paths_displayed_iterates(self):
@@ -555,6 +588,31 @@ def fixture_system(name: str) -> SetSystem:
 
 
 class TestExactSolve:
+    def test_long_cycle_is_linear(self):
+        # 150 variables, each one step from the next: every equation is
+        # linear, so every variable is CertifiedLinear
+        k = 150
+        sol = solve(sets_system(*(f"Y{i} = {{1}} | {{2}} + Y{(i + 1) % k};" for i in range(k))))
+        assert {(format_epset(v.closed_form), v.certificate) for v in sol.variables} == {
+            ("1+2*N", CERT_LINEAR)
+        }
+
+    def test_nonlinear_equation_reached_through_a_chain(self):
+        # Y0 reaches Y2's two-factor family only through Y1, and W reaches
+        # none, so only W is CertifiedLinear
+        sol = solve(sets_system(
+            "Y0 = {1} + Y1;", "Y1 = {1} + Y2;", "Y2 = {1} | Y2 + Y2;", "W = {1} | {2} + W;"
+        ))
+        assert [v.certificate for v in sol.variables] == [
+            setsys.CERT_FINITE, setsys.CERT_FINITE, CERT_DOUBLING, CERT_LINEAR
+        ]
+
+    def test_long_period(self):
+        # the period's mask has ten million bits
+        v = solve(sets_system("Y = {1} | 5+10000000*N;")).variables[0]
+        assert format_epset(v.closed_form) == "{1} | 5+10000000*N"
+        assert (v.params.p, v.params.c) == (10000000, 5)
+
     def test_member_past_the_horizon(self):
         # at the default horizon 512 every truncation looks like 1+2*N
         sol = solve(sets_system("Y = {1} | {1} + {2}*Y | {10000};"))
