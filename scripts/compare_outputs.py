@@ -6,7 +6,7 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, six systems with large answers or many variables, seven
+and linear part, seven systems with large answers or many variables, seven
 edge cases of the tokenizer, the parser and the certificates, --count
 seeded random series systems and as many random set systems, a few
 frobenius generator lists, and a fixed list of command lines for the
@@ -101,6 +101,10 @@ LARGE_SYSTEMS = (
     + "".join(f"Y{i} = {{1}} | {{2}} + Y{(i + 1) % 64};\n" for i in range(64)),
     "vars Y; mode sets; Y = {1} | 5+1000000*N;\n",
     "vars Y; mode series; Y = x*(1 + (x + Y)^14);\n",
+    # a binary tree of 127 variables: each family uses two of them
+    "vars " + ", ".join(f"Y{i}" for i in range(127)) + "; mode sets;\n"
+    + "".join(f"Y{i} = {{1}} | {{1}} + Y{2 * i + 1} + Y{2 * i + 2};\n" for i in range(63))
+    + "".join(f"Y{i} = {{1}};\n" for i in range(63, 127)),
 )
 # a superscript digit, which is no number; a family that needs an empty
 # variable, which must not count toward a certificate; a missing equation

@@ -9,7 +9,6 @@ from .epset import (
     ZERO,
     EPSet,
     EnumeratedSet,
-    IndexSet,
     SemanticError,
     _Value,
     singleton,
@@ -37,100 +36,81 @@ class CompileReport(_Value):
     flags: Tuple[str, ...]  # enumerated-set usages
 
 
-# a family list holds each family once, where it first occurs: union is idempotent
-Family = Tuple[EPSet, Tuple[IndexSet, ...]]
+def _mul_families(fa: Sequence[GammaTerm], fb: Sequence[GammaTerm]) -> list[GammaTerm]:
+    """The families of the product of fa and fb.  A family list holds each
+    family once, where it first occurs: union is idempotent."""
+    out = []
+    for a in fa:
+        for b in fb:
+            exps = dict(a.factors)
+            for j, e in b.factors:
+                exps[j] = exponent_sum(exps.get(j, ZERO), e)
+            out.append(GammaTerm(sumset(a.base, b.base), exps.items()))
+    return list(dict.fromkeys(out))
 
 
-def _zeros(k: int) -> Tuple[IndexSet, ...]:
-    return (ZERO,) * k
+def _powers(fams: Sequence[GammaTerm], n: int) -> list[list[GammaTerm]]:
+    """fams^0, ..., fams^n, each power the product of the one before and fams."""
+    out = [[GammaTerm(ZERO, ())]]
+    for _ in range(n):
+        out.append(_mul_families(out[-1], fams))
+    return out
 
 
-def _mul_families(fa: Sequence[Family], fb: Sequence[Family]) -> list[Family]:
-    return list(dict.fromkeys(
-        (sumset(base_a, base_b), tuple(map(exponent_sum, exps_a, exps_b)))
-        for base_a, exps_a in fa
-        for base_b, exps_b in fb
-    ))
-
-
-def _is_pure_var(fams: Sequence[Family], k: int) -> Optional[int]:
+def _is_pure_var(fams: Sequence[GammaTerm]) -> Optional[int]:
     """If fams denote exactly one bare variable, return its index."""
-    if len(fams) != 1:
+    if len(fams) != 1 or fams[0].base != ZERO or len(fams[0].factors) != 1:
         return None
-    base, exps = fams[0]
-    if base != ZERO:
-        return None
-    used = [j for j, e in enumerate(exps) if e != ZERO]
-    if len(used) != 1 or exps[used[0]] != singleton(1):
-        return None
-    return used[0]
+    ((j, e),) = fams[0].factors
+    return j if e == singleton(1) else None
 
 
-def _compile_expr(
-    expr: SysExpr, k: int, notes: list[str], flags: list[str]
-) -> list[Family]:
+def _compile_expr(expr: SysExpr, notes: list[str], flags: list[str]) -> list[GammaTerm]:
     if isinstance(expr, Const):
-        if expr.value == 0:
-            return []
-        return [(ZERO, _zeros(k))]
+        return [] if expr.value == 0 else [GammaTerm(ZERO, ())]
     if isinstance(expr, X):
-        return [(singleton(1), _zeros(k))]
+        return [GammaTerm(singleton(1), ())]
     if isinstance(expr, Var):
-        exps = list(_zeros(k))
-        exps[expr.index] = singleton(1)
-        return [(ZERO, tuple(exps))]
+        return [GammaTerm(ZERO, [(expr.index, singleton(1))])]
     if isinstance(expr, Add):
-        return list(dict.fromkeys(f for t in expr.terms for f in _compile_expr(t, k, notes, flags)))
+        return list(dict.fromkeys(f for t in expr.terms for f in _compile_expr(t, notes, flags)))
     if isinstance(expr, Mul):
-        out = [(ZERO, _zeros(k))]
+        out = [GammaTerm(ZERO, ())]
         for f in expr.factors:
-            out = _mul_families(out, _compile_expr(f, k, notes, flags))
+            out = _mul_families(out, _compile_expr(f, notes, flags))
         return out
     if isinstance(expr, Pow):
-        base = _compile_expr(expr.base, k, notes, flags)
-        out = [(ZERO, _zeros(k))]
-        for _ in range(expr.exp):
-            out = _mul_families(out, base)
-        return out
+        return _powers(_compile_expr(expr.base, notes, flags), expr.exp)[-1]
     if isinstance(expr, Construct):
-        return _compile_construct(expr, k, notes, flags)
+        return _compile_construct(expr, notes, flags)
     raise TypeError(repr(expr))
 
 
-def _compile_construct(
-    expr: Construct, k: int, notes: list[str], flags: list[str]
-) -> list[Family]:
+def _compile_construct(expr: Construct, notes: list[str], flags: list[str]) -> list[GammaTerm]:
     j = expr.index
     if isinstance(j, EnumeratedSet):
         flags.append(f"{expr.kind}[{j.name}]")
     if expr.kind == "DCycle":
         notes.append("DCycle compiled as Cycle: identical spectrum")
-    fams = _compile_expr(expr.arg, k, notes, flags)
-    var = _is_pure_var(fams, k)
+    fams = _compile_expr(expr.arg, notes, flags)
+    var = _is_pure_var(fams)
     # over an empty index set the construct is zero, which the termwise
     # expansion below gives as no family
     if var is not None and j != EMPTY:
-        exps = list(_zeros(k))
-        exps[var] = j
         notes.append(f"{expr.kind} over a variable -> index-set exponent")
-        return [(ZERO, tuple(exps))]
-    if all(e == ZERO for _, exps in fams for e in exps):
+        return [GammaTerm(ZERO, [(var, j)])]
+    if not any(t.factors for t in fams):
         total = EMPTY
-        for base, _ in fams:
-            total = union(total, base)
+        for t in fams:
+            total = union(total, t.base)
         if isinstance(j, EnumeratedSet):
             raise SemanticError("enumerated index set over a constant spectrum")
         notes.append(f"{expr.kind} over a constant -> star of spectra")
-        return [(star(j, total), _zeros(k))] if not star(j, total).is_empty else []
+        return [GammaTerm(star(j, total), ())] if not star(j, total).is_empty else []
     if isinstance(j, EPSet) and j.period is None:
-        out: list[Family] = []
-        for n in j.finite_part:
-            power = [(ZERO, _zeros(k))]
-            for _ in range(n):
-                power = _mul_families(power, fams)
-            out.extend(power)
+        powers = _powers(fams, max(j.finite_part, default=0))
         notes.append(f"{expr.kind} with finite index set expanded termwise")
-        return list(dict.fromkeys(out))
+        return list(dict.fromkeys(t for n in j.finite_part for t in powers[n]))
     raise SemanticError(
         f"{expr.kind} with an infinite index set over a composite argument"
     )
@@ -138,12 +118,8 @@ def _compile_construct(
 
 def compile_system(sys: PSSystem) -> CompileReport:
     """Spectral set system of a series system."""
-    k = sys.k
     notes: list[str] = []
     flags: list[str] = []
-    equations = []
-    for rhs in sys.right_sides:
-        fams = _compile_expr(rhs, k, notes, flags)
-        equations.append(tuple(GammaTerm(b, e) for b, e in fams))
-    system = SetSystem(tuple(sys.variables), tuple(equations))
+    equations = tuple(tuple(_compile_expr(rhs, notes, flags)) for rhs in sys.right_sides)
+    system = SetSystem(tuple(sys.variables), equations)
     return CompileReport(system, tuple(notes), tuple(flags))

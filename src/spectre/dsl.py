@@ -188,8 +188,6 @@ class _Parser:
         missing = [v for v in self.variables if v not in self.equations]
         if missing:
             self.fail(f"missing equation for {missing[0]}")
-        if self.mode is None:
-            self.mode = "series"
         if self.mode == "series":
             return PSSystem(
                 tuple(self.variables),
@@ -313,22 +311,21 @@ class _Parser:
     def parse_set_term(self) -> Optional[GammaTerm]:
         """One family, or None when its base or an exponent set is {}: such
         a family denotes the empty set."""
-        k = len(self.variables)
         base = ZERO
-        exps: list[IndexSet] = [ZERO] * k
+        exps: dict[int, IndexSet] = {}
         while True:
             t = self.peek()
             if t[1] in self.variables:
                 self.next()
                 j = self.variables.index(t[1])
-                exps[j] = exponent_sum(exps[j], singleton(1))
+                exps[j] = exponent_sum(exps.get(j, ZERO), singleton(1))
             else:
                 atom = self.parse_setatom()
                 if self.at_punct("*") and self.peek(1)[1] in self.variables:
                     self.next()
                     vt = self.next()
                     j = self.variables.index(vt[1])
-                    exps[j] = exponent_sum(exps[j], atom)
+                    exps[j] = exponent_sum(exps.get(j, ZERO), atom)
                 else:
                     if isinstance(atom, EnumeratedSet):
                         raise self.error("enumerated sets may only appear as exponents", t)
@@ -337,9 +334,9 @@ class _Parser:
                 self.next()
                 continue
             break
-        if base == EMPTY or EMPTY in exps:
+        if base == EMPTY or EMPTY in exps.values():
             return None
-        return GammaTerm(base, tuple(exps))
+        return GammaTerm(base, exps.items())
 
     # -- series expressions
 
@@ -426,9 +423,7 @@ def print_set_system(sys: SetSystem) -> str:
         for t in eq:
             pieces = []
             exp_pieces = []
-            for j, e in enumerate(t.exponents):
-                if e == ZERO:
-                    continue
+            for j, e in t.factors:
                 if e == singleton(1):
                     exp_pieces.append(sys.variables[j])
                 else:

@@ -149,14 +149,14 @@ def _rotate(m: int, t: int, p: int) -> int:
 
 
 def _repeat(pattern: int, p: int, k: int) -> int:
-    """The p-bit mask pattern repeated k >= 1 times, p bits apart, by
-    shifting the copies so far past themselves: about log2(k) shifts."""
-    out, n = pattern, 1
-    while n < k:
-        step = min(n, k - n)
-        out |= out << step * p
-        n += step
-    return out
+    """pattern | pattern << p | ... | pattern << (k - 1)·p for k >= 1, by
+    doubling the copies while they fit, then one shift that overlaps them:
+    about log2(k) shifts.  The pattern may be wider than p bits."""
+    width = 1
+    while 2 * width <= k:
+        pattern |= pattern << width * p
+        width *= 2
+    return pattern | pattern << (k - width) * p if width < k else pattern
 
 
 def _tail(a: EPSet) -> Tuple[int, int, int]:
@@ -247,15 +247,6 @@ def _positions(m: int, count: int) -> list[int]:
     return out
 
 
-def _smear(b: int, n: int) -> int:
-    """b | b << 1 | ... | b << (n - 1), by doubling the covered shifts."""
-    width = 1
-    while 2 * width <= n:
-        b |= b << width
-        width *= 2
-    return b | b << (n - width) if width < n else b
-
-
 def _mask_sum(a: int, b: int) -> int:
     """The bitmask of {x + y : bit x of a and bit y of b set}; sumset
     passes it the stored masks of two finite parts.
@@ -283,7 +274,7 @@ def _mask_sum(a: int, b: int) -> int:
         smears: dict[int, int] = {}
         for s, e in zip(bounds[0::2], bounds[1::2]):
             if e - s not in smears:
-                smears[e - s] = _smear(b, e - s)
+                smears[e - s] = _repeat(b, 1, e - s)
             out |= smears[e - s] << s
         return out
     for n in _positions(a, ca):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from . import epset
 from .epset import (
@@ -51,38 +51,40 @@ def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
 
 
 class GammaTerm(_Value):
-    """One product family: base + E1*Y1 + ... + Ek*Yk.
+    """One product family: base + E_j*Y_j summed over the variables j it
+    uses.
 
-    base is the coefficient set; exponents[j] is the set of admissible
-    repeat counts for variable j ({0} meaning the variable is absent).
-    Bit j of used is set iff exponents[j] has a member >= 1, and of twice
-    iff it has one >= 2; both are computed on first read.
+    base is the coefficient set; factors holds the pairs (j, E_j), by
+    increasing j, where E_j is the set of admissible repeat counts of
+    variable j. A variable with E_j = {0} is absent, and the constructor
+    leaves its pair out, so every listed E_j has a member >= 1. Bit j of
+    used is set iff j is listed, and of twice iff E_j has a member >= 2;
+    both are computed on first read.
     """
 
     base: EPSet
-    exponents: Tuple[IndexSet, ...]
+    factors: Tuple[Tuple[int, IndexSet], ...]
 
-    def __init__(self, base: EPSet, exponents: Tuple[IndexSet, ...]):
+    def __init__(self, base: EPSet, factors: Iterable[Tuple[int, IndexSet]]):
         if base.is_empty:
             raise ValueError("term base must be non-empty")
-        if EMPTY in exponents:
+        pairs = sorted(((j, e) for j, e in factors if e != ZERO), key=lambda p: p[0])
+        if any(e == EMPTY for _, e in pairs):
             raise ValueError("exponent sets must be non-empty")
-        super().__init__(base, exponents)
+        if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
+            raise ValueError("a variable is listed twice")
+        super().__init__(base, tuple(pairs))
 
     @cached_property
     def used(self) -> int:
-        return sum(1 << j for j, e in enumerate(self.exponents) if index_reaches(e, 1))
+        return sum(1 << j for j, _ in self.factors)
 
     @cached_property
     def twice(self) -> int:
-        return sum(1 << j for j, e in enumerate(self.exponents) if index_reaches(e, 2))
-
-    def factors(self) -> list[Tuple[int, IndexSet]]:
-        """(j, exponents[j]) for every variable j not absent."""
-        return [(j, e) for j, e in enumerate(self.exponents) if e != ZERO]
+        return sum(1 << j for j, e in self.factors if index_reaches(e, 2))
 
     def min_weight(self) -> int:
-        return sum(map(index_min, self.exponents))
+        return sum(index_min(e) for _, e in self.factors)
 
 
 class SetSystem(_Value):
@@ -95,7 +97,7 @@ class SetSystem(_Value):
             raise ValueError("need one equation per variable")
         for eq in equations:
             for t in eq:
-                if len(t.exponents) != k:
+                if any(not 0 <= j < k for j, _ in t.factors):
                     raise ValueError("term arity mismatch")
         super().__init__(variables, equations)
 
@@ -108,7 +110,7 @@ class SetSystem(_Value):
             isinstance(e, EnumeratedSet)
             for eq in self.equations
             for t in eq
-            for e in t.exponents
+            for _, e in t.factors
         )
 
 
@@ -124,7 +126,7 @@ def classify(sys: SetSystem) -> SystemClassification:
     """Basic / elementary / reduced classification, and the minima of the
     least solution, whose infinite ones are the empties."""
     at_zero = [t for eq in sys.equations for t in eq if member(t.base, 0)]
-    basic = not any(all(index_member(e, 0) for e in t.exponents) for t in at_zero)
+    basic = not any(all(index_member(e, 0) for _, e in t.factors) for t in at_zero)
     elem = basic and all(t.min_weight() >= 2 for t in at_zero)
     m = min_vector(sys)
     emp = frozenset(i for i, v in enumerate(m) if v == math.inf)
@@ -224,7 +226,7 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None)
         values = []
         for t in eq:
             v = t.base
-            for j, e in t.factors():
+            for j, e in t.factors:
                 v = sumset(v, _star(stars, e, vec[j]))
                 if v.is_empty:
                     break
@@ -240,18 +242,22 @@ def min_vector(sys: SetSystem) -> list[Union[int, float]]:
     min(E)*min(Y), or 0 when 0 is in E even for an empty Y. So round n of
     this min-plus pass from all-inf gives the minima of Gamma^n(emptyset).
     Its costs are non-negative, so k rounds reach its least fixed point
-    (Knuth, "A generalization of Dijkstra's algorithm", IPL 1977).
+    (Knuth, "A generalization of Dijkstra's algorithm", IPL 1977). Each
+    round is a function of the one before, so a round that changes nothing
+    has reached it already.
     """
     families = [
-        [(index_min(t.base), [(j, index_min(e)) for j, e in t.factors()]) for t in eq]
+        [(index_min(t.base), [(j, index_min(e)) for j, e in t.factors]) for t in eq]
         for eq in sys.equations
     ]
     m: list[Union[int, float]] = [math.inf] * sys.k
     for _ in range(sys.k):
-        m = [
+        last, m = m, [
             min((b + sum(w * m[j] for j, w in ws if w) for b, ws in eq), default=math.inf)
             for eq in families
         ]
+        if m == last:
+            break
     return m
 
 
@@ -263,7 +269,7 @@ class QReport(_Value):
 def _family_gcd(t: GammaTerm, m: Sequence[int], target: int) -> int:
     """gcd of {x - target : x in base + m1*E1 + ... + mk*Ek}."""
     low, g = index_min(t.base), params(t.base).q
-    for l, e in t.factors():
+    for l, e in t.factors:
         low += m[l] * index_min(e)
         g = math.gcd(g, m[l] * index_q(e))
     return math.gcd(g, abs(low - target))
@@ -351,8 +357,8 @@ def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EP
     c = [[EMPTY] * k for _ in range(k)]
     for i, eq in enumerate(sys.equations):
         for t in eq:
-            factors = {j: _star(stars, e, nu[j]) for j, e in t.factors()}
-            for j, e in t.factors():
+            factors = {j: _star(stars, e, nu[j]) for j, e in t.factors}
+            for j, e in t.factors:
                 v = sumset(t.base, _star(stars, unshift(e, 1), nu[j]))
                 for l, f in factors.items():
                     if l != j:
@@ -391,14 +397,14 @@ def _component_system(
         terms = []
         for t in sys.equations[i]:
             base = t.base
-            exps = [ZERO] * len(comp)
-            for j, e in t.factors():
+            inner = []
+            for j, e in t.factors:
                 if j in pos:
-                    exps[pos[j]] = e
+                    inner.append((pos[j], e))
                 else:
                     base = sumset(base, _star(stars, e, values[j]))
             if not base.is_empty:
-                terms.append(GammaTerm(base, tuple(exps)))
+                terms.append(GammaTerm(base, inner))
         eqs.append(tuple(terms))
     return SetSystem(tuple(sys.variables[i] for i in comp), tuple(eqs))
 
@@ -419,7 +425,7 @@ def _live(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSystem:
     reduced system's families, on all the variables. An empty variable
     keeps no family."""
     def finite(t: GammaTerm) -> bool:
-        return sum(w * y for w, y in zip(map(index_min, t.exponents), minima) if w) < math.inf
+        return all(minima[j] < math.inf or index_min(e) == 0 for j, e in t.factors)
 
     return SetSystem(sys.variables, tuple(tuple(filter(finite, eq)) for eq in sys.equations))
 
@@ -430,7 +436,10 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
     def cut(e: IndexSet) -> IndexSet:
         return normalize(e.members_upto(bound), tail) if isinstance(e, EnumeratedSet) else e
 
-    eqs = [[GammaTerm(t.base, tuple(map(cut, t.exponents))) for t in eq] for eq in sys.equations]
+    eqs = [
+        [GammaTerm(t.base, [(j, cut(e)) for j, e in t.factors]) for t in eq]
+        for eq in sys.equations
+    ]
     return SetSystem(sys.variables, tuple(map(tuple, eqs)))
 
 
@@ -462,9 +471,10 @@ def _without_units(sys: SetSystem) -> SetSystem:
                 continue
             positive = shift(unshift(t.base, 1), 1)
             if not positive.is_empty:
-                rest[i].append(GammaTerm(positive, t.exponents))
-            for exps in itertools.product(*map(_classes, t.exponents)):
-                part = GammaTerm(ZERO, exps)
+                rest[i].append(GammaTerm(positive, t.factors))
+            listed = [j for j, _ in t.factors]
+            for exps in itertools.product(*(_classes(e) for _, e in t.factors)):
+                part = GammaTerm(ZERO, zip(listed, exps))
                 (units if part.min_weight() == 1 else rest)[i].append(part)
     dg = dependency(SetSystem(sys.variables, tuple(map(tuple, units))))
     eqs = [
@@ -493,7 +503,7 @@ def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
     stars: Stars = {}
     enumerated = sum(
         1 << i for i, eq in enumerate(sys.equations)
-        if any(isinstance(e, EnumeratedSet) for t in eq for e in t.exponents)
+        if any(isinstance(e, EnumeratedSet) for t in eq for _, e in t.factors)
     )
     settled = {i for i in range(sys.k) if not dg.closure(i) & enumerated}
     nu = [EMPTY] * sys.k

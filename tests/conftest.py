@@ -2,7 +2,7 @@ import random
 from pathlib import Path
 
 from spectre import epset
-from spectre.epset import ZERO, EPSet, normalize
+from spectre.epset import EPSet, normalize
 from spectre.setsys import GammaTerm
 
 import oracle
@@ -42,13 +42,10 @@ def random_nonempty_epset(rng, **kw) -> EPSet:
             return a
 
 
-def term(base: EPSet, k: int, **by_index) -> GammaTerm:
-    """A family of a k-variable system: term(base, k, e0=EPSet, e2=EPSet)
-    sets the exponent sets of variables 0 and 2, the others being {0}."""
-    exps = [ZERO] * k
-    for key, val in by_index.items():
-        exps[int(key[1:])] = val
-    return GammaTerm(base, tuple(exps))
+def term(base: EPSet, **by_index) -> GammaTerm:
+    """A family: term(base, e0=EPSet, e2=EPSet) uses variables 0 and 2
+    with those exponent sets, and no other variable."""
+    return GammaTerm(base, [(int(key[1:]), val) for key, val in by_index.items()])
 
 
 def fixture_text(name: str) -> str:

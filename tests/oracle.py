@@ -117,7 +117,7 @@ def brute_fixpoint(system, h: int) -> list[BoolVec]:
                 piece = np.zeros(h + 1, dtype=bool)
                 for n in _epset_members(t.base, h):
                     piece[n] = True
-                for j, e in enumerate(t.exponents):
+                for j, e in t.factors:
                     if not piece.any():
                         break
                     idx = _index_set_members(e, h)
@@ -190,7 +190,7 @@ def _kleene(system, h: int, seed) -> list[int]:
     full = (1 << (h + 1)) - 1
     vec = list(seed)
     terms = [
-        [(sum(1 << n for n in _epset_members(t.base, h)), t.factors()) for t in eq]
+        [(sum(1 << n for n in _epset_members(t.base, h)), t.factors) for t in eq]
         for eq in system.equations
     ]
     rounds = 0

@@ -27,7 +27,7 @@ from spectre.epset import (
     union,
 )
 from spectre.pseries import Series, neumann_check
-from spectre.setsys import GammaTerm, SetSystem
+from spectre.setsys import SetSystem
 
 import oracle
 from conftest import (
@@ -165,7 +165,7 @@ def test_criterion_07_nonuniqueness_and_hat_uniqueness():
     # Y = {2} | Y | {1} + Y has a one-parameter family of solutions
     sys_ = SetSystem(
         ("Y",),
-        ((term(normalize([2]), 1), GammaTerm(ZERO, (ONE,)), term(ONE, 1, e0=ONE)),),
+        ((term(normalize([2])), term(ZERO, e0=ONE), term(ONE, e0=ONE)),),
     )
     tails = [NAT, normalize((), [(1, 1)]), normalize((), [(2, 1)])]
     assert oracle.nonuniqueness_probe(sys_, [[t] for t in tails]) == [
@@ -176,7 +176,7 @@ def test_criterion_07_nonuniqueness_and_hat_uniqueness():
     assert oracle.nonuniqueness_probe(sys_, [[normalize((), [(3, 1)])]]) == [False]
     # removing the bare-variable family restores uniqueness
     hatted = SetSystem(
-        ("Y",), ((term(normalize([2]), 1), term(ONE, 1, e0=ONE)),)
+        ("Y",), ((term(normalize([2])), term(ONE, e0=ONE)),)
     )
     two_up = normalize((), [(2, 1)])
     assert oracle.nonuniqueness_probe(hatted, [[two_up]]) == [True]

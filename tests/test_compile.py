@@ -8,7 +8,6 @@ from spectre import dsl, epset, pseries, setsys
 from spectre.compile import compile_system
 from spectre.epset import POS, ZERO, SemanticError, format_epset, normalize, singleton
 from spectre.pseries import Construct, PSSystem, Series, Var, X, evaluate
-from spectre.setsys import GammaTerm
 
 from conftest import fixture_text, random_series_system, term
 from oracle import spectral_equivalence_check
@@ -21,7 +20,7 @@ class TestCompile:
         sys_ = dsl.parse(fixture_text("binary.spec"))
         report = compile_system(sys_)
         assert report.system.equations == (
-            (term(ONE, 1), term(ONE, 1, e0=normalize([2]))),
+            (term(ONE), term(ONE, e0=normalize([2]))),
         )
         assert setsys.classify(report.system).is_elementary
         assert report.flags == ()
@@ -31,14 +30,14 @@ class TestCompile:
         report = compile_system(sys_)
         eqs = report.system.equations
         assert eqs[0] == (
-            term(ONE, 3),
-            term(ONE, 3, e0=ONE, e1=normalize([2])),
-            term(ONE, 3, e0=normalize([2]), e1=ONE),
+            term(ONE),
+            term(ONE, e0=ONE, e1=normalize([2])),
+            term(ONE, e0=normalize([2]), e1=ONE),
         )
-        assert eqs[1] == (term(ONE, 3), term(ONE, 3, e2=normalize([2])))
+        assert eqs[1] == (term(ONE), term(ONE, e2=normalize([2])))
         assert eqs[2] == (
-            GammaTerm(ZERO, (ONE, ZERO, ZERO)),
-            GammaTerm(ZERO, (ZERO, ONE, ZERO)),
+            term(ZERO, e0=ONE),
+            term(ZERO, e1=ONE),
         )
 
     def test_structured_tree(self):
@@ -48,16 +47,16 @@ class TestCompile:
         pos_even = normalize((), [(2, 2)])
         primes = epset.ENUMERATED_SETS["Primes"]
         assert eqs[0] == (
-            term(ONE, 3, e0=pos_even),
-            term(normalize([4]), 3, e1=normalize([3])),
+            term(ONE, e0=pos_even),
+            term(normalize([4]), e1=normalize([3])),
         )
         assert eqs[1] == (
-            term(ONE, 3),
-            GammaTerm(ONE, (primes, normalize((), [(4, 6)]), ZERO)),
+            term(ONE),
+            term(ONE, e0=primes, e1=normalize((), [(4, 6)])),
         )
         assert eqs[2] == (
-            GammaTerm(ZERO, (ONE, ZERO, ZERO)),
-            GammaTerm(ZERO, (ZERO, ONE, ZERO)),
+            term(ZERO, e0=ONE),
+            term(ZERO, e1=ONE),
         )
         assert report.flags == ("MSet[Primes]",)
 
@@ -68,13 +67,13 @@ class TestCompile:
         )
         report = compile_system(sys_)
         expect = epset.star(POS, normalize([1, 2]))
-        assert report.system.equations == ((term(expect, 1),),)
+        assert report.system.equations == ((term(expect),),)
 
     def test_equal_families_kept_once(self):
         # union is idempotent, so a repeated family adds nothing
         sys_ = dsl.parse("vars Y; mode series; Y = x + x + x*Y + x*Y;")
         report = compile_system(sys_)
-        assert report.system.equations == ((term(ONE, 1), term(ONE, 1, e0=ONE)),)
+        assert report.system.equations == ((term(ONE), term(ONE, e0=ONE)),)
         assert dsl.print_system(report.system).endswith("Y = {1} | {1} + Y;\n")
 
     def test_power_keeps_each_family_once(self):
@@ -91,7 +90,7 @@ class TestCompile:
         sys_ = dsl.parse("vars Y; mode series; Y = x + x*Seq[(2+1*N)]((Y + Y)*1);")
         report = compile_system(sys_)
         assert report.system.equations == (
-            (term(ONE, 1), term(ONE, 1, e0=normalize((), [(2, 1)]))),
+            (term(ONE), term(ONE, e0=normalize((), [(2, 1)]))),
         )
 
     def test_termwise_expansion_keeps_each_family_once(self):
@@ -99,8 +98,31 @@ class TestCompile:
         sys_ = dsl.parse("vars Y; mode series; Y = x + x*Seq[{1,2}](1 + Y);")
         report = compile_system(sys_)
         assert report.system.equations == (
-            (term(ONE, 1), term(ONE, 1, e0=ONE), term(ONE, 1, e0=normalize([2]))),
+            (term(ONE), term(ONE, e0=ONE), term(ONE, e0=normalize([2]))),
         )
+
+    def test_termwise_expansion_builds_each_power_once(self, monkeypatch):
+        # Seq[{1..8}](x + Y) is every a*x + b*Y with 1 <= a + b <= 8, power
+        # by power, each from the one before: 8 products, not 1 + ... + 8
+        calls = []
+        mul = compile_mod._mul_families
+        monkeypatch.setattr(
+            compile_mod, "_mul_families", lambda fa, fb: calls.append(1) or mul(fa, fb)
+        )
+        sys_ = dsl.parse("vars Y; mode series; Y = Seq[{1,2,3,4,5,6,7,8}](x + Y);")
+        report = compile_system(sys_)
+        assert len(calls) == 8
+        assert report.system.equations == (tuple(
+            term(normalize([n - b]), e0=normalize([b])) for n in range(1, 9) for b in range(n + 1)
+        ),)
+
+    def test_construct_over_zero_on_a_variable(self):
+        # Cycle[{0}](Y) is the family {0}, with no variable left
+        sys_ = dsl.parse("vars Y; mode series; Y = x + x*Cycle[{0}](Y);")
+        report = compile_system(sys_)
+        assert report.system.equations == ((term(ONE),),)
+        sys_ = dsl.parse("vars Y; mode series; Y = x + Cycle[{0}](Y);")
+        assert compile_system(sys_).system.equations == ((term(ONE), term(ZERO)),)
 
     def test_enumerated_over_constant_rejected(self):
         primes = epset.ENUMERATED_SETS["Primes"]
@@ -127,7 +149,7 @@ class TestCompile:
         )
         report = compile_system(sys_)
         assert report.system.equations == (
-            (term(ONE, 1), term(normalize([2]), 1, e0=normalize([2]))),
+            (term(ONE), term(normalize([2]), e0=normalize([2]))),
         )
 
     def test_dcycle_note(self):
@@ -138,7 +160,7 @@ class TestCompile:
         report = compile_system(sys_)
         assert any("DCycle" in n for n in report.notes)
         assert report.system.equations == (
-            (term(ONE, 1), term(ONE, 1, e0=POS)),
+            (term(ONE), term(ONE, e0=POS)),
         )
 
 

@@ -70,37 +70,51 @@ class TestParseSeries:
             "Seq", normalize((), [(4, 6)]), Var(1)
         )
 
+    def test_union_in_a_construct_index(self):
+        sys_ = parse("vars Y; mode series; Y = x*Seq[{1} | 3+2*N](x);")
+        index = normalize((), [(1, 2)])  # {1} | 3+2*N
+        assert sys_.right_sides == (Mul((X(), Construct("Seq", index, X()))),)
+        assert parse(print_system(sys_)) == sys_
+        system = compile_mod.compile_system(sys_).system
+        assert setsys.solve(system).variables[0].closed_form == normalize((), [(2, 2)])
+
 
 class TestParseSets:
     def test_binary_tree(self):
         sys_ = parse("vars T; mode sets; T = {1} | {1} + {2}*T;")
         assert isinstance(sys_, SetSystem)
         assert sys_.equations == (
-            (term(ONE, 1), term(ONE, 1, e0=normalize([2]))),
+            (term(ONE), term(ONE, e0=normalize([2]))),
         )
 
     def test_set_binding(self):
         sys_ = parse(fixture_text("postage.spec"))
         d = normalize([3, 5])
-        assert sys_.equations == ((term(d, 1), term(d, 1, e0=ONE)),)
+        assert sys_.equations == ((term(d), term(d, e0=ONE)),)
 
     def test_progressions_and_builtins(self):
         sys_ = parse(
             "vars Y; mode sets; Y = 4+3*N | 3*N + Y | Even + Odd*Y;"
         )
         eq = sys_.equations[0]
-        assert eq[0] == term(normalize((), [(4, 3)]), 1)
-        assert eq[1] == term(normalize((), [(0, 3)]), 1, e0=ONE)
+        assert eq[0] == term(normalize((), [(4, 3)]))
+        assert eq[1] == term(normalize((), [(0, 3)]), e0=ONE)
         assert eq[2] == term(
-            normalize((), [(0, 2)]), 1, e0=normalize((), [(1, 2)])
+            normalize((), [(0, 2)]), e0=normalize((), [(1, 2)])
         )
 
     def test_repeated_variable_accumulates_exponent(self):
         sys_ = parse("vars B, R; mode sets; B = {1} + B + {2}*R; R = {1} + R + R;")
         assert sys_.equations[0] == (
-            term(ONE, 2, e0=ONE, e1=normalize([2])),
+            term(ONE, e0=ONE, e1=normalize([2])),
         )
-        assert sys_.equations[1] == (term(ONE, 2, e1=normalize([2])),)
+        assert sys_.equations[1] == (term(ONE, e1=normalize([2])),)
+
+    def test_bare_integer_is_a_singleton(self):
+        sys_ = parse("vars Y; mode sets; Y = {1} | 2 + Y;")
+        assert sys_.equations == ((term(ONE), term(singleton(2), e0=ONE)),)
+        assert parse(print_system(sys_)) == sys_
+        assert setsys.solve(sys_).variables[0].closed_form == normalize((), [(1, 2)])
 
     def test_zero_exponent_family(self):
         # {0}*Y denotes {0}, as {0} does
@@ -195,7 +209,7 @@ class TestErrors:
         sys_ = parse("vars Y½, é; mode sets; Y½ = {٣} | é; é = {1};")
         assert sys_.variables == ("Y½", "é")
         assert [t.base for t in sys_.equations[0]] == [singleton(3), ZERO]
-        assert sys_.equations[0][1].exponents == (ZERO, singleton(1))
+        assert sys_.equations[0][1].factors == ((1, singleton(1)),)
 
     def test_mode_required_before_equation(self):
         with pytest.raises(ParseError, match="mode"):
@@ -245,7 +259,7 @@ class TestPrint:
         assert sys_.equations == ((),)
         assert print_system(sys_) == "vars Y;\nmode sets;\nY = {};\n"
         sys_ = parse("vars Y; mode sets; set E = {}; Y = {1} | E*Y | E + Y;")
-        assert sys_.equations == ((term(ONE, 1),),)
+        assert sys_.equations == ((term(ONE),),)
 
 
 def random_series_ast(rng: random.Random, k: int, depth: int) -> pseries.SysExpr:

@@ -429,11 +429,13 @@ class TestMaskSum:
 
 
 def test_repeat_against_shift_loop():
+    # patterns up to 3p bits wide overlap their neighbours, as in _mask_sum,
+    # which repeats a whole operand at stride 1
     rng = random.Random(1931)
     for _ in range(2000):
         p = rng.choice([1, 2, 3, 7, 64, 200])
         k = rng.randint(1, 300)
-        pattern = rng.getrandbits(p)
+        pattern = rng.getrandbits(rng.randint(1, 3 * p))
         want = 0
         for n in range(k):
             want |= pattern << n * p

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import spectre
-from spectre.epset import EMPTY, NAT, ZERO, EPSet, PeriodicityParams, singleton
+from spectre.epset import EMPTY, NAT, EPSet, PeriodicityParams, singleton
 from spectre.pseries import Const, Construct, PSSystem, Var, X
 from spectre.setsys import GammaTerm, SetSystem
 
@@ -41,14 +41,15 @@ ONE = singleton(1)
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: GammaTerm(EMPTY, (ONE,)), "term base must be non-empty"),
-        (lambda: GammaTerm(ONE, (ONE, EMPTY)), "exponent sets must be non-empty"),
-        (lambda: SetSystem(("Y",), ((GammaTerm(ONE, (ONE, ZERO)),),)), "term arity mismatch"),
+        (lambda: GammaTerm(EMPTY, ((0, ONE),)), "term base must be non-empty"),
+        (lambda: GammaTerm(ONE, ((0, ONE), (1, EMPTY))), "exponent sets must be non-empty"),
+        (lambda: GammaTerm(ONE, ((1, ONE), (0, ONE), (1, NAT))), "a variable is listed twice"),
+        (lambda: SetSystem(("Y",), ((GammaTerm(ONE, ((1, ONE),)),),)), "term arity mismatch"),
         (lambda: Const(Fraction(-1, 2)), "constants must be non-negative"),
         (lambda: Construct("Set", NAT, X()), "unknown construction Set"),
         (lambda: PSSystem(("Y", "Z"), (X(),)), "need one right side per variable"),
     ],
-    ids=["base", "exponent", "arity", "const", "construct", "system"],
+    ids=["base", "exponent", "twice", "arity", "const", "construct", "system"],
 )
 def test_value_classes_check_their_fields(build, message):
     with pytest.raises(ValueError, match=message):
