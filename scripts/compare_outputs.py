@@ -6,9 +6,9 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, seven systems with large answers or many variables, seven
-edge cases of the tokenizer, the parser and the certificates, --count
-seeded random series systems and as many random set systems, a few
+and linear part, seven systems with large answers or many variables, eight
+edge cases of the tokenizer, the parser, the certificates and the solver,
+--count seeded random series systems and as many random set systems, a few
 frobenius generator lists, and a fixed list of command lines for the
 argument parser: usage errors and the option forms it accepts.  Every command runs on each
 fixture, also with a horizon of 0 and a negative degree, so that the
@@ -110,8 +110,9 @@ LARGE_SYSTEMS = (
 # variable, which must not count toward a certificate; a missing equation
 # after a closing comment with no newline, whose error sits at the '#'; a
 # form feed, which is no blank, after tabs; names with '½' and 'é'
-# beside a number in Arabic-Indic digits; and 3000 nested parentheses in a
-# set file and in a series file
+# beside a number in Arabic-Indic digits; 3000 nested parentheses in a
+# set file and in a series file; and a cycle of unit rules whose Gamma'
+# copies a family with Primes into another equation
 EDGE_SYSTEMS = (
     "vars Y; mode sets; Y = {²};\n",
     "vars Y, W; mode sets; Y = {1} | Y + Y + W; W = {1} + W;\n",
@@ -120,6 +121,8 @@ EDGE_SYSTEMS = (
     "vars Y½, é; mode sets; Y½ = {٣} | é; é = {1};\n",
     "vars Y; mode sets; Y = " + "(" * 3000 + "{1}" + ")" * 3000 + ";\n",
     "vars Y; mode series; Y = " + "(" * 3000 + "x" + ")" * 3000 + ";\n",
+    "vars Y, Z, W; mode sets; Y = Z | {1} + Primes*W; Z = Y | {2} + Z + Z;"
+    " W = {1} | {0} + W | {2} + W;\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")

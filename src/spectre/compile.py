@@ -100,13 +100,11 @@ def _compile_construct(expr: Construct, notes: list[str], flags: list[str]) -> l
         notes.append(f"{expr.kind} over a variable -> index-set exponent")
         return [GammaTerm(ZERO, [(var, j)])]
     if not any(t.factors for t in fams):
-        total = EMPTY
-        for t in fams:
-            total = union(total, t.base)
         if isinstance(j, EnumeratedSet):
             raise SemanticError("enumerated index set over a constant spectrum")
         notes.append(f"{expr.kind} over a constant -> star of spectra")
-        return [GammaTerm(star(j, total), ())] if not star(j, total).is_empty else []
+        spectrum = star(j, union(*(t.base for t in fams)))
+        return [] if spectrum.is_empty else [GammaTerm(spectrum, ())]
     if isinstance(j, EPSet) and j.period is None:
         powers = _powers(fams, max(j.finite_part, default=0))
         notes.append(f"{expr.kind} with finite index set expanded termwise")

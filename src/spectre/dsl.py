@@ -175,8 +175,6 @@ class _Parser:
                 name = self._fresh_name("set name")
                 self.expect("=")
                 val = self.parse_setexpr()
-                if not isinstance(val, EPSet):
-                    self.fail("set bindings must be eventually periodic")
                 self.expect(";")
                 self.sets[name] = val
             elif t[0] == "NAME":

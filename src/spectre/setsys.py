@@ -105,12 +105,12 @@ class SetSystem(_Value):
     def k(self) -> int:
         return len(self.variables)
 
-    def has_enumerated(self) -> bool:
-        return any(
-            isinstance(e, EnumeratedSet)
-            for eq in self.equations
-            for t in eq
-            for _, e in t.factors
+    @cached_property
+    def enumerated(self) -> int:
+        """Bit i is set iff equation i has an enumerated index set."""
+        return sum(
+            1 << i for i, eq in enumerate(self.equations)
+            if any(isinstance(e, EnumeratedSet) for t in eq for _, e in t.factors)
         )
 
 
@@ -145,16 +145,14 @@ class Digraph(_Value):
         """The mask of {j : i ->* j}."""
         return self.reach[i] | 1 << i
 
-    def component(self, i: int) -> frozenset[int]:
-        """{j : i ->+ j ->+ i}; possibly empty."""
-        return frozenset(j for j in _bits(self.reach[i]) if self.reach[j] >> i & 1)
-
     def components(self) -> list[Tuple[int, ...]]:
         """Every strong component as a sorted tuple, with each variable
         outside every cycle on its own, every component after all the
-        components it reaches."""
-        comps = {tuple(sorted(self.component(i) or {i})) for i in range(self.n)}
-        return sorted(comps, key=lambda c: (self.closure(c[0]).bit_count(), c))
+        components it reaches. i and j share one iff their closures agree."""
+        comps: dict[int, list[int]] = {}
+        for i in range(self.n):
+            comps.setdefault(self.closure(i), []).append(i)
+        return sorted(map(tuple, comps.values()), key=lambda c: (self.closure(c[0]).bit_count(), c))
 
     def strong_components(self) -> list[Tuple[int, ...]]:
         """The components on a cycle, by least member."""
@@ -170,6 +168,8 @@ def dependency(sys: SetSystem) -> Digraph:
             adj[i] |= t.used
     reach = adj[:]
     for mid, row in enumerate(reach):
+        if not row:
+            continue  # ORing 0 into a row changes nothing
         for i, r in enumerate(reach):
             if r >> mid & 1:
                 reach[i] = r | row
@@ -217,7 +217,7 @@ def _star(stars: Stars, e: EPSet, v: EPSet) -> EPSet:
 def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None) -> list[EPSet]:
     """One application of Gamma to a vector of EPSets; stars is the star
     table of the solve it belongs to, a fresh one by default."""
-    if sys.has_enumerated():
+    if sys.enumerated:
         raise SemanticError("cannot apply Gamma with an enumerated index set")
     if stars is None:
         stars = {}
@@ -323,29 +323,31 @@ class SpectrumSolution(_Value):
 
 
 def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
-    """Least solution of X_i = d_i | U_j (c_ij + X_j) by Gauss-Jordan
-    elimination over the (union, sum, closure) algebra; consumes c and d."""
+    """Least solution of X_i = d_i | U_j (c_ij + X_j) over the (union, sum,
+    closure) algebra; consumes c and d. Gaussian elimination leaves row i
+    reading only X_j for j > i, and back substitution solves the rows from
+    the last up."""
     n = len(d)
+    rows = []
     for i in range(n):
+        row = [(j, e) for j, e in enumerate(c[i][i + 1:], i + 1) if not e.is_empty]
         if not c[i][i].is_empty:
             # uncached: each Newton step brings new entries, and their
             # closures can have large finite parts
             clo = epset._natstar.__wrapped__(c[i][i])
             d[i] = sumset(clo, d[i])
-            for j in range(n):
-                if j != i and not c[i][j].is_empty:
-                    c[i][j] = sumset(clo, c[i][j])
-            c[i][i] = EMPTY
-        row = [(j, e) for j, e in enumerate(c[i]) if not e.is_empty]
-        for l in range(n):
-            if l == i or c[l][i].is_empty:
-                continue
+            row = [(j, sumset(clo, e)) for j, e in row]
+        rows.append(row)
+        for l in range(i + 1, n):
             coef = c[l][i]
-            c[l][i] = EMPTY
+            if coef.is_empty:
+                continue
             if not d[i].is_empty:
                 d[l] = union(d[l], sumset(coef, d[i]))
             for j, e in row:
                 c[l][j] = union(c[l][j], sumset(coef, e))
+    for i in reversed(range(n)):
+        d[i] = union(d[i], *(sumset(e, d[j]) for j, e in rows[i]))
     return d
 
 
@@ -484,13 +486,15 @@ def _without_units(sys: SetSystem) -> SetSystem:
     return SetSystem(sys.variables, tuple(eqs))
 
 
-def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
-    """Least solution of a basic system with dependency digraph dg, proven
-    on all of N.
+def _least(flat: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
+    """Least solution of a basic system, proven on all of N, from flat, its
+    Gamma' (_without_units), and dg, the dependency digraph of Gamma.
 
-    Newton solves Gamma', below first, one strong component at a time. Its
-    closing test Gamma'(nu) = nu proves nu the least solution once nu is
-    positive, which solve checks against min_vector.
+    Newton solves flat one component of dg at a time, below first. A unit
+    rule Y_i >= Y_j comes from an edge i -> j of Gamma, so every edge of
+    Gamma' is a path of Gamma: each component of dg is a union of
+    components of Gamma', solved after everything it reads, and Newton's
+    bound of k steps holds on any k equations.
 
     Gamma is monotone in each enumerated index set E, so with E cut to
     E_lo = {e in E : e <= P} and E_hi = E_lo | P+1+N the least solutions
@@ -498,34 +502,32 @@ def _least(sys: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
     one for E_lo is the one for E once it solves the E_hi system. P doubles
     from 2 until then, and up to the horizon. The components that reach no
     enumerated index set are the same at every P and are solved once.
+    Primes, the one enumerated index set, starts at 2, so a family with it
+    weighs >= 2 and _without_units leaves it whole: the cut of Gamma' is
+    Gamma' of the cut, and nu is a fixed point of the upper cut of Gamma'
+    iff it is one of Gamma's, as both say nu is its least solution.
 
     Every star is computed once, in one table for the whole call."""
     stars: Stars = {}
-    enumerated = sum(
-        1 << i for i, eq in enumerate(sys.equations)
-        if any(isinstance(e, EnumeratedSet) for t in eq for _, e in t.factors)
-    )
-    settled = {i for i in range(sys.k) if not dg.closure(i) & enumerated}
-    nu = [EMPTY] * sys.k
+    comps = dg.components()
+    nu = [EMPTY] * flat.k
     bound = 2
     while True:
-        lo = _cut(sys, bound, []) if enumerated else sys
-        flat = _without_units(lo)
-        for comp in dependency(flat).components():
-            if bound > 2 and settled.issuperset(comp):
-                continue  # solved at the first bound
-            for i, v in zip(comp, _newton(_component_system(flat, comp, nu, stars), stars)):
+        lo = _cut(flat, bound, []) if flat.enumerated else flat
+        for comp in comps:
+            for i, v in zip(comp, _newton(_component_system(lo, comp, nu, stars), stars)):
                 nu[i] = v
-        if lo is sys:
+        if lo is flat:
             return nu
-        image = gamma_eval(_cut(sys, bound, [(bound + 1, 1)]), nu, stars)
-        for name, v, w in zip(sys.variables, nu, image):
+        image = gamma_eval(_cut(flat, bound, [(bound + 1, 1)]), nu, stars)
+        for name, v, w in zip(flat.variables, nu, image):
             if not is_subset(v, w):  # Gamma_hi lies above Gamma_lo, which fixes nu
                 raise AssertionError(f"exact answer for {name} is no fixed point of the cut system")
         if image == nu:
             return nu
         if bound >= horizon:
             raise SemanticError(f"enumerated index sets cut at {bound} leave the solution open")
+        comps = [c for c in comps if dg.closure(c[0]) & flat.enumerated]
         bound *= 2
 
 
@@ -560,7 +562,7 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     ldg = dependency(live) if cls.empties else dg
     doubling = {i for comp in ldg.components() if _doubling_condition(live, comp) for i in comp}
 
-    closed = _least(sys, dg, horizon)
+    closed = _least(_without_units(sys), dg, horizon)
 
     # the gcd formula holds on reduced systems
     gcds = _q_report(sys, cls.minima, dg).q if cls.is_reduced else None

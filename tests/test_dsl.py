@@ -201,6 +201,28 @@ class TestErrors:
             parse(text)
         assert str(ei.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vars Y mode sets;", "1:8: expected ';', found 'mode'"),
+            ("vars Y; mode foo;", "1:14: mode must be series or sets"),
+            ("vars Y; mode sets; ;", "1:20: unexpected ';'"),
+            ("vars 1;", "1:6: expected variable name"),
+            ("vars Y; mode sets; set Y = {1};", "1:24: 'Y' already declared"),
+            ("vars Y; mode sets; Y = Foo;", "1:24: unknown set 'Foo'"),
+            ("vars Y; mode sets; Y = ;", "1:24: expected a set"),
+            ("vars Y; mode sets; Y = {1,};", "1:27: expected a number"),
+        ],
+        ids=[
+            "missing-semicolon", "unknown-mode", "stray-semicolon", "number-as-variable",
+            "binding-shadows-variable", "unknown-set", "empty-right-side", "trailing-comma",
+        ],
+    )
+    def test_syntax_error(self, text, message):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert str(ei.value) == message
+
     def test_decimal_digits_are_numbers(self):
         # what int() reads is a number; '²' and '½' still belong in a name
         sys_ = parse("vars Y²; mode sets; Y² = {٣};")

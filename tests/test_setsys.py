@@ -14,6 +14,7 @@ from spectre.epset import (
     POS,
     ZERO,
     ENUMERATED_SETS,
+    EPSet,
     SemanticError,
     format_epset,
     member,
@@ -39,7 +40,7 @@ from spectre.setsys import (
 
 import oracle
 from oracle import linear_closed_form, nonuniqueness_probe, solve_seeded
-from conftest import fixture_text, members, random_nonempty_epset, term
+from conftest import fixture_text, members, random_epset, random_nonempty_epset, term
 
 ODDS = normalize((), [(1, 2)])
 LIN43 = union(normalize((), [(1, 3)]), normalize((), [(2, 3)]))
@@ -187,17 +188,16 @@ class TestDependency:
         assert dg.edges == frozenset(
             {(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (3, 1)}
         )
-        assert dg.component(1) == frozenset({1, 2, 3})
-        assert dg.component(0) == frozenset()
+        assert dg.strong_components() == [(1, 2, 3)]
 
     def test_self_loop(self):
         dg = dependency(binary_system())
-        assert dg.component(0) == frozenset({0})
+        assert dg.strong_components() == [(0,)]
 
     def test_constant_equation(self):
         dg = dependency(SetSystem(("Y",), ((term(ONE),),)))
         assert dg.edges == frozenset()
-        assert dg.component(0) == frozenset()
+        assert dg.strong_components() == []
 
     def test_reach_masks_vs_search(self):
         # bit j of reach[i] is set iff a path of one or more edges leads
@@ -320,9 +320,9 @@ class TestSolve:
         # variables inside a cycle solve to infinite eventually periodic
         # sets: past the onset, membership repeats with period p
         sol = solve(paths_system(), horizon=256)
-        dg = dependency(paths_system())
+        on_cycle = {i for c in dependency(paths_system()).strong_components() for i in c}
         for i, v in enumerate(sol.variables):
-            if dg.component(i):
+            if i in on_cycle:
                 p, c = v.params.p, v.params.c
                 assert p > 0
                 for n in range(c, c + 3 * p + 1):
@@ -417,7 +417,7 @@ def with_primes(rng: random.Random, sys_: SetSystem) -> SetSystem:
     while True:
         eqs = tuple(tuple(map(replaced, eq)) for eq in sys_.equations)
         out = SetSystem(sys_.variables, eqs)
-        if out.has_enumerated():
+        if out.enumerated:
             return out
 
 
@@ -584,6 +584,76 @@ class TestWithoutUnits:
                 assert got == nu, sys_
         assert changed >= 60 and planted >= 100 and non_least >= 20 and faulted >= 5
 
+    def test_enumerated_sets_start_at_two(self):
+        # so a family with an enumerated index set has weight >= 2, and
+        # _without_units neither splits it nor makes it a unit rule
+        assert all(e.first() >= 2 for e in ENUMERATED_SETS.values())
+
+    def test_cut_commutes_with_unit_elimination(self):
+        # solve cuts Gamma' for the bracket on Primes, not Gamma
+        rng = random.Random(2009)
+        changed = 0
+        for _ in range(100):
+            sys_ = with_primes(rng, random_basic_system(rng, rng.randint(1, 3)))
+            flat = setsys._without_units(sys_)
+            changed += flat != sys_
+            for bound in (2, 4, 8, 32):
+                for tail in ([], [(bound + 1, 1)]):
+                    cut = setsys._cut(sys_, bound, tail)
+                    assert setsys._without_units(cut) == setsys._cut(flat, bound, tail), sys_
+        assert changed >= 30
+
+
+def linear_system(c: list[list[EPSet]], d: list[EPSet]) -> SetSystem:
+    """X_i = d_i | U_j (c_ij + X_j) as a SetSystem."""
+    eqs = [
+        tuple(GammaTerm(e, [(j, ONE)]) for j, e in enumerate(row) if not e.is_empty)
+        + ((term(b),) if not b.is_empty else ())
+        for row, b in zip(c, d)
+    ]
+    return SetSystem(tuple(f"X{i}" for i in range(len(d))), tuple(eqs))
+
+
+def cycle(n: int) -> tuple[list[list[EPSet]], list[EPSet]]:
+    """The linear system of the n-cycle X_i = {1} | {2} + X_(i+1)."""
+    c = [[EMPTY] * n for _ in range(n)]
+    for i in range(n):
+        c[i][(i + 1) % n] = singleton(2)
+    return c, [ONE] * n
+
+
+class TestSolveLinear:
+    """Gaussian elimination with back substitution over (union, sum,
+    closure) gives the least solution of a linear system."""
+
+    def test_vs_brute_fixpoint(self):
+        rng = random.Random(1999)
+        h = 60
+        systems = [cycle(7)]
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            c = [
+                [random_epset(rng, max_elem=12, max_period=5) if rng.random() < 0.5 else EMPTY
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            systems.append((c, [random_epset(rng, max_elem=12, max_period=5) for _ in range(n)]))
+        for c, d in systems:
+            sys_ = linear_system(c, d)
+            got = setsys._solve_linear([row[:] for row in c], d[:])
+            for v, b in zip(got, oracle.brute_fixpoint(sys_, h)):
+                assert members(v, h) == oracle.vec_members(b), sys_
+
+    def test_cycle_takes_linear_work(self, monkeypatch):
+        # two unions per pivot, one per back substitution: linear, not n^2
+        n = 200
+        calls = []
+        real = setsys.union
+        monkeypatch.setattr(setsys, "union", lambda *a: calls.append(1) or real(*a))
+        got = setsys._solve_linear(*cycle(n))
+        assert got == [normalize((), [(1, 2)])] * n
+        assert len(calls) <= 3 * n
+
 
 # ---------------------------------------------------------------------------
 # exact solving: closed forms that a finite truncation cannot show
@@ -743,6 +813,21 @@ class TestExactSolve:
         monkeypatch.setattr(setsys, "star", lambda e, b: pairs.append((e, b)) or real(e, b))
         solve(fixture_system(f"{name}.spec"))
         assert pairs and len(set(pairs)) == len(pairs), name
+
+    @pytest.mark.parametrize("name", ["paths", "structured"])
+    def test_one_rewrite_and_two_digraphs(self, monkeypatch, name):
+        # Gamma' is built once, and the digraphs are the system's and its
+        # unit rules', however many bounds the bracket on Primes takes
+        built, rewritten = [], []
+        dependency_, without_units = setsys.dependency, setsys._without_units
+        monkeypatch.setattr(setsys, "dependency", lambda s: built.append(s) or dependency_(s))
+        monkeypatch.setattr(
+            setsys, "_without_units", lambda s: rewritten.append(s) or without_units(s)
+        )
+        sys_ = fixture_system(f"{name}.spec")
+        assert not classify(sys_).empties
+        solve(sys_)
+        assert len(rewritten) == 1 and len(built) <= 2
 
     def test_components_without_enumerated_sets_solved_once(self, monkeypatch):
         # the bracket on Primes doubles P up to 64; Z reaches no Primes
