@@ -6,18 +6,20 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, seven systems with large answers or many variables, eight
-edge cases of the tokenizer, the parser, the certificates and the solver,
---count seeded random series systems and as many random set systems, a few
-frobenius generator lists, and a fixed list of command lines for the
-argument parser: usage errors and the option forms it accepts.  Every command runs on each
-fixture, also with a horizon of 0 and a negative degree, so that the
+and linear part, seven systems with large answers or many variables, nine
+edge cases of the tokenizer, the parser, the certificates, the solver and
+the size bound, --count seeded random series systems and as many random
+set systems, a few frobenius generator lists, and a fixed list of command
+lines for the argument parser: usage errors and the option forms it
+accepts.  Every command runs on each fixture, also with a horizon of 0 and a negative degree, so that the
 refusals are compared too, every applicable command on each other input,
 and solve at a horizon of 8192 on the large ones.  Each runs in process
 through the ``spectre.cli.main`` of one checkout at a time, and its
 standard output, standard error and exit code are recorded.  The script
 prints every command line whose record differs between the checkouts and
-exits 1 if there is one, else 0.
+exits 1 if there is one, else 0.  A checkout without the size bound
+spends gigabytes on the inputs past it, so cap the memory of such a run
+(``ulimit -v``).
 
 The random systems draw their index sets from {}, {0}, {1}, {0,2}, {1,2},
 N, P, 2+2*N, 1+3*N and Primes, so they reach the empty index set, index
@@ -123,9 +125,10 @@ EDGE_SYSTEMS = (
     "vars Y; mode series; Y = " + "(" * 3000 + "x" + ")" * 3000 + ";\n",
     "vars Y, Z, W; mode sets; Y = Z | {1} + Primes*W; Z = Y | {2} + Z + Z;"
     " W = {1} | {0} + W | {2} + W;\n",
+    "vars Y; mode sets; Y = {1000000000000000};\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
-FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3")
+FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3", "100003 100019")
 # command lines for the argument parser: usage errors and the forms it
 # accepts; FILE stands for PARSER_SYSTEM
 PARSER_SYSTEM = "vars Y; mode sets; Y = {3,5} | {3,5} + Y;\n"

@@ -185,6 +185,9 @@ def cmd_frobenius(args) -> int:
     gens = args.generators
     if any(g <= 0 for g in gens):
         raise SemanticError("generators must be positive")
+    for g in gens:
+        epset.bounded(g, "generator")
+    epset.bounded(epset.conductor_bound(gens), "conductor bound")
     closure = nat_closure(normalize(gens))
     p = params(closure)
     g = epset.gcd_of(normalize(gens))

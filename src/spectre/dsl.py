@@ -26,6 +26,7 @@ from .epset import (
     IndexSet,
     POS,
     ZERO,
+    bounded,
     format_epset,
     normalize,
     singleton,
@@ -245,10 +246,10 @@ class _Parser:
             self.next()
             elems = []
             if not self.at_punct("}"):
-                elems.append(self._int())
+                elems.append(bounded(self._int(), "set member"))
                 while self.at_punct(","):
                     self.next()
-                    elems.append(self._int())
+                    elems.append(bounded(self._int(), "set member"))
             self.expect("}")
             return normalize(elems)
         if t[0] == "INT":
@@ -259,12 +260,12 @@ class _Parser:
                 p = self._int()
                 self.expect("*")
                 self.expect("N")
-                return self._progression(a, p, pt)
+                return self._progression(bounded(a, "progression start"), p, pt)
             if self.at_punct("*") and self.peek(1)[1] == "N":
                 self.next()
                 self.next()
                 return self._progression(0, a, t)
-            return singleton(a)
+            return singleton(bounded(a, "set member"))
         if t[0] == "NAME":
             name = self.next()[1]
             if name in BUILTIN_SETS:
@@ -289,7 +290,7 @@ class _Parser:
         """start + period*N, with t the token of the period."""
         if period == 0:
             raise self.error("period must be positive", t)
-        return normalize((), [(start, period)])
+        return normalize((), [(start, bounded(period, "period"))])
 
     def _int(self) -> int:
         t = self.next()

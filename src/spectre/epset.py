@@ -11,12 +11,26 @@ import itertools
 import math
 from bisect import bisect_right
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 
 class SemanticError(Exception):
     """Input that spectre refuses: well formed, but outside the method's
     scope or ill posed.  Every other exception is an internal failure."""
+
+
+# Every member, progression start and period read from input, and the
+# conductor bound of every closure that frobenius builds, must lie below
+# SIZE_BOUND. An EPSet stores threshold + period bits, so a larger number
+# has no cheap answer: a member of 10^15 asks for 125 terabytes.
+SIZE_BOUND = 10**8
+
+
+def bounded(n: int, what: str) -> int:
+    """n, when it lies below SIZE_BOUND; what names it in the refusal."""
+    if n >= SIZE_BOUND:
+        raise SemanticError(f"{what} {n} is not below the size bound {SIZE_BOUND}")
+    return n
 
 
 class _Value:
@@ -247,38 +261,51 @@ def _positions(m: int, count: int) -> list[int]:
     return out
 
 
+_STRIDES = range(1, 7)  # the run strides tried on an operand of 16 members or more
+
+
 def _mask_sum(a: int, b: int) -> int:
     """The bitmask of {x + y : bit x of a and bit y of b set}; sumset
     passes it the stored masks of two finite parts.
 
     Shifts the denser operand once per member of the sparser one; or, when
-    an operand is a few long runs of consecutive members, smears the other
-    once per run. A run of length n costs about log2(n) doublings plus a
-    placement shift and an OR, and the cheaper method is taken.
+    an operand is a few long runs s, s + d, ..., s + (n - 1)·d of some
+    stride d, smears the other once per run. A run costs about log2(n)
+    doublings plus a placement shift and an OR, and the cheapest method is
+    taken. Strides past 1 are tried only on operands of 16 members or more.
     """
     ca, cb = a.bit_count(), b.bit_count()
     if ca > cb:
         a, b, ca, cb = b, a, cb, ca
     if ca <= 1:  # empty or a single member
         return b << a.bit_length() - 1 if a else 0
-    # bit set at each run start and one past each run end
-    ta, tb = a ^ (a << 1), b ^ (b << 1)
-    ra, rb = ta.bit_count() // 2, tb.bit_count() // 2
-    sa = ra * ((ca // ra).bit_length() + 2)
-    sb = rb * ((cb // rb).bit_length() + 2)
+    cost, runs = ca, None
+    for x, y, c in ((a, b, ca), (b, a, cb)):
+        for d in _STRIDES if c >= 16 else (1,):
+            # in every class mod d, a bit set at each run start and one
+            # stride past each run end
+            t = x ^ x << d
+            r = t.bit_count() // 2
+            smear = r * ((c // r).bit_length() + 2)
+            if smear < cost:
+                cost, runs = smear, (y, t, r, d)
     out = 0
-    if min(sa, sb) < ca:
-        if sb < sa:
-            a, b, ta, ra = b, a, tb, rb
-        bounds = _positions(ta, 2 * ra)
-        smears: dict[int, int] = {}
-        for s, e in zip(bounds[0::2], bounds[1::2]):
-            if e - s not in smears:
-                smears[e - s] = _repeat(b, 1, e - s)
-            out |= smears[e - s] << s
+    if runs is None:
+        for n in _positions(a, ca):
+            out |= b << n
         return out
-    for n in _positions(a, ca):
-        out |= b << n
+    y, t, r, d = runs
+    starts: dict[int, int] = {}  # the open run of each class mod d
+    smears: dict[int, int] = {}
+    for e in _positions(t, 2 * r):
+        s = starts.pop(e % d, None)
+        if s is None:
+            starts[e % d] = e
+            continue
+        n = (e - s) // d
+        if n not in smears:
+            smears[n] = _repeat(y, d, n)
+        out |= smears[n] << s
     return out
 
 
@@ -417,19 +444,25 @@ def sumset(a: EPSet, b: EPSet) -> EPSet:
     return _canonical(acc, tails)
 
 
+def _power(table: dict, n: int, b: EPSet) -> EPSet:
+    """n·b, the n-fold sum b + ... + b with 0·b = {0}, kept in table under
+    (n, b). It is built from ⌊n/2⌋·b and ⌈n/2⌉·b, which are equal or
+    consecutive, so each power in a table costs one sumset, and a new n
+    adds at most two powers per halving."""
+    if n <= 1:
+        return b if n else ZERO
+    key = (n, b)
+    power = table.get(key)
+    if power is None:
+        power = table[key] = sumset(_power(table, n >> 1, b), _power(table, n - (n >> 1), b))
+    return power
+
+
 def nstar(n: int, b: EPSet) -> EPSet:
     """n-fold sumset b + ... + b, with 0-fold = {0}."""
     if n < 0:
         raise ValueError("negative repeat count")
-    result = ZERO
-    power = b
-    while n:
-        if n & 1:
-            result = sumset(result, power)
-        n >>= 1
-        if n:
-            power = sumset(power, power)
-    return result
+    return _power({}, n, b)
 
 
 def has_positive(a: EPSet) -> bool:
@@ -448,7 +481,6 @@ def _scale(m: int, g: int) -> int:
     return int(("0" * (g - 1)).join(format(m, "b")), 2)
 
 
-@lru_cache(maxsize=4096)
 def _natstar(b: EPSet) -> EPSet:
     """ℕ⋆b without preconditions: {0} for empty or zero-only arguments.
 
@@ -498,6 +530,18 @@ def _natstar(b: EPSet) -> EPSet:
         limit *= 2
 
 
+def conductor_bound(gens: Sequence[int]) -> int:
+    """An upper bound on the conductor of the closure of positive gens,
+    without building it. With g their gcd and a < b two of the gens
+    divided by g, it is g·(a - 1)(b - 1): for the least and the largest
+    (Schur's bound; Brauer, Amer. J. Math. 64, 1942), or for any coprime
+    pair (Sylvester, 1884), whichever is least."""
+    g = math.gcd(*gens)
+    a = sorted({x // g for x in gens})
+    pairs = [(x, y) for x, y in itertools.combinations(a, 2) if math.gcd(x, y) == 1]
+    return g * min((x - 1) * (y - 1) for x, y in [(a[0], a[-1])] + pairs)
+
+
 def nat_closure(b: EPSet) -> EPSet:
     """ℕ⋆b: all finite sums of elements of b (with the empty sum 0)."""
     if not has_positive(b):
@@ -505,24 +549,28 @@ def nat_closure(b: EPSet) -> EPSet:
     return _natstar(b)
 
 
-def star(a: EPSet, b: EPSet) -> EPSet:
-    """⋃_{x in a} x-fold sumset of b."""
+def _closure(table: dict, b: EPSet) -> EPSet:
+    """ℕ⋆b, kept in table under (NAT, b): it is star(NAT, b)."""
+    key = (NAT, b)
+    closure = table.get(key)
+    if closure is None:
+        closure = table[key] = _natstar(b)
+    return closure
+
+
+def star(a: EPSet, b: EPSet, table: Optional[dict] = None) -> EPSet:
+    """⋃_{x in a} x-fold sumset of b. The n-fold sums and closures of b
+    are read from table and kept there (see _power and _closure); a fresh
+    table by default."""
     if a.is_empty:
         return EMPTY
     if b.is_empty:
         return ZERO if member(a, 0) else EMPTY
-    # walk the members upwards, reaching each power from the one before
-    # by the n-fold sum over the gap between them
-    gaps: dict[int, EPSet] = {}
-    parts = []
-    power, last = ZERO, 0
-    for x in _bits(a.low):
-        if x - last not in gaps:
-            gaps[x - last] = nstar(x - last, b)
-        power, last = sumset(power, gaps[x - last]), x
-        parts.append(power)
+    if table is None:
+        table = {}
+    parts = [_power(table, x, b) for x in _bits(a.low)]
     for s, r in _blocks(a):
-        parts.append(sumset(nstar(s, b), _natstar(nstar(r, b))))
+        parts.append(sumset(_power(table, s, b), _closure(table, _power(table, r, b))))
     return union(*parts)
 
 

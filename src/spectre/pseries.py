@@ -151,7 +151,7 @@ def _conv(a: list, va: int, b: list, vb: int, d: int):
 def _monomial(expr: SysExpr) -> Optional[Tuple[object, int]]:
     """(coefficient, x-degree) when expr is a constant times a power of x."""
     if isinstance(expr, Const):
-        return _exact(Fraction(expr.value)), 0
+        return _exact(expr.value), 0
     if isinstance(expr, X):
         return 1, 1
     if isinstance(expr, Pow):
@@ -442,28 +442,27 @@ def evaluate(expr: SysExpr, env: Sequence[Series], n: int) -> Series:
 # origin data: constant terms and Jacobian
 
 
-def _origin(
-    expr: SysExpr, y0: Sequence[Fraction]
-) -> Tuple[Fraction, Dict[int, Fraction]]:
+def _origin(expr: SysExpr, y0: Sequence) -> Tuple[object, Dict[int, object]]:
     """Constant term of expr and the nonzero entries j: d expr / d y_j,
-    both at x = 0, y = y0, in one walk."""
+    both at x = 0, y = y0, in one walk. Values are ints, and Fractions only
+    where a rational constant brings them in; y0 holds such values too."""
     if isinstance(expr, Const):
-        return expr.value, {}
+        return _exact(expr.value), {}
     if isinstance(expr, X):
-        return Fraction(0), {}
+        return 0, {}
     if isinstance(expr, Var):
-        return y0[expr.index], {expr.index: Fraction(1)}
+        return y0[expr.index], {expr.index: 1}
     if isinstance(expr, Add):
-        const, row = Fraction(0), {}
+        const, row = 0, {}
         for t in expr.terms:
             c, r = _origin(t, y0)
             const += c
             for j, v in r.items():
                 row[j] = row.get(j, 0) + v
-        return const, row
+        return _exact(const), row
     if isinstance(expr, Mul):
         # product rule, one factor at a time: (P f)' = P' f(0) + P(0) f'
-        const, row = Fraction(1), {}
+        const, row = 1, {}
         for f in expr.factors:
             c, r = _origin(f, y0)
             row = {j: v * c for j, v in row.items()} if c else {}
@@ -471,20 +470,19 @@ def _origin(
                 for j, v in r.items():
                     row[j] = row.get(j, 0) + const * v
             const *= c
-        return const, row
+        return _exact(const), row
     if isinstance(expr, Pow):
         c, r = _origin(expr.base, y0)
         if expr.exp == 0:
-            return Fraction(1), {}
+            return 1, {}
         scale = expr.exp * c ** (expr.exp - 1)
-        return c ** expr.exp, ({j: scale * v for j, v in r.items()} if scale else {})
+        return _exact(c ** expr.exp), ({j: scale * v for j, v in r.items()} if scale else {})
     if isinstance(expr, Construct):
         # the empty structure is the constant, one component the linear term
         c, r = _origin(expr.arg, y0)
         if c != 0:
             raise SemanticError(f"{expr.kind} argument has a non-zero constant term")
-        const = Fraction(int(index_member(expr.index, 0)))
-        return const, (r if index_member(expr.index, 1) else {})
+        return int(index_member(expr.index, 0)), (r if index_member(expr.index, 1) else {})
     raise TypeError(repr(expr))
 
 
@@ -516,7 +514,7 @@ class LinearPart(_Value):
 
 def _linear_part(sys: PSSystem) -> LinearPart:
     names, k = sys.variables, sys.k
-    y0 = (Fraction(0),) * k
+    y0 = (0,) * k
     origin = walk = [_origin(rhs, y0) for rhs in sys.right_sides]
     diags = [f"{name}: constant term {c}" for name, (c, _) in zip(names, origin) if c]
     for name, (_, row) in zip(names, origin):
@@ -539,14 +537,14 @@ def _linear_part(sys: PSSystem) -> LinearPart:
     else:
         refusal = "coefficient 0 of the solution does not settle"
     rows = [row for _, row in (origin if refusal else walk)]
-    jac = tuple(tuple(row.get(j, Fraction(0)) for j in range(k)) for row in rows)
+    jac = tuple(tuple(Fraction(row.get(j, 0)) for j in range(k)) for row in rows)
     verdict = inverse = None
     if any(rows):
         res = neumann_check(jac)
         verdict, inverse = res.verdict, res.inverse
         if refusal is None and verdict != "NonnegInverse":
             refusal = f"origin Jacobian check failed: {verdict}"
-    return LinearPart(y0, jac, tuple(diags), verdict, inverse, refusal)
+    return LinearPart(tuple(map(Fraction, y0)), jac, tuple(diags), verdict, inverse, refusal)
 
 
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:

@@ -7,7 +7,6 @@ import math
 from functools import cached_property
 from typing import Iterable, Sequence, Tuple, Union
 
-from . import epset
 from .epset import (
     EMPTY,
     ZERO,
@@ -17,6 +16,7 @@ from .epset import (
     PeriodicityParams,
     SemanticError,
     _bits,
+    _closure,
     _Value,
     format_epset,
     index_member,
@@ -203,15 +203,19 @@ def digraph_dot(sys: SetSystem) -> str:
 # integer formulas
 
 
-Stars = dict  # (index set, value) -> star(index set, value)
+# The star table of a solve: (index set, value) -> star(index set, value),
+# with the n-fold sums (n, value) -> n·value and the closures (NAT, value)
+# that the stars and _solve_linear build and read (epset._power, _closure).
+Stars = dict
 
 
 def _star(stars: Stars, e: EPSet, v: EPSet) -> EPSet:
     """star(e, v), computed once per table."""
     key = (e, v)
-    if key not in stars:
-        stars[key] = star(e, v)
-    return stars[key]
+    value = stars.get(key)
+    if value is None:
+        value = stars[key] = star(e, v, stars)
+    return value
 
 
 def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None) -> list[EPSet]:
@@ -280,10 +284,19 @@ def _q_report(sys: SetSystem, m: Sequence[int], dg: Digraph) -> QReport:
         math.gcd(*(_family_gcd(t, m, m[j]) for t in eq))
         for j, eq in enumerate(sys.equations)
     ]
-    q = [
-        math.gcd(*(per_eq[j] for j in _bits(dg.closure(i))))
-        for i in range(sys.k)
-    ]
+    # q is one value per strong component: the gcd of its own entries and
+    # of the q of the components it reads, which come before it
+    succ = [0] * sys.k
+    for i, j in dg.edges:
+        succ[i] |= 1 << j
+    q = per_eq[:]
+    for comp in dg.components():
+        reads = 0
+        for i in comp:
+            reads |= succ[i]
+        g = math.gcd(*(per_eq[i] for i in comp), *(q[j] for j in _bits(reads)))
+        for i in comp:
+            q[i] = g
     return QReport(tuple(q), tuple(per_eq))
 
 
@@ -322,42 +335,42 @@ class SpectrumSolution(_Value):
     classification: SystemClassification
 
 
-def _solve_linear(c: list[list[EPSet]], d: list[EPSet]) -> list[EPSet]:
+def _solve_linear(c: list[dict[int, EPSet]], d: list[EPSet], stars: Stars) -> list[EPSet]:
     """Least solution of X_i = d_i | U_j (c_ij + X_j) over the (union, sum,
-    closure) algebra; consumes c and d. Gaussian elimination leaves row i
-    reading only X_j for j > i, and back substitution solves the rows from
-    the last up."""
+    closure) algebra, where row c[i] holds the non-empty c_ij; consumes c
+    and d, and reads the closures from the star table. Gaussian
+    elimination leaves row i reading only X_j for j > i, and back
+    substitution solves the rows from the last up."""
     n = len(d)
-    rows = []
-    for i in range(n):
-        row = [(j, e) for j, e in enumerate(c[i][i + 1:], i + 1) if not e.is_empty]
-        if not c[i][i].is_empty:
-            # uncached: each Newton step brings new entries, and their
-            # closures can have large finite parts
-            clo = epset._natstar.__wrapped__(c[i][i])
+    for i, row in enumerate(c):
+        loop = row.pop(i, None)
+        if loop is not None:
+            clo = _closure(stars, loop)
             d[i] = sumset(clo, d[i])
-            row = [(j, sumset(clo, e)) for j, e in row]
-        rows.append(row)
+            for j, e in row.items():
+                row[j] = sumset(clo, e)
         for l in range(i + 1, n):
-            coef = c[l][i]
-            if coef.is_empty:
+            coef = c[l].pop(i, None)
+            if coef is None:
                 continue
             if not d[i].is_empty:
                 d[l] = union(d[l], sumset(coef, d[i]))
-            for j, e in row:
-                c[l][j] = union(c[l][j], sumset(coef, e))
+            below = c[l]
+            for j, e in row.items():
+                e = sumset(coef, e)
+                below[j] = union(below[j], e) if j in below else e
     for i in reversed(range(n)):
-        d[i] = union(d[i], *(sumset(e, d[j]) for j, e in rows[i]))
+        d[i] = union(d[i], *(sumset(e, d[j]) for j, e in c[i].items()))
     return d
 
 
-def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EPSet]]:
-    """Entry (i, j) is the union, over the families of equation i that use
-    Y_j, of the base, the other factors at nu and (E_j - 1)*nu_j, where
-    E_j - 1 = {x - 1 : x in E_j, x >= 1}."""
-    k = sys.k
-    c = [[EMPTY] * k for _ in range(k)]
-    for i, eq in enumerate(sys.equations):
+def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[dict[int, EPSet]]:
+    """Row i maps j to entry (i, j) when it is non-empty: the union, over
+    the families of equation i that use Y_j, of the base, the other factors
+    at nu and (E_j - 1)*nu_j, where E_j - 1 = {x - 1 : x in E_j, x >= 1}."""
+    c = []
+    for eq in sys.equations:
+        row: dict[int, EPSet] = {}
         for t in eq:
             factors = {j: _star(stars, e, nu[j]) for j, e in t.factors}
             for j, e in t.factors:
@@ -365,7 +378,9 @@ def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[list[EP
                 for l, f in factors.items():
                     if l != j:
                         v = sumset(v, f)
-                c[i][j] = union(c[i][j], v)
+                if not v.is_empty:
+                    row[j] = union(row[j], v) if j in row else v
+        c.append(row)
     return c
 
 
@@ -384,7 +399,7 @@ def _newton(sys: SetSystem, stars: Stars) -> list[EPSet]:
         image = gamma_eval(sys, nu, stars)
         if image == nu:
             return nu
-        nu = _solve_linear(_jacobian(sys, nu, stars), image)
+        nu = _solve_linear(_jacobian(sys, nu, stars), image, stars)
     raise AssertionError(f"Newton iteration did not settle in {sys.k} steps")
 
 
@@ -392,7 +407,10 @@ def _component_system(
     sys: SetSystem, comp: Sequence[int], values: Sequence[EPSet], stars: Stars
 ) -> SetSystem:
     """The equations of comp alone, with the values of the variables
-    outside it folded into the family bases."""
+    outside it folded into the family bases; sys itself when comp is every
+    variable."""
+    if len(comp) == sys.k:
+        return sys
     pos = {v: n for n, v in enumerate(comp)}
     eqs = []
     for i in comp:

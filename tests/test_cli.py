@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from spectre import cli, dsl, pseries, setsys
-from spectre.epset import POS, singleton, union
+from spectre import cli, dsl, epset, pseries, setsys
+from spectre.epset import EMPTY, POS, singleton, union
 
 import oracle
 from conftest import FIXTURES
@@ -355,6 +355,76 @@ class TestInputRefusals:
         assert run(capsys, *argv) == (code, "", f"spectre: {err}\n")
 
 
+class TestSizeBound:
+    """A member, start or period of an index set, a generator, or the
+    conductor bound of a closure at or past epset.SIZE_BOUND is refused
+    before any mask is built."""
+
+    @pytest.mark.parametrize(
+        "argv, text, err",
+        [
+            (
+                ["solve", "{spec}"],
+                "vars Y; mode sets; Y = {1000000000000000};",
+                "set member 1000000000000000 is not below the size bound 100000000",
+            ),
+            (
+                ["frobenius", "100003", "100019"],
+                None,
+                "conductor bound 10002000036 is not below the size bound 100000000",
+            ),
+        ],
+        ids=["member", "frobenius"],
+    )
+    def test_refused_under_a_memory_cap(self, tmp_path, argv, text, err):
+        # each exited 4 with MemoryError under a cap of 2 GB before the bound
+        spec = tmp_path / "input.spec"
+        if text is not None:
+            spec.write_text(text)
+        cap = 1 << 30
+        code = (
+            "import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from spectre import cli; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+        argv = [a.format(spec=spec) for a in argv]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", f"spectre: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, text, err",
+        [
+            (["solve", "{spec}"], "vars Y; mode sets; Y = {1} | 5+100000000*N;", "period 100000000"),
+            (["solve", "{spec}"], "vars Y; mode sets; Y = {1} | 100000000*N + Y;", "period 100000000"),
+            (["solve", "{spec}"], "vars Y; mode sets; Y = 100000000+1*N;", "progression start 100000000"),
+            (["coeffs", "{spec}"], "vars Y; mode series; Y = x*Seq[{2,100000000}](x);", "set member 100000000"),
+            (["frobenius", "3", "100000000"], None, "generator 100000000"),
+        ],
+        ids=["period", "bare-period", "start", "seq-member", "generator"],
+    )
+    def test_refused(self, capsys, tmp_path, argv, text, err):
+        spec = tmp_path / "input.spec"
+        if text is not None:
+            spec.write_text(text)
+        argv = [a.format(spec=spec) for a in argv]
+        assert run(capsys, *argv) == (
+            3, "", f"spectre: {err} is not below the size bound 100000000\n"
+        )
+
+    def test_below_the_bound(self):
+        assert epset.bounded(epset.SIZE_BOUND - 1, "period") == epset.SIZE_BOUND - 1
+        # a large generator with a small coprime pair beside it keeps a
+        # small conductor bound; the least and the largest give Schur's
+        assert epset.conductor_bound([4, 6, 9, 99999999]) == 3 * 8
+        assert epset.conductor_bound([100003, 100019]) == 100002 * 100018
+        assert epset.conductor_bound([6, 10, 15]) == 5 * 14
+        assert epset.conductor_bound([12, 18, 27]) == 3 * (4 - 1) * (9 - 1)
+        assert epset.conductor_bound([7]) == 0
+
+
 def _nested(mode: str, depth: int) -> str:
     """A file nested depth groups deep.  The series form puts a sum, a
     product, a power and a construct at every level, the most nodes per
@@ -426,9 +496,13 @@ class TestLeastnessProof:
         # postage is elementary; in structured, T = R | B are unit rules
         solve_linear, jacobian = setsys._solve_linear, setsys._jacobian
         faults = [
-            ("_solve_linear", lambda c, d: [union(v, singleton(7)) for v in solve_linear(c, d)]),
-            ("_solve_linear", lambda c, d: [POS] * len(d)),
-            ("_jacobian", lambda s, nu, stars: [[union(e, singleton(1)) for e in row] for row in jacobian(s, nu, stars)]),
+            ("_solve_linear", lambda c, d, stars: [union(v, singleton(7)) for v in solve_linear(c, d, stars)]),
+            ("_solve_linear", lambda c, d, stars: [POS] * len(d)),
+            # every entry gains 1, the empty ones included
+            ("_jacobian", lambda s, nu, stars: [
+                {j: union(row.get(j, EMPTY), singleton(1)) for j in range(len(nu))}
+                for row in jacobian(s, nu, stars)
+            ]),
         ]
         for name in ("postage", "structured"):
             for target, fault in faults:

@@ -325,8 +325,8 @@ class TestOracle:
 
 
 class TestStarOverManyMembers:
-    """star over a finite index set reaches each power from the one before;
-    the members are all below H, so no truncation is needed."""
+    """star over a finite index set reads each power from the halves
+    before it; the members are all below H, so no truncation is needed."""
 
     H = 256
     PRIMES = [n for n in range(2, 101) if all(n % d for d in range(2, n))]
@@ -411,7 +411,39 @@ def random_run_mask(rng: random.Random) -> int:
     return m if rng.random() < 0.5 else m & ~(m << 1)
 
 
+def random_strided_mask(rng: random.Random) -> int:
+    """A union of 1-4 progressions of stride 1-9, with up to 5 stray
+    members."""
+    m = 0
+    for _ in range(rng.randint(1, 4)):
+        d, s = rng.randint(1, 9), rng.randrange(1500)
+        for i in range(rng.randint(1, 150)):
+            m |= 1 << s + i * d
+    for _ in range(rng.randint(0, 5)):
+        m |= 1 << rng.randrange(2500)
+    return m
+
+
 class TestMaskSum:
+    def test_strided_runs(self):
+        # runs of every stride, smeared once per run, against a shift per
+        # member
+        rng = random.Random(2357)
+        for _ in range(3000):
+            a = random_strided_mask(rng)
+            b = random_strided_mask(rng) if rng.random() < 0.7 else rng.getrandbits(300)
+            assert epset._mask_sum(a, b) == naive_mask_sum(a, b), (a, b)
+
+    def test_odd_sum_smears_once(self, monkeypatch):
+        # the odd numbers below 10000 are one run of stride 2: one smear,
+        # not 4999 shifts
+        odd = sum(1 << n for n in range(1, 10000, 2))
+        calls = []
+        repeat = epset._repeat
+        monkeypatch.setattr(epset, "_repeat", lambda *a: calls.append(a) or repeat(*a))
+        assert epset._mask_sum(odd, odd) == sum(1 << n for n in range(2, 19999, 2))
+        assert len(calls) <= 2
+
     def test_against_shift_loop(self):
         rng = random.Random(1729)
         draws = [

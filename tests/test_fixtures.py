@@ -101,10 +101,11 @@ class TestCompareOutputs:
         assert _script("compare_outputs").main(argv) == 0
         # postage 11, the zero periods 6 + 6 + 9, the seven origin systems 9
         # each, the six large set systems 7 each and the large series one
-        # 10, the first five edge systems 6 each, the two nested ones 6 + 9
-        # and the unit-rule cycle 6, three series systems 9 each, three set
-        # systems 6 each, 6 frobenius lines and 20 parser lines
-        assert capsys.readouterr().out == "269 command lines, 0 differ\n"
+        # 10, the first five edge systems 6 each, the two nested ones 6 + 9,
+        # the unit-rule cycle 6 and the member past the size bound 6, three
+        # series systems 9 each, three set systems 6 each, 7 frobenius lines
+        # and 20 parser lines
+        assert capsys.readouterr().out == "276 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}

@@ -13,7 +13,7 @@ from spectre.setsys import GammaTerm, SetSystem
 SOURCE = Path(spectre.__file__).resolve().parent
 
 # public entry points of the library that no command calls
-ENTRY_POINTS = {"evaluate", "q_vector"}
+ENTRY_POINTS = {"evaluate", "nstar", "q_vector"}
 
 
 def test_every_public_name_is_used_inside_the_package():

@@ -571,8 +571,8 @@ class TestWithoutUnits:
                 solve_linear = setsys._solve_linear
                 x = rng.randint(1, 12)
                 fault = rng.choice([
-                    lambda c, d: [union(v, singleton(x)) for v in solve_linear(c, d)],
-                    lambda c, d: [POS] * len(d),
+                    lambda c, d, stars: [union(v, singleton(x)) for v in solve_linear(c, d, stars)],
+                    lambda c, d, stars: [POS] * len(d),
                 ])
                 with monkeypatch.context() as m:
                     m.setattr(setsys, "_solve_linear", fault)
@@ -614,6 +614,11 @@ def linear_system(c: list[list[EPSet]], d: list[EPSet]) -> SetSystem:
     return SetSystem(tuple(f"X{i}" for i in range(len(d))), tuple(eqs))
 
 
+def sparse(c: list[list[EPSet]]) -> list[dict[int, EPSet]]:
+    """The rows of c as _solve_linear takes them: their non-empty entries."""
+    return [{j: e for j, e in enumerate(row) if not e.is_empty} for row in c]
+
+
 def cycle(n: int) -> tuple[list[list[EPSet]], list[EPSet]]:
     """The linear system of the n-cycle X_i = {1} | {2} + X_(i+1)."""
     c = [[EMPTY] * n for _ in range(n)]
@@ -640,7 +645,7 @@ class TestSolveLinear:
             systems.append((c, [random_epset(rng, max_elem=12, max_period=5) for _ in range(n)]))
         for c, d in systems:
             sys_ = linear_system(c, d)
-            got = setsys._solve_linear([row[:] for row in c], d[:])
+            got = setsys._solve_linear(sparse(c), d[:], {})
             for v, b in zip(got, oracle.brute_fixpoint(sys_, h)):
                 assert members(v, h) == oracle.vec_members(b), sys_
 
@@ -650,7 +655,8 @@ class TestSolveLinear:
         calls = []
         real = setsys.union
         monkeypatch.setattr(setsys, "union", lambda *a: calls.append(1) or real(*a))
-        got = setsys._solve_linear(*cycle(n))
+        c, d = cycle(n)
+        got = setsys._solve_linear(sparse(c), d, {})
         assert got == [normalize((), [(1, 2)])] * n
         assert len(calls) <= 3 * n
 
@@ -804,15 +810,37 @@ class TestExactSolve:
                 counts.append(len(calls))
             assert counts[0] == counts[1], name
 
-    @pytest.mark.parametrize("name", ["paths", "bluered"])
-    def test_each_star_computed_once(self, monkeypatch, name):
-        # gamma_eval, the Jacobian and the folding of solved components
-        # all read one star table per solve
-        pairs = []
-        real = setsys.star
-        monkeypatch.setattr(setsys, "star", lambda e, b: pairs.append((e, b)) or real(e, b))
+    @pytest.mark.parametrize(
+        "name, sums", [("paths", 0), ("bluered", 4), ("structured", 18)],
+        ids=["paths", "bluered", "structured"],
+    )
+    def test_each_star_computed_once(self, monkeypatch, name, sums):
+        # gamma_eval, the Jacobian and the folding of solved components all
+        # read one star table per solve; every star reads its n-fold sums
+        # n·v from that table, and the stars and _solve_linear their closures
+        pairs, powers, closures = [], [], []
+        real, power, closure = setsys.star, epset._power, epset._closure
+        monkeypatch.setattr(
+            setsys, "star", lambda e, b, table: pairs.append((e, b)) or real(e, b, table)
+        )
+
+        def counting(table, n, b):
+            if n >= 2 and (n, b) not in table:
+                powers.append((n, b))
+            return power(table, n, b)
+
+        def counting_closures(table, b):
+            if (NAT, b) not in table:
+                closures.append(b)
+            return closure(table, b)
+
+        monkeypatch.setattr(epset, "_power", counting)
+        monkeypatch.setattr(epset, "_closure", counting_closures)
+        monkeypatch.setattr(setsys, "_closure", counting_closures)
         solve(fixture_system(f"{name}.spec"))
         assert pairs and len(set(pairs)) == len(pairs), name
+        assert len(powers) >= sums and len(set(powers)) == len(powers), name
+        assert closures and len(set(closures)) == len(closures), name
 
     @pytest.mark.parametrize("name", ["paths", "structured"])
     def test_one_rewrite_and_two_digraphs(self, monkeypatch, name):
