@@ -11,6 +11,7 @@ from .epset import (
     EnumeratedSet,
     SemanticError,
     _Value,
+    bounded,
     singleton,
     star,
     sumset,
@@ -80,7 +81,12 @@ def _compile_expr(expr: SysExpr, notes: list[str], flags: list[str]) -> list[Gam
             out = _mul_families(out, _compile_expr(f, notes, flags))
         return out
     if isinstance(expr, Pow):
-        return _powers(_compile_expr(expr.base, notes, flags), expr.exp)[-1]
+        fams, out = _compile_expr(expr.base, notes, flags), [GammaTerm(ZERO, ())]
+        for bit in format(bounded(expr.exp, "exponent"), "b"):  # square and multiply
+            out = _mul_families(out, out)
+            if bit == "1":
+                out = _mul_families(out, fams)
+        return out
     if isinstance(expr, Construct):
         return _compile_construct(expr, notes, flags)
     raise TypeError(repr(expr))

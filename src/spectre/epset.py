@@ -582,13 +582,12 @@ def params(a: EPSet) -> PeriodicityParams:
     """The periodicity parameters (m, q, p, c) of a."""
     if a.is_empty:
         return PeriodicityParams(math.inf, 0, 0, 0)
-    fp = a.finite_part
-    m = fp[0] if fp else a.threshold
-    q = 0
-    for n in fp:
-        q = math.gcd(q, n - m)
-        if q == 1:
-            break
+    m = _lowest(a.low) if a.low else a.threshold
+    # q divides each member less m; one off the multiples of q at least halves q
+    rest = a.low >> m & ~1
+    q = _lowest(rest) if rest else 0
+    while q > 1 and (off := rest & ~_repeat(1, q, rest.bit_length() // q + 1)):
+        q = math.gcd(q, _lowest(off))
     for s, p in _blocks(a):
         q = math.gcd(q, s - m, p)
     if a.period is None:
@@ -676,6 +675,13 @@ def index_min(j: IndexSet) -> Union[int, float]:
 
 def index_member(j: IndexSet, n: int) -> bool:
     return n in j.members_upto(n) if isinstance(j, EnumeratedSet) else member(j, n)
+
+
+def index_down(j: IndexSet) -> EPSet:
+    """[0, max j] for a finite non-empty index set j, else ℕ."""
+    if isinstance(j, EnumeratedSet) or j.period is not None:
+        return NAT
+    return EPSet((1 << j.threshold) - 1, j.threshold)  # canonical: no gap below max + 1
 
 
 def index_reaches(j: IndexSet, n: int) -> bool:

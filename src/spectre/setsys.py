@@ -2,7 +2,6 @@
 exact solving, and the closed-form minimum/gcd parameter formulas."""
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 from typing import Iterable, Sequence, Tuple, Union
@@ -19,6 +18,7 @@ from .epset import (
     _closure,
     _Value,
     format_epset,
+    index_down,
     index_member,
     index_min,
     index_q,
@@ -391,8 +391,8 @@ def _newton(sys: SetSystem, stars: Stars) -> list[EPSet]:
     starting from Gamma(0). Over a commutative idempotent semiring, here
     (union, sum, closure), k equations reach their least fixed point in at
     most k steps (Hopkins & Kozen, LICS 1999; Esparza, Kiefer & Luttenberger,
-    J. ACM 2010). On a system without unit rules (_without_units), a
-    positive nu = Gamma(nu) is the least solution however it was reached.
+    J. ACM 2010). On a system in normal form (_normal_form), a positive
+    nu = Gamma(nu) is the least solution however it was reached.
     """
     nu = gamma_eval(sys, [EMPTY] * sys.k, stars)
     for _ in range(sys.k + 1):
@@ -463,39 +463,49 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
     return SetSystem(sys.variables, tuple(map(tuple, eqs)))
 
 
-def _classes(e: EPSet) -> list[EPSet]:
-    """The non-empty parts of e in {0}, {1} and 2+N."""
-    parts = [ZERO if member(e, 0) else EMPTY, ONE if member(e, 1) else EMPTY]
-    return [c for c in parts + [shift(unshift(e, 2), 2)] if not c.is_empty]
+def _from(e: IndexSet, n: int) -> IndexSet:
+    """The members of e from n on: all of Primes for n <= 2."""
+    return shift(unshift(e, n), n) if index_min(e) < n else e
 
 
-def _without_units(sys: SetSystem) -> SetSystem:
-    """Gamma', Gamma with its unit rules eliminated, as for unit productions
-    of a grammar (Hopcroft & Ullman, 1979).
-
-    A family with 0 in its base and weight below 2 splits into one with the
-    base less 0, and families of base {0} with each exponent set cut into
-    its parts in {0}, {1} and 2+N. A part with one factor at {1} and the
-    rest at {0} is the unit rule Y_i >= Y_j. Equation i then takes the other
-    families of every j it reaches by unit rules. Gamma' has the least
-    solution of Gamma, and bit n of Gamma'(Y) reads only bits below n of a
-    positive Y, so that least solution is its one positive fixed point.
-    Gamma' is Gamma on an elementary system.
+def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSystem:
+    """Gamma+: Gamma with its empty and unit rules eliminated, as for a
+    grammar (Hopcroft & Ullman, 1979), for the positive parts Y+ of its
+    least solution. On a nullable variable (minimum 0) E*Y = down(E)*Y+.
+    A family with 0 in its base and weight below 2 splits into its base
+    less 0 and, per factor j that can be the first not at 0, the factors
+    before j at 0, E_j less 0 at j and the later ones whole; the all-0
+    choice, the empty word, goes. At weight 1 that splits by j at 1 or
+    2+N, and at 1 by the first later factor not at 0, or by none: the unit
+    rule Y_i >= Y_j. Equation i takes the other families of each j it
+    reaches by unit rules. A family of Gamma+ reads only bits below n of a
+    positive Y for bit n, so Y+ is its one positive fixed point.
     """
     rest: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
     units: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
     for i, eq in enumerate(sys.equations):
         for t in eq:
+            t = GammaTerm(t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors])
             if not member(t.base, 0) or t.min_weight() >= 2:
                 rest[i].append(t)
                 continue
-            positive = shift(unshift(t.base, 1), 1)
-            if not positive.is_empty:
-                rest[i].append(GammaTerm(positive, t.factors))
-            listed = [j for j, _ in t.factors]
-            for exps in itertools.product(*(_classes(e) for _, e in t.factors)):
-                part = GammaTerm(ZERO, zip(listed, exps))
-                (units if part.min_weight() == 1 else rest)[i].append(part)
+            if t.base != ZERO:
+                rest[i].append(GammaTerm(_from(t.base, 1), t.factors))
+            for n, (j, e) in enumerate(t.factors):
+                later = t.factors[n + 1:]
+                first = GammaTerm(ZERO, [(j, _from(e, 1)), *later])
+                if first.min_weight() > 1:
+                    rest[i].append(first)
+                else:
+                    units[i].append(GammaTerm(ZERO, [(j, ONE)]))
+                    if index_reaches(e, 2):
+                        rest[i].append(GammaTerm(ZERO, [(j, _from(e, 2)), *later]))
+                    rest[i] += [
+                        GammaTerm(ZERO, [(j, ONE), (l, _from(f, 1)), *later[m + 1:]])
+                        for m, (l, f) in enumerate(later)
+                    ]
+                if not index_member(e, 0):
+                    break
     dg = dependency(SetSystem(sys.variables, tuple(map(tuple, units))))
     eqs = [
         tuple(t for j in _bits(dg.closure(i)) for t in rest[j])
@@ -505,14 +515,14 @@ def _without_units(sys: SetSystem) -> SetSystem:
 
 
 def _least(flat: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
-    """Least solution of a basic system, proven on all of N, from flat, its
-    Gamma' (_without_units), and dg, the dependency digraph of Gamma.
+    """Least solution of flat, Gamma's normal form, proven on all of N; dg
+    is the dependency digraph of Gamma.
 
     Newton solves flat one component of dg at a time, below first. A unit
     rule Y_i >= Y_j comes from an edge i -> j of Gamma, so every edge of
-    Gamma' is a path of Gamma: each component of dg is a union of
-    components of Gamma', solved after everything it reads, and Newton's
-    bound of k steps holds on any k equations.
+    flat is a path of Gamma: each component of dg is a union of components
+    of flat, solved after everything it reads, and Newton's bound of k
+    steps holds on any k equations.
 
     Gamma is monotone in each enumerated index set E, so with E cut to
     E_lo = {e in E : e <= P} and E_hi = E_lo | P+1+N the least solutions
@@ -520,10 +530,9 @@ def _least(flat: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
     one for E_lo is the one for E once it solves the E_hi system. P doubles
     from 2 until then, and up to the horizon. The components that reach no
     enumerated index set are the same at every P and are solved once.
-    Primes, the one enumerated index set, starts at 2, so a family with it
-    weighs >= 2 and _without_units leaves it whole: the cut of Gamma' is
-    Gamma' of the cut, and nu is a fixed point of the upper cut of Gamma'
-    iff it is one of Gamma's, as both say nu is its least solution.
+    Primes, the one enumerated index set, is never split: down(Primes) = N
+    on a nullable variable, and elsewhere Primes starts at 2, so a family
+    with it weighs >= 2 and stays whole; its cuts keep flat in normal form.
 
     Every star is computed once, in one table for the whole call."""
     stars: Stars = {}
@@ -550,24 +559,22 @@ def _least(flat: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
 
 
 def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
-    """Least solution of Y = Gamma(Y), in closed form.
+    """Least solution of Y = Gamma(Y), in closed form, for every system.
 
-    _least solves the system exactly and proves the answer, with each
-    enumerated index set bracketed between two eventually periodic ones
+    _least solves Gamma's normal form exactly and proves the answer, with
+    each enumerated index set bracketed between two eventually periodic ones
     (SemanticError if the bracket is open at the horizon, which bounds
-    nothing else). Certificates follow the structure: CertifiedLinear if
-    every equation reached is linear, CertifiedDoubling if the variable's
-    component meets the doubling condition on the live families (those of
-    the reduced system, where the condition gives p = q), else
-    CertifiedFiniteConvergence. min_vector checks every m, which makes the
-    answer positive as the proof needs, and on a reduced system q_vector
-    checks every q.
+    nothing else); 0 then joins the nullable variables. Certificates read
+    Gamma as written: CertifiedLinear if every equation reached is linear,
+    CertifiedDoubling if the variable's component meets the doubling
+    condition on the live families (those of the reduced system, where the
+    condition gives p = q), else CertifiedFiniteConvergence. min_vector
+    checks every m, and q_vector every q on a reduced system, never a
+    non-basic one.
     """
     if horizon < 1:
         raise SemanticError("horizon must be at least 1")
     cls = classify(sys)
-    if not cls.is_basic:
-        raise SemanticError("system does not map positive-sets into positive-sets")
     dg = dependency(sys)
     k = sys.k
     # the equations with a family that uses two variables, or one with an
@@ -580,7 +587,8 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     ldg = dependency(live) if cls.empties else dg
     doubling = {i for comp in ldg.components() if _doubling_condition(live, comp) for i in comp}
 
-    closed = _least(_without_units(sys), dg, horizon)
+    closed = _least(_normal_form(sys, cls.minima), dg, horizon)
+    closed = [union(v, ZERO) if m == 0 else v for v, m in zip(closed, cls.minima)]
 
     # the gcd formula holds on reduced systems
     gcds = _q_report(sys, cls.minima, dg).q if cls.is_reduced else None

@@ -1,9 +1,10 @@
 """Brute-force reference implementations, used only by the tests.
 
 The brute-force references work on plain membership lists / integer sets
-with direct double loops, sharing no code with the exact engines.  The
-bitmask Kleene iteration and the exact reference answers are built on
-engine kernels instead, for experiments that drive the engine.
+with direct double loops, sharing no code with the exact engines, and so
+does the bitmask Kleene iteration, which shifts one integer mask per
+member.  The exact reference answers are built on the engines instead,
+for experiments that drive them.
 """
 from __future__ import annotations
 
@@ -121,8 +122,8 @@ def brute_fixpoint(system, h: int) -> list[BoolVec]:
                     if not piece.any():
                         break
                     idx = _index_set_members(e, h)
-                    if idx == {0}:
-                        continue
+                    if vals[j][0] and _reaches_past(e, h):
+                        idx.add(h)  # e*Y up to h rises with e, and stops at h
                     piece = _conv(piece, _star_ind(idx, vals[j]))
                 acc |= piece
             nxt.append(acc)
@@ -132,12 +133,17 @@ def brute_fixpoint(system, h: int) -> list[BoolVec]:
 
 
 # ---------------------------------------------------------------------------
-# truncated Kleene iteration on bitmask membership arrays, built on the
-# engine's bitmask sumset kernel
+# truncated Kleene iteration on bitmask membership arrays
 
 
 def _mask_sum(a: int, b: int, full: int) -> int:
-    return epset._mask_sum(a, b) & full
+    """One shift of b per member of a, cut to full."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= b << low.bit_length() - 1
+        a ^= low
+    return out & full
 
 
 def _mask_nstar(n: int, b: int, full: int) -> int:
@@ -169,8 +175,11 @@ def _mask_star(e, y: int, h: int, full: int) -> int:
     each block s + p*N in closed form as s-fold(y) + N*(p-fold(y))."""
     if y == 0:
         return 1 if index_member(e, 0) else 0
-    # members past h add nothing, as 0 is in no solution of a basic system
+    # members past h add nothing to a y without 0; with 0 in y, e*y up to h
+    # rises with e, and stops at h
     fins, blocks = index_parts(e, h)
+    if y & 1 and _reaches_past(e, h):
+        fins = fins + [h]
     out, cur, prev = 0, 1, 0
     for x in fins:
         cur = _mask_sum(cur, _mask_nstar(x - prev, y, full), full)
@@ -281,6 +290,13 @@ def _epset_members(s, h: int) -> set[int]:
     if s.period is not None:
         out |= {n for n in range(s.threshold, h + 1) if s.res >> (n % s.period) & 1}
     return out
+
+
+def _reaches_past(e, h: int) -> bool:
+    """True iff the index set e has a member past h."""
+    if hasattr(e, "members_upto") or e.period is not None:  # infinite
+        return True
+    return bool(e.finite_part) and e.finite_part[-1] > h
 
 
 def _index_set_members(e, h: int) -> set[int]:

@@ -39,7 +39,7 @@ from conftest import (
     term,
     vec,
 )
-from test_setsys import random_elementary_system
+from test_setsys import random_elementary_system, random_system
 
 F = Fraction
 ONE = singleton(1)
@@ -250,12 +250,16 @@ def test_criterion_08_epset_operations_vs_oracle():
 
 
 def test_criterion_09_random_systems_vs_brute_fixpoint():
+    # every other system may have nullable variables, which make it not basic
     rng = random.Random(90909)
     h = 256
+    nullable = 0
     for case in range(200):
-        sys_ = random_elementary_system(rng, rng.randint(1, 4))
+        draw = random_system if case % 2 else random_elementary_system
+        sys_ = draw(rng, rng.randint(1, 4))
         cls = setsys.classify(sys_)
-        assert cls.is_elementary
+        assert cls.is_elementary or case % 2
+        nullable += not cls.is_basic
         sol = setsys.solve(sys_, horizon=h)
         brute = oracle.brute_fixpoint(sys_, h)
         for i, v in enumerate(sol.variables):
@@ -263,7 +267,7 @@ def test_criterion_09_random_systems_vs_brute_fixpoint():
         mv = setsys.min_vector(sys_)
         for i, v in enumerate(sol.variables):
             assert params(v.closed_form).m == mv[i]
-        if not cls.empties:
+        if cls.is_reduced:
             qv = setsys.q_vector(sys_)
             dg = setsys.dependency(sys_)
             for i, v in enumerate(sol.variables):
@@ -279,6 +283,7 @@ def test_criterion_09_random_systems_vs_brute_fixpoint():
             assert [
                 set(s) for s in oracle.solve_seeded(sys_, h, seeds)
             ] == base
+    assert nullable >= 30
 
 
 def test_criterion_10_series_set_commutation():

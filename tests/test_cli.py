@@ -13,7 +13,9 @@ import time
 import pytest
 
 from spectre import cli, dsl, epset, pseries, setsys
+from spectre import compile as compile_mod
 from spectre.epset import EMPTY, POS, singleton, union
+from spectre.setsys import GammaTerm
 
 import oracle
 from conftest import FIXTURES
@@ -303,11 +305,11 @@ class TestExitCodes:
         assert "leave the solution open" in err
 
     def test_semantic_error(self, capsys, tmp_path):
-        spec = tmp_path / "not_basic.spec"
-        spec.write_text("vars Y; mode sets; Y = {0} | {1} + Y;")
+        spec = tmp_path / "composite.spec"
+        spec.write_text("vars Y; mode series; Y = x + Seq[N](x*Y);")
         code, _, err = run(capsys, "solve", str(spec))
         assert code == 3
-        assert err == "spectre: system does not map positive-sets into positive-sets\n"
+        assert err == "spectre: Seq with an infinite index set over a composite argument\n"
 
 
 class TestInputRefusals:
@@ -373,8 +375,13 @@ class TestSizeBound:
                 None,
                 "conductor bound 10002000036 is not below the size bound 100000000",
             ),
+            (
+                ["solve", "{spec}"],
+                "vars Y; mode series; Y = x^1000000000000;",
+                "exponent 1000000000000 is not below the size bound 100000000",
+            ),
         ],
-        ids=["member", "frobenius"],
+        ids=["member", "frobenius", "exponent"],
     )
     def test_refused_under_a_memory_cap(self, tmp_path, argv, text, err):
         # each exited 4 with MemoryError under a cap of 2 GB before the bound
@@ -413,6 +420,18 @@ class TestSizeBound:
         assert run(capsys, *argv) == (
             3, "", f"spectre: {err} is not below the size bound 100000000\n"
         )
+
+    def test_huge_power(self, capsys, tmp_path):
+        # the set side refuses an exponent past the bound, which check and
+        # coeffs never expand; one below it takes about log2 of it products
+        spec = tmp_path / "power.spec"
+        spec.write_text("vars Y; mode series; Y = x^1000000000000;")
+        assert run(capsys, "check", str(spec))[0] == 0
+        assert run(capsys, "coeffs", str(spec), "--degree", "3") == (0, "Y: [0, 0, 0, 0]\n", "")
+        start = time.perf_counter()
+        report = compile_mod.compile_system(dsl.parse("vars Y; mode series; Y = x^99999999;"))
+        assert time.perf_counter() - start < 5.0
+        assert report.system.equations == ((GammaTerm(singleton(99999999), ()),),)
 
     def test_below_the_bound(self):
         assert epset.bounded(epset.SIZE_BOUND - 1, "period") == epset.SIZE_BOUND - 1
@@ -518,7 +537,8 @@ class TestLeastnessProof:
         sys_ = dsl.parse(spec.read_text())
         # 1+N solves Y = {1} | {0} + Y, but {1} is the least solution
         assert setsys.gamma_eval(sys_, [POS]) == [POS]
-        assert setsys.gamma_eval(setsys._without_units(sys_), [POS]) == [singleton(1)]
+        flat = setsys._normal_form(sys_, setsys.min_vector(sys_))
+        assert setsys.gamma_eval(flat, [POS]) == [singleton(1)]
         assert run(capsys, "solve", str(spec)) == (0, "Y = {1}   [CertifiedLinear]\n", "")
 
 
@@ -529,12 +549,12 @@ class TestHatNote:
 
     @pytest.mark.parametrize("command", ["solve", "coeffs"])
     def test_no_note_on_a_constant_term(self, capsys, tmp_path, command):
-        # the constant term settles and M = 0, so nothing is ill posed; the
-        # direct translation Y = {0} | {1} + Y is out of solve's scope
+        # the constant term settles and M = 0, so nothing is ill posed, and
+        # solve answers the direct translation Y = {0} | {1} + Y
         spec = tmp_path / "constant.spec"
         spec.write_text("vars Y;\nmode series;\nY = 1 + x*Y;\n")
         code, out, _ = run(capsys, command, str(spec))
-        assert code == {"solve": 3, "coeffs": 0}[command]
+        assert code == 0
         assert "note:" not in out
 
     def test_check_accepts_a_constant_term_that_settles(self, capsys, tmp_path):
@@ -546,6 +566,15 @@ class TestHatNote:
             "identically zero: none\n",
             "",
         )
+
+    @pytest.mark.parametrize("rhs", ["1 + x*Y", "Seq[N](x)", "1 + x*Y^2"])
+    def test_solve_is_the_support_of_coeffs(self, rhs):
+        # each direct translation has 0 in its base and a family of weight
+        # below 2 that takes the empty word
+        sys_ = dsl.parse(f"vars Y;\nmode series;\nY = {rhs};\n")
+        assert oracle.spectral_equivalence_check(sys_, 60).ok
+        sol = setsys.solve(compile_mod.compile_system(sys_).system)
+        assert epset.format_epset(sol.variables[0].closed_form) == "0+1*N"
 
     def test_one_rule_for_every_spelling_of_a_constant(self, capsys, tmp_path):
         outs = []

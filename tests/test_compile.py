@@ -84,6 +84,25 @@ class TestCompile:
         assert len(report.system.equations[0]) == 26
         assert format_epset(setsys.solve(report.system).variables[0].closed_form) == "1+24*N"
 
+    def test_power_squares_and_multiplies(self, monkeypatch):
+        # at most 2*log2(n) + 1 products of family lists, with the families
+        # of the n-fold repeated product, in its order
+        rng = random.Random(1024)
+        bases = ["1", "x", "x^2", "Y", "Z", "x*Y", "Y*Z", "x*Z^2"]
+        for n in range(13):
+            rhs = " + ".join(rng.sample(bases, rng.randint(1, 4)))
+            sys_ = dsl.parse(f"vars Y, Z; mode series; Y = ({rhs})^{n}; Z = x;")
+            power = sys_.right_sides[0]
+            calls = []
+            mul = compile_mod._mul_families
+            with monkeypatch.context() as m:
+                m.setattr(compile_mod, "_mul_families", lambda fa, fb: calls.append(1) or mul(fa, fb))
+                fams = compile_mod._compile_expr(power.base, [], [])
+                base_calls = len(calls)
+                got = compile_mod._compile_expr(power, [], [])
+            assert got == compile_mod._powers(fams, n)[-1], (rhs, n)
+            assert len(calls) - 2 * base_calls <= 2 * n.bit_length() + 1, (rhs, n)
+
     def test_repeated_family_argument_is_a_variable(self):
         # (Y + Y)*1 is the one family Y, so Seq over it takes an index-set
         # exponent; 2Y has the support of Y

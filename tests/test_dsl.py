@@ -118,10 +118,9 @@ class TestParseSets:
 
     def test_zero_exponent_family(self):
         # {0}*Y denotes {0}, as {0} does
-        refused = parse("vars Y; mode sets; Y = {0}*Y | {1};")
-        assert refused == parse("vars Y; mode sets; Y = {0} | {1};")
-        with pytest.raises(SemanticError, match="does not map positive-sets"):
-            setsys.solve(refused)
+        nullable = parse("vars Y; mode sets; Y = {0}*Y | {1};")
+        assert nullable == parse("vars Y; mode sets; Y = {0} | {1};")
+        assert [v.closed_form for v in setsys.solve(nullable).variables] == [normalize([0, 1])]
         sys_ = parse("vars Y; mode sets; Y = {0}*Y + {1} | {1} + Y + Y;")
         assert [v.closed_form for v in setsys.solve(sys_).variables] == [
             normalize((), [(1, 2)])

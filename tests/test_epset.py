@@ -173,6 +173,26 @@ class TestParams:
         pp = params(normalize([1, 5]))
         assert (pp.m, pp.q, pp.p, pp.c) == (1, 4, 0, 6)
 
+    def test_gcd_vs_every_member(self):
+        # q by mask tests on divisors of the first difference, against a gcd
+        # over every finite member and tail progression; the members are
+        # mostly m plus multiples of g
+        rng = random.Random(604)
+        for _ in range(3000):
+            g = rng.choice([1, 2, 3, 4, 6, 12, 35])
+            m = rng.randrange(20)
+            fin = [m + g * x + (rng.random() < 0.1) * rng.randrange(1, 9)
+                   for x in rng.sample(range(60), rng.randint(0, 9))]
+            blocks = [(rng.randrange(80), rng.randint(1, 12)) for _ in range(rng.randint(0, 2))]
+            a = normalize(fin, blocks)
+            if a.is_empty:
+                continue
+            m = a.finite_part[0] if a.finite_part else a.threshold
+            q = math.gcd(*(n - m for n in a.finite_part))
+            for start, period in epset._blocks(a):
+                q = math.gcd(q, start - m, period)
+            assert (params(a).m, params(a).q) == (m, q), a
+
 
 # ---------------------------------------------------------------------------
 # algebraic identities (canonical-form equalities)

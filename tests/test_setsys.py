@@ -371,8 +371,21 @@ class TestNonuniqueness:
 def random_elementary_system(
     rng: random.Random, k: int, periodic: bool = False
 ) -> SetSystem:
+    """random_system with each family that has 0 in its base and weight
+    below 2 moved up by 2."""
+    def lifted(t: GammaTerm) -> GammaTerm:
+        if member(t.base, 0) and t.min_weight() < 2:
+            return GammaTerm(sumset(t.base, normalize([2])), t.factors)
+        return t
+
+    sys_ = random_system(rng, k, periodic)
+    return SetSystem(sys_.variables, tuple(tuple(map(lifted, eq)) for eq in sys_.equations))
+
+
+def random_system(rng: random.Random, k: int, periodic: bool = False) -> SetSystem:
     """Exponent sets are finite subsets of {0..5}, or with periodic=True
-    also eventually periodic sets, with or without 0."""
+    also eventually periodic sets, with or without 0. A base may hold 0,
+    so the system may be nullable, and is then not basic."""
     names = tuple(f"Y{i}" for i in range(k))
     eqs = []
     for _ in range(k):
@@ -394,10 +407,7 @@ def random_elementary_system(
                         rng.sample(range(6), rng.randint(1, 3))
                     )
                     exps.append((j, normalize(elems)))
-            t = GammaTerm(base, exps)
-            if member(base, 0) and t.min_weight() < 2:
-                t = GammaTerm(sumset(base, normalize([2])), t.factors)
-            terms.append(t)
+            terms.append(GammaTerm(base, exps))
         eqs.append(tuple(terms))
     return SetSystem(names, tuple(eqs))
 
@@ -428,6 +438,13 @@ UNIT_EXPONENTS = (ONE, ONE, ONE, normalize([0, 1]), normalize([1, 2]), normalize
 def random_basic_system(rng: random.Random, k: int) -> SetSystem:
     """A random basic system, biased toward unit rules: most bases are {0}
     and most exponent sets {1}."""
+    return random_unit_system(rng, k, basic=True)
+
+
+def random_unit_system(rng: random.Random, k: int, basic: bool = False) -> SetSystem:
+    """A random system, biased toward unit rules, and toward empty words
+    unless basic=True, which draws again each family that takes 0 at the
+    empty set."""
     names = tuple(f"Y{i}" for i in range(k))
     eqs = []
     for _ in range(k):
@@ -435,7 +452,7 @@ def random_basic_system(rng: random.Random, k: int) -> SetSystem:
         while len(terms) < size:
             exps = [(j, rng.choice(UNIT_EXPONENTS)) for j in range(k) if rng.random() < 0.4]
             t = GammaTerm(rng.choice(UNIT_BASES), exps)
-            if not (member(t.base, 0) and t.min_weight() == 0):
+            if not (basic and member(t.base, 0) and t.min_weight() == 0):
                 terms.append(t)
         eqs.append(tuple(terms))
     return SetSystem(names, tuple(eqs))
@@ -535,8 +552,13 @@ class TestRandomSystems:
 
 
 class TestWithoutUnits:
-    """Gamma' has the least solution of Gamma as its one positive fixed
-    point, on random basic systems that often close cycles of unit rules."""
+    """Gamma+, the normal form, has the least solution of Gamma less 0 as
+    its one positive fixed point, on random systems that often close
+    cycles of unit rules and, unless basic, take the empty word."""
+
+    @staticmethod
+    def flat(sys_: SetSystem) -> SetSystem:
+        return setsys._normal_form(sys_, min_vector(sys_))
 
     def test_random_basic_systems(self, monkeypatch):
         rng = random.Random(1979)
@@ -547,7 +569,7 @@ class TestWithoutUnits:
             nu = [v.closed_form for v in solve(sys_, horizon=h).variables]
             for v, b in zip(nu, oracle.brute_fixpoint(sys_, h)):
                 assert members(v, h) == oracle.vec_members(b), sys_
-            flat = setsys._without_units(sys_)
+            flat = self.flat(sys_)
             changed += flat != sys_
             assert setsys.gamma_eval(flat, nu) == nu
             # one member planted in a gap of a solution
@@ -584,24 +606,119 @@ class TestWithoutUnits:
                 assert got == nu, sys_
         assert changed >= 60 and planted >= 100 and non_least >= 20 and faulted >= 5
 
+    def test_random_nullable_systems(self):
+        # the positive parts of the least solution are Gamma+'s one
+        # positive fixed point; 0 is in exactly the nullable variables
+        rng = random.Random(1980)
+        h = 48
+        nullable = planted = non_least = 0
+        for _ in range(160):
+            sys_ = random_unit_system(rng, rng.randint(1, 3))
+            sol = solve(sys_, horizon=h)
+            nu = [v.closed_form for v in sol.variables]
+            for v, b in zip(nu, oracle.brute_fixpoint(sys_, h)):
+                assert members(v, h) == oracle.vec_members(b), sys_
+            nullable += not classify(sys_).is_basic
+            pos = [setsys._from(v, 1) for v in nu]
+            flat = self.flat(sys_)
+            assert setsys.gamma_eval(flat, pos) == pos, sys_
+            i = rng.randrange(sys_.k)
+            gaps = sorted(set(range(1, h)) - members(nu[i], h))
+            if gaps:
+                wrong = list(pos)
+                wrong[i] = union(pos[i], singleton(rng.choice(gaps)))
+                assert setsys.gamma_eval(flat, wrong) != wrong, sys_
+                planted += 1
+            y = [union(v, normalize((), [(rng.randint(1, 6), 1)])) for v in nu]
+            image = setsys.gamma_eval(sys_, y)
+            while image != y and all(map(epset.is_subset, y, image)):
+                y, image = image, setsys.gamma_eval(sys_, image)
+            fixed, y = image == y, [setsys._from(v, 1) for v in y]
+            if fixed and y != pos:
+                assert setsys.gamma_eval(flat, y) != y, sys_
+                non_least += 1
+        assert nullable >= 100 and planted >= 100 and non_least >= 30
+
     def test_enumerated_sets_start_at_two(self):
-        # so a family with an enumerated index set has weight >= 2, and
-        # _without_units neither splits it nor makes it a unit rule
+        # so a family with an enumerated index set on a variable that is not
+        # nullable has weight >= 2, and _normal_form neither splits it nor
+        # makes it a unit rule
         assert all(e.first() >= 2 for e in ENUMERATED_SETS.values())
 
+    def test_primes_on_a_nullable_variable_is_every_count(self):
+        # down(Primes) = N: Y >= Z is a unit rule, Y takes Z's family, and
+        # 2+N is the rest of N less 0
+        sys_ = sets_system("Y = {0} | Primes*Z;", "Z = {0} | {3} + Z;")
+        flat = self.flat(sys_)
+        assert not flat.enumerated
+        assert flat.equations[0] == (
+            GammaTerm(ZERO, [(1, normalize((), [(2, 1)]))]),
+            GammaTerm(singleton(3), [(1, normalize([0, 1]))]),
+        )
+        assert [format_epset(v.closed_form) for v in solve(sys_).variables] == ["0+3*N"] * 2
+
     def test_cut_commutes_with_unit_elimination(self):
-        # solve cuts Gamma' for the bracket on Primes, not Gamma
+        # solve cuts Gamma+ for the bracket on Primes, not Gamma; a basic
+        # system has no nullable variable, so Gamma+ keeps each Primes
         rng = random.Random(2009)
         changed = 0
         for _ in range(100):
             sys_ = with_primes(rng, random_basic_system(rng, rng.randint(1, 3)))
-            flat = setsys._without_units(sys_)
+            flat = self.flat(sys_)
             changed += flat != sys_
             for bound in (2, 4, 8, 32):
                 for tail in ([], [(bound + 1, 1)]):
                     cut = setsys._cut(sys_, bound, tail)
-                    assert setsys._without_units(cut) == setsys._cut(flat, bound, tail), sys_
+                    assert self.flat(cut) == setsys._cut(flat, bound, tail), sys_
         assert changed >= 30
+
+    def test_random_systems_with_primes(self):
+        rng = random.Random(2010)
+        h = 160
+        solved = 0
+        for _ in range(40):
+            sys_ = with_primes(rng, random_unit_system(rng, rng.randint(1, 3)))
+            try:
+                sol = solve(sys_, horizon=64)
+            except SemanticError as e:
+                assert "leave the solution open" in str(e)
+                continue
+            solved += 1
+            for v, b in zip(sol.variables, oracle.brute_fixpoint(sys_, h)):
+                assert members(v.closed_form, h) == oracle.vec_members(b), sys_
+        assert solved >= 30
+
+    def test_families_grow_polynomially(self):
+        # a w-wide family with 0 in its base splits by its first factor not
+        # at 0, not into every choice of {0}, {1} and 2+N per factor
+        def wide(w: int, nullable: bool) -> SetSystem:
+            rhs = " + ".join(f"N*Y{j}" for j in range(2, w + 1))
+            first, own = ("N*Y1", "{0} | {1}") if nullable else ("Y1", "{1}")
+            return sets_system(
+                f"Y0 = {{0}} + {first} + {rhs};",
+                *(f"Y{j} = {own} | {{2}} + Y{j};" for j in range(1, w + 1)),
+            )
+
+        unit = wide(10, nullable=False)
+        assert classify(unit).is_basic and len(self.flat(unit).equations[0]) <= 12
+        empty = wide(16, nullable=True)
+        assert not classify(empty).is_basic and len(self.flat(empty).equations[0]) <= 16**2
+        for sys_ in (unit, empty):
+            h = 40
+            for v, b in zip(solve(sys_).variables, oracle.brute_fixpoint(sys_, h)):
+                assert members(v.closed_form, h) == oracle.vec_members(b)
+
+    def test_oracle_reads_members_past_the_horizon(self):
+        # with 0 in Z, {200}*Z holds every count up to 200
+        sys_ = sets_system("Y = {200}*Z;", "Z = {0} | {1};")
+        h = 160
+        assert [oracle.vec_members(b) for b in oracle.brute_fixpoint(sys_, h)] == [
+            set(range(h + 1)), {0, 1}
+        ]
+        assert [format_epset(v.closed_form) for v in solve(sys_).variables] == [
+            "{" + ",".join(map(str, range(201))) + "}", "{0,1}"
+        ]
+        assert oracle.solve_seeded(sys_, h, [EMPTY, EMPTY]) == [set(range(h + 1)), {0, 1}]
 
 
 def linear_system(c: list[list[EPSet]], d: list[EPSet]) -> SetSystem:
@@ -847,10 +964,10 @@ class TestExactSolve:
         # Gamma' is built once, and the digraphs are the system's and its
         # unit rules', however many bounds the bracket on Primes takes
         built, rewritten = [], []
-        dependency_, without_units = setsys.dependency, setsys._without_units
+        dependency_, normal_form = setsys.dependency, setsys._normal_form
         monkeypatch.setattr(setsys, "dependency", lambda s: built.append(s) or dependency_(s))
         monkeypatch.setattr(
-            setsys, "_without_units", lambda s: rewritten.append(s) or without_units(s)
+            setsys, "_normal_form", lambda s, m: rewritten.append(s) or normal_form(s, m)
         )
         sys_ = fixture_system(f"{name}.spec")
         assert not classify(sys_).empties
