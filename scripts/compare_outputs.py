@@ -6,12 +6,12 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, seven systems with large answers or many variables, nine
-edge cases of the tokenizer, the parser, the certificates, the solver and
-the size bound, --count seeded random series systems and as many random
-set systems, a few frobenius generator lists, and a fixed list of command
-lines for the argument parser: usage errors and the option forms it
-accepts.  Every command runs on each fixture, also with a horizon of 0 and a negative degree, so that the
+and linear part, seven systems with large answers or many variables, ten
+edge cases of the tokenizer, the parser, the certificates, the solver, the
+size bound and compile's hidden variables, --count seeded random series
+systems and as many random set systems, a few frobenius generator lists,
+and a fixed list of command lines for the argument parser: usage errors and
+the option forms it accepts.  Every command runs on each fixture, also with a horizon of 0 and a negative degree, so that the
 refusals are compared too, every applicable command on each other input,
 and solve at a horizon of 8192 on the large ones.  Each runs in process
 through the ``spectre.cli.main`` of one checkout at a time, and its
@@ -113,8 +113,10 @@ LARGE_SYSTEMS = (
 # after a closing comment with no newline, whose error sits at the '#'; a
 # form feed, which is no blank, after tabs; names with '½' and 'é'
 # beside a number in Arabic-Indic digits; 3000 nested parentheses in a
-# set file and in a series file; and a cycle of unit rules whose Gamma'
-# copies a family with Primes into another equation
+# set file and in a series file; a cycle of unit rules whose Gamma'
+# copies a family with Primes into another equation; a member past the size
+# bound; and a product that uses Y with Primes and once more, which compile
+# gives a hidden alias W = Y
 EDGE_SYSTEMS = (
     "vars Y; mode sets; Y = {²};\n",
     "vars Y, W; mode sets; Y = {1} | Y + Y + W; W = {1} + W;\n",
@@ -126,6 +128,7 @@ EDGE_SYSTEMS = (
     "vars Y, Z, W; mode sets; Y = Z | {1} + Primes*W; Z = Y | {2} + Z + Z;"
     " W = {1} | {0} + W | {2} + W;\n",
     "vars Y; mode sets; Y = {1000000000000000};\n",
+    "vars Y; mode series; Y = x + x*MSet[Primes](Y)*Y;\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3", "100003 100019")

@@ -102,28 +102,30 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     system = _load(args.file)
+    k = len(system.variables)  # the user's variables; compile's hidden ones follow
     note = _ill_posed_note(system)
     sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     if note and args.format == "text":
         print(note)
     if args.format == "json":
-        doc = setsys.solution_json(sol)
+        doc = setsys.solution_json(sol, k)
         doc["horizon"] = sol.horizon
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    for v in sol.variables:
+    for v in sol.variables[:k]:
         print(f"{v.name} = {format_epset(v.closed_form)}   [{v.certificate}]")
     return EXIT_OK
 
 
 def cmd_params(args) -> int:
     system = _load(args.file)
+    k = len(system.variables)  # the user's variables; compile's hidden ones follow
     note = _ill_posed_note(system)
     sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
     if note:
         print(note)
     print(f"{'var':<8} {'min':>6} {'gcd':>6} {'period':>6} {'onset':>6}")
-    for v in sol.variables:
+    for v in sol.variables[:k]:
         m = "inf" if v.params.m == math.inf else str(v.params.m)
         print(
             f"{v.name:<8} {m:>6} {v.params.q:>6} "

@@ -26,6 +26,7 @@ from .epset import (
     IndexSet,
     POS,
     ZERO,
+    SemanticError,
     bounded,
     format_epset,
     normalize,
@@ -333,6 +334,8 @@ class _Parser:
                 self.next()
                 continue
             break
+        if None in exps.values():  # exponent_sum keeps None once it gives it
+            raise SemanticError("cannot combine an enumerated index set with another exponent")
         if base == EMPTY or EMPTY in exps.values():
             return None
         return GammaTerm(base, exps.items())

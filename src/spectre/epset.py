@@ -137,8 +137,16 @@ _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bits(m: int) -> list[int]:
-    """Positions of the set bits of m >= 0, ascending; linear in the
-    length of m."""
+    """Positions of the set bits of m >= 0, ascending. A pass over every
+    binary digit, linear in the length of m; but when fewer than about one
+    digit in 16 is set, the set bits are isolated one at a time instead."""
+    if 16 * m.bit_count() < m.bit_length() + 64:
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
     digits = format(m, "b").encode()[::-1].translate(_BIT_DIGITS)
     return list(itertools.compress(range(len(digits)), digits))
 
@@ -247,20 +255,6 @@ def _canonical(mask: int, tails: Iterable[Tuple[int, int, int]]) -> EPSet:
     return EPSet(mask & ((1 << thr) - 1), thr, period, res)
 
 
-def _positions(m: int, count: int) -> list[int]:
-    """_bits(m) for an m with count set bits. _bits passes over every
-    binary digit, so when fewer than about one digit in 16 is set, the
-    set bits are isolated one at a time instead."""
-    if 16 * count >= m.bit_length() + 64:
-        return _bits(m)
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
-
-
 _STRIDES = range(1, 7)  # the run strides tried on an operand of 16 members or more
 
 
@@ -291,13 +285,13 @@ def _mask_sum(a: int, b: int) -> int:
                 cost, runs = smear, (y, t, r, d)
     out = 0
     if runs is None:
-        for n in _positions(a, ca):
+        for n in _bits(a):
             out |= b << n
         return out
     y, t, r, d = runs
     starts: dict[int, int] = {}  # the open run of each class mod d
     smears: dict[int, int] = {}
-    for e in _positions(t, 2 * r):
+    for e in _bits(t):
         s = starts.pop(e % d, None)
         if s is None:
             starts[e % d] = e

@@ -38,16 +38,17 @@ from .epset import (
 ONE = singleton(1)
 
 
-def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet:
+def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet | None:
     """Exponent set of one variable in the product of two terms that use
-    it with exponent sets a and b."""
+    it with exponent sets a and b; None, which no index set holds, when an
+    enumerated one meets another exponent, and when a is None."""
     if a == ZERO:
         return b
     if b == ZERO:
         return a
     if isinstance(a, EPSet) and isinstance(b, EPSet):
         return sumset(a, b)
-    raise SemanticError("cannot combine an enumerated index set with another exponent")
+    return None
 
 
 class GammaTerm(_Value):
@@ -613,15 +614,16 @@ def solve(sys: SetSystem, horizon: int = 512) -> SpectrumSolution:
     return SpectrumSolution(horizon, tuple(out), cls)
 
 
-def solution_json(sol: SpectrumSolution) -> dict:
-    """The published JSON schema for a solved system."""
+def solution_json(sol: SpectrumSolution, k: int | None = None) -> dict:
+    """The published JSON schema for a solved system, on its first k variables."""
+    shown = sol.variables[:k]
     return {
-        "variables": [v.name for v in sol.variables],
+        "variables": [v.name for v in shown],
         "classification": {
             "basic": sol.classification.is_basic,
             "elementary": sol.classification.is_elementary,
             "reduced": sol.classification.is_reduced,
-            "empties": sorted(sol.classification.empties),
+            "empties": sorted(i for i in sol.classification.empties if i < len(shown)),
         },
         "solution": [
             {
@@ -633,6 +635,6 @@ def solution_json(sol: SpectrumSolution) -> dict:
                 "c": v.params.c,
                 "certificate": v.certificate,
             }
-            for v in sol.variables
+            for v in shown
         ],
     }

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from pathlib import Path
 
@@ -50,6 +51,15 @@ def term(base: EPSet, **by_index) -> GammaTerm:
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def script(name: str):
+    """scripts/<name>.py, loaded as a module."""
+    path = FIXTURES.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_series_system(rng: random.Random, k: int):

@@ -266,10 +266,10 @@ def spectral_equivalence_check(system: PSSystem, n: int) -> EquivReport:
     series_sol = pseries.fixed_point_solve(system, n)
     supports = [{i for i, c in enumerate(s.coeffs) if c} for s in series_sol]
     set_sol = setsys.solve(compile_mod.compile_system(system).system, horizon=n)
-    for i, v in enumerate(set_sol.variables):
+    for v, support in zip(set_sol.variables, supports):  # compile's hidden variables come last
         set_support = {d for d in range(n + 1) if member(v.closed_form, d)}
-        if set_support != supports[i]:
-            diff = sorted(set_support ^ supports[i])
+        if set_support != support:
+            diff = sorted(set_support ^ support)
             return EquivReport(False, (v.name, diff[0]), n)
     return EquivReport(True, None, n)
 

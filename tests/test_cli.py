@@ -305,11 +305,11 @@ class TestExitCodes:
         assert "leave the solution open" in err
 
     def test_semantic_error(self, capsys, tmp_path):
-        spec = tmp_path / "composite.spec"
-        spec.write_text("vars Y; mode series; Y = x + Seq[N](x*Y);")
+        spec = tmp_path / "enumerated.spec"
+        spec.write_text("vars Y; mode sets; Y = {1} + Primes*Y + Primes*Y;")
         code, _, err = run(capsys, "solve", str(spec))
         assert code == 3
-        assert err == "spectre: Seq with an infinite index set over a composite argument\n"
+        assert err == "spectre: cannot combine an enumerated index set with another exponent\n"
 
 
 class TestInputRefusals:
@@ -620,12 +620,13 @@ class TestHatNote:
 
     @pytest.mark.parametrize("command", ["solve", "params"])
     def test_no_note_before_a_refusal(self, capsys, tmp_path, command):
-        # M is singular, and the direct translation is refused
+        # M is singular, and the direct translation is refused: its
+        # spectrum holds the primes
         spec = tmp_path / "ill.spec"
-        spec.write_text("vars Y;\nmode series;\nY = x + Y + x*MSet[2+2*N](x*Y);\n")
+        spec.write_text("vars Y;\nmode series;\nY = x + Y + MSet[Primes](x);\n")
         code, out, err = run(capsys, command, str(spec))
         assert (code, out) == (3, "")
-        assert "MSet with an infinite index set over a composite argument" in err
+        assert "enumerated index sets cut at 512 leave the solution open" in err
 
     @pytest.mark.parametrize("kind", ["Seq", "MSet", "Cycle"])
     def test_construct_over_an_index_set_with_zero(self, capsys, tmp_path, kind):
@@ -670,15 +671,13 @@ class TestOriginWalks:
 
 class TestEnumeratedExponents:
     """An enumerated index set cannot be summed with another exponent of
-    the same variable, in a set term or in a compiled product."""
+    the same variable: a set term refuses it, and a compiled product moves
+    it to a hidden alias W = Y."""
 
     @pytest.mark.parametrize(
         "command, text",
-        [
-            ("solve", "vars Y; mode sets; Y = {1} + Primes*Y + Primes*Y;"),
-            ("compile", "vars Y; mode series; Y = x + x*MSet[Primes](Y)*MSet[Primes](Y);"),
-        ],
-        ids=["set-term", "series-product"],
+        [("solve", "vars Y; mode sets; Y = {1} + Primes*Y + Primes*Y;")],
+        ids=["set-term"],
     )
     def test_semantic_error(self, capsys, tmp_path, command, text):
         spec = tmp_path / "enumerated.spec"
@@ -688,6 +687,18 @@ class TestEnumeratedExponents:
         assert err == (
             "spectre: cannot combine an enumerated index set with another exponent\n"
         )
+
+    def test_series_product_takes_an_alias(self, capsys, tmp_path):
+        spec = tmp_path / "enumerated.spec"
+        spec.write_text("vars Y; mode series; Y = x + x*MSet[Primes](Y)*MSet[Primes](Y)*Y;")
+        code, out, _ = run(capsys, "compile", str(spec))
+        assert code == 0
+        assert out.startswith(
+            "vars Y, _0, _1;\nmode sets;\n"
+            "Y = {1} | {1} + Y + Primes*_0 + Primes*_1;\n_0 = Y;\n_1 = _0;\n"
+        )
+        # 1 + p + q + y for primes p, q and y in Y starts at 1 + 2 + 2 + 1
+        assert run(capsys, "solve", str(spec)) == (0, "Y = {1} | 6+1*N   [CertifiedDoubling]\n", "")
 
 
 class TestParameterInvariants:

@@ -9,10 +9,12 @@ from spectre.compile import compile_system
 from spectre.epset import POS, ZERO, SemanticError, format_epset, normalize, singleton
 from spectre.pseries import Construct, PSSystem, Series, Var, X, evaluate
 
-from conftest import fixture_text, random_series_system, term
+import oracle
+from conftest import fixture_text, random_series_system, script, term
 from oracle import spectral_equivalence_check
 
 ONE = singleton(1)
+compare_outputs = script("compare_outputs")
 
 
 class TestCompile:
@@ -94,13 +96,17 @@ class TestCompile:
             sys_ = dsl.parse(f"vars Y, Z; mode series; Y = ({rhs})^{n}; Z = x;")
             power = sys_.right_sides[0]
             calls = []
-            mul = compile_mod._mul_families
+            mul = compile_mod._Compiler.mul
+            c = compile_mod._Compiler(2)
             with monkeypatch.context() as m:
-                m.setattr(compile_mod, "_mul_families", lambda fa, fb: calls.append(1) or mul(fa, fb))
-                fams = compile_mod._compile_expr(power.base, [], [])
+                m.setattr(compile_mod._Compiler, "mul", lambda s, fa, fb: calls.append(1) or mul(s, fa, fb))
+                fams = c.expr(power.base)
                 base_calls = len(calls)
-                got = compile_mod._compile_expr(power, [], [])
-            assert got == compile_mod._powers(fams, n)[-1], (rhs, n)
+                got = c.expr(power)
+            want = [term(ZERO)]
+            for _ in range(n):
+                want = c.mul(want, fams)
+            assert got == want, (rhs, n)
             assert len(calls) - 2 * base_calls <= 2 * n.bit_length() + 1, (rhs, n)
 
     def test_repeated_family_argument_is_a_variable(self):
@@ -112,29 +118,6 @@ class TestCompile:
             (term(ONE), term(ONE, e0=normalize((), [(2, 1)]))),
         )
 
-    def test_termwise_expansion_keeps_each_family_once(self):
-        # Seq[{1,2}](1 + Y) expands to 1 | Y | 1 | Y | 2Y
-        sys_ = dsl.parse("vars Y; mode series; Y = x + x*Seq[{1,2}](1 + Y);")
-        report = compile_system(sys_)
-        assert report.system.equations == (
-            (term(ONE), term(ONE, e0=ONE), term(ONE, e0=normalize([2]))),
-        )
-
-    def test_termwise_expansion_builds_each_power_once(self, monkeypatch):
-        # Seq[{1..8}](x + Y) is every a*x + b*Y with 1 <= a + b <= 8, power
-        # by power, each from the one before: 8 products, not 1 + ... + 8
-        calls = []
-        mul = compile_mod._mul_families
-        monkeypatch.setattr(
-            compile_mod, "_mul_families", lambda fa, fb: calls.append(1) or mul(fa, fb)
-        )
-        sys_ = dsl.parse("vars Y; mode series; Y = Seq[{1,2,3,4,5,6,7,8}](x + Y);")
-        report = compile_system(sys_)
-        assert len(calls) == 8
-        assert report.system.equations == (tuple(
-            term(normalize([n - b]), e0=normalize([b])) for n in range(1, 9) for b in range(n + 1)
-        ),)
-
     def test_construct_over_zero_on_a_variable(self):
         # Cycle[{0}](Y) is the family {0}, with no variable left
         sys_ = dsl.parse("vars Y; mode series; Y = x + x*Cycle[{0}](Y);")
@@ -144,32 +127,28 @@ class TestCompile:
         assert compile_system(sys_).system.equations == ((term(ONE), term(ZERO)),)
 
     def test_enumerated_over_constant_rejected(self):
+        # MSet[Primes](x) is Primes*Z with Z = x: it compiles, and the
+        # bracket refuses to solve it, since its spectrum is Primes
         primes = epset.ENUMERATED_SETS["Primes"]
         sys_ = PSSystem(("Y",), (Construct("MSet", primes, X()),))
-        with pytest.raises(SemanticError, match="enumerated index set over a constant spectrum"):
-            compile_system(sys_)
+        compiled = compile_system(sys_).system
+        assert compiled.variables == ("Y", "_0")
+        assert compiled.equations == ((term(ZERO, e1=primes),), (term(ONE),))
+        with pytest.raises(SemanticError, match="leave the solution open"):
+            setsys.solve(compiled)
 
     def test_finite_index_composite_argument(self):
-        # MSet[{2}] over x*y expands termwise into a squared family
-        sys_ = PSSystem(
-            ("Y",),
-            (
-                pseries.Add(
-                    (
-                        X(),
-                        Construct(
-                            "MSet",
-                            normalize([2]),
-                            pseries.Mul((X(), Var(0))),
-                        ),
-                    )
-                ),
-            ),
-        )
+        # MSet[{2}](x*Y) is the one family {2}*Z with Z = x*Y, and Seq[{1,2}]
+        # over the same argument reads the same Z
+        sys_ = dsl.parse("vars Y; mode series; Y = x + MSet[{2}](x*Y) + Seq[{1,2}](x*Y);")
         report = compile_system(sys_)
+        assert report.system.variables == ("Y", "_0")
         assert report.system.equations == (
-            (term(ONE), term(normalize([2]), e0=normalize([2]))),
+            (term(ONE), term(ZERO, e1=normalize([2])), term(ZERO, e1=normalize([1, 2]))),
+            (term(ONE, e0=ONE),),
         )
+        assert report.notes == ("MSet over a composite argument -> hidden variable",
+                                "Seq over a composite argument -> hidden variable")
 
     def test_dcycle_note(self):
         sys_ = PSSystem(
@@ -181,6 +160,77 @@ class TestCompile:
         assert report.system.equations == (
             (term(ONE), term(ONE, e0=POS)),
         )
+
+
+def composite_system(rng: random.Random, k: int, index: str) -> str:
+    """A random series system of k variables whose constructs take
+    composite arguments, and now and then constant ones; the first construct
+    is over index, the rest over compare_outputs' index sets, {} or P."""
+    names = [f"A{i + 1}" for i in range(k)]
+    args = ["x*{a}", "x + {a}", "{a}*{b}", "x + x^2", "x*{a}^2", "1 + x*{a}", "{a} + {b}", "x"]
+    indexes = [index]
+
+    def construct() -> str:
+        idx = indexes.pop() if indexes else rng.choice(compare_outputs.INDEX_SETS + ("{}", ""))
+        arg = rng.choice(args).format(a=rng.choice(names), b=rng.choice(names))
+        kind = rng.choice(["Seq", "MSet", "MSet", "Cycle"])
+        return f"{kind}[{idx}]({arg})" if idx else f"{kind}({arg})"
+
+    def product() -> str:
+        factors = [rng.choice(["x", "x", "x^2", "2*x", "1"])] if rng.random() < 0.8 else []
+        factors += [rng.choice(names) for _ in range(rng.randint(0, 1))]
+        factors += [construct() for _ in range(rng.randint(0, 2))]
+        return "*".join(factors) or "x"
+
+    rhs = [" + ".join(product() for _ in range(rng.randint(1, 3))) for _ in names]
+    rhs[0] = f"{rhs[0]} + x*{construct()}"
+    return f"vars {', '.join(names)}; mode series;\n" + "".join(
+        f"{n} = {r};\n" for n, r in zip(names, rhs)
+    )
+
+
+class TestHiddenVariables:
+    def test_names_avoid_the_users(self):
+        sys_ = dsl.parse(
+            "vars _0, _2; mode series; _0 = x + x*Seq(x*_0);"
+            " _2 = x*MSet(x + _2) + MSet[Primes](_0)*_0;"
+        )
+        compiled = compile_system(sys_).system
+        assert compiled.variables == ("_0", "_2", "_1", "_3", "_4")
+        assert compiled.equations[2:] == (
+            (term(ONE, e0=ONE),), (term(ONE), term(ZERO, e1=ONE)), (term(ZERO, e0=ONE),)
+        )
+        assert dsl.parse(dsl.print_system(compiled)) == compiled
+
+    def test_random_composite_arguments(self):
+        # solve on the compiled system against Kleene iteration on [0, 120],
+        # and against the support of the coefficients where coeffs answers
+        rng = random.Random(2727)
+        h, n = 120, 40
+        hidden = solved = counted = 0
+        for index in compare_outputs.INDEX_SETS * 10:
+            text = composite_system(rng, rng.randint(1, 3), index)
+            series = dsl.parse(text)
+            compiled = compile_system(series).system
+            hidden += compiled.k > series.k
+            assert dsl.parse(dsl.print_system(compiled)) == compiled, text
+            try:
+                sol = setsys.solve(compiled, horizon=128)
+            except SemanticError:
+                continue  # the bracket cannot close on a spectrum like Primes
+            solved += 1
+            brute = oracle.brute_fixpoint(compiled, h)
+            for v, want in zip(sol.variables, brute):
+                assert set(epset.enumerate_range(v.closed_form, 0, h)) == oracle.vec_members(want), text
+            try:
+                coeffs = pseries.fixed_point_solve(series, n)
+            except SemanticError:
+                continue  # Cycle, or no power-series solution
+            counted += 1
+            for v, s in zip(sol.variables, coeffs):
+                support = {d for d, c in enumerate(s.coeffs) if c}
+                assert set(epset.enumerate_range(v.closed_form, 0, n)) == support, text
+        assert hidden >= 80 and solved >= 80 and counted >= 10, (hidden, solved, counted)
 
 
 class TestEquivalence:

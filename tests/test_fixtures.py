@@ -1,5 +1,4 @@
 """Every bundled fixture through every command that applies to it."""
-import importlib.util
 import shutil
 
 import pytest
@@ -7,19 +6,15 @@ import pytest
 from spectre import cli, dsl
 from spectre.pseries import PSSystem
 
-from conftest import FIXTURES
+from conftest import FIXTURES, script
 
 COMMANDS = ("check", "solve", "params", "digraph")
 SERIES_COMMANDS = ("compile", "coeffs")
 
-# Out of scope until composite construct arguments get hidden variables
-# (ROADMAP item 2) and Cycle gets coefficients (ROADMAP item 3).
+# Out of scope until Cycle gets coefficients (ROADMAP item 3).
 KNOWN_SEMANTIC_ERRORS = {
-    ("compton", "solve"): "item 2: Cycle with an infinite index set over a composite argument",
-    ("compton", "params"): "item 2: Cycle with an infinite index set over a composite argument",
-    ("compton", "digraph"): "item 2: Cycle with an infinite index set over a composite argument",
-    ("compton", "compile"): "item 2: Cycle with an infinite index set over a composite argument",
     ("compton", "coeffs"): "item 3: Cycle has spectrum-only semantics",
+    ("fdigraph", "coeffs"): "item 3: Cycle has spectrum-only semantics",
     ("structured", "coeffs"): "item 3: Cycle has spectrum-only semantics",
 }
 
@@ -46,17 +41,8 @@ def test_fixture_command(capsys, name, command):
     assert code == cli.EXIT_OK, err
 
 
-def _script(name: str):
-    """scripts/<name>.py, loaded as a module."""
-    path = FIXTURES.parent / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _tour():
-    return _script("run_fixtures")
+    return script("run_fixtures")
 
 
 class TestTourScript:
@@ -69,7 +55,7 @@ class TestTourScript:
     def test_bundled_fixtures(self, capsys):
         assert _tour().main([]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[-1] == "28 commands: exit 0: 24, exit 3: 4"
+        assert out.splitlines()[-1] == "32 commands: exit 0: 29, exit 3: 3"
 
     def test_internal_error_fails_the_run(self, capsys, tmp_path, monkeypatch):
         shutil.copy(FIXTURES / "postage.spec", tmp_path)
@@ -88,7 +74,7 @@ class TestTourScript:
 
 class TestConductorTable:
     def test_runs(self, capsys):
-        assert _script("conductor_table").main(["-n", "12"]) == 0
+        assert script("conductor_table").main(["-n", "12"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[-1].startswith("all conductors match (a-1)(b-1)")
 
@@ -98,19 +84,19 @@ class TestCompareOutputs:
         shutil.copy(FIXTURES / "postage.spec", tmp_path)
         root = str(FIXTURES.parent)
         argv = [root, root, "--count", "3", "--fixtures", str(tmp_path)]
-        assert _script("compare_outputs").main(argv) == 0
+        assert script("compare_outputs").main(argv) == 0
         # postage 11, the zero periods 6 + 6 + 9, the seven origin systems 9
         # each, the six large set systems 7 each and the large series one
         # 10, the first five edge systems 6 each, the two nested ones 6 + 9,
-        # the unit-rule cycle 6 and the member past the size bound 6, three
-        # series systems 9 each, three set systems 6 each, 7 frobenius lines
-        # and 20 parser lines
-        assert capsys.readouterr().out == "276 command lines, 0 differ\n"
+        # the unit-rule cycle 6, the member past the size bound 6 and the
+        # product with Primes 9, three series systems 9 each, three set
+        # systems 6 each, 7 frobenius lines and 20 parser lines
+        assert capsys.readouterr().out == "285 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}
         changed = dict(case, stdout="Y = {2}\n")
-        compare = _script("compare_outputs").compare
+        compare = script("compare_outputs").compare
         report = compare({"solve y.spec": case}, {"solve y.spec": changed})
         assert report[0] == "=== solve y.spec"
         assert "-Y = {1}" in report and "+Y = {2}" in report
