@@ -118,6 +118,20 @@ class TestCompile:
             (term(ONE), term(ONE, e0=normalize((), [(2, 1)]))),
         )
 
+    def test_termwise_expansion_keeps_each_family_once(self):
+        # Seq[{1,2}](1 + Y) is the one family {1,2}*Z with Z = 1 + Y, not
+        # the termwise 1 | Y | 1 | Y | 2Y; the repeated construct reads the
+        # same Z and its family is kept once
+        sys_ = dsl.parse(
+            "vars Y; mode series; Y = x + x*Seq[{1,2}](1 + Y) + x*Seq[{1,2}](1 + Y);"
+        )
+        report = compile_system(sys_)
+        assert report.system.variables == ("Y", "_0")
+        assert report.system.equations == (
+            (term(ONE), term(ONE, e1=normalize([1, 2]))),
+            (term(ZERO), term(ZERO, e0=ONE)),
+        )
+
     def test_construct_over_zero_on_a_variable(self):
         # Cycle[{0}](Y) is the family {0}, with no variable left
         sys_ = dsl.parse("vars Y; mode series; Y = x + x*Cycle[{0}](Y);")
