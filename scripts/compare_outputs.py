@@ -6,7 +6,7 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, seven systems with large answers or many variables, ten
+and linear part, seven systems with large answers or many variables, eleven
 edge cases of the tokenizer, the parser, the certificates, the solver, the
 size bound and compile's hidden variables, --count seeded random series
 systems and as many random set systems, a few frobenius generator lists,
@@ -129,9 +129,10 @@ EDGE_SYSTEMS = (
     " W = {1} | {0} + W | {2} + W;\n",
     "vars Y; mode sets; Y = {1000000000000000};\n",
     "vars Y; mode series; Y = x + x*MSet[Primes](Y)*Y;\n",
+    "vars Y; mode sets; Y = {99999999};\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
-FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3", "100003 100019")
+FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3", "100003 100019", "4 6 9 99999999")
 # command lines for the argument parser: usage errors and the forms it
 # accepts; FILE stands for PARSER_SYSTEM
 PARSER_SYSTEM = "vars Y; mode sets; Y = {3,5} | {3,5} + Y;\n"

@@ -58,9 +58,15 @@ def _as_set_system(system) -> SetSystem:
 
 def _ill_posed_note(system) -> str:
     """The note for solve and params on a series system whose linear part
-    M at the solution's constant terms has no non-negative (I - M)^-1,
-    else ''."""
-    verdict = system.linear_part.verdict if isinstance(system, PSSystem) else None
+    M at the solution's constant terms has no non-negative (I - M)^-1, or
+    that has no linear part because a construct's argument has a non-zero
+    constant term; else ''."""
+    if not isinstance(system, PSSystem):
+        return ""
+    try:
+        verdict = system.linear_part.verdict
+    except SemanticError as e:
+        verdict = str(e)
     if verdict in (None, "NonnegInverse"):
         return ""
     return (
@@ -103,9 +109,9 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     system = _load(args.file)
     k = len(system.variables)  # the user's variables; compile's hidden ones follow
-    note = _ill_posed_note(system)
+    note = _ill_posed_note(system) if args.format == "text" else ""
     sol = setsys.solve(_as_set_system(system), horizon=args.horizon)
-    if note and args.format == "text":
+    if note:
         print(note)
     if args.format == "json":
         doc = setsys.solution_json(sol, k)
@@ -192,7 +198,7 @@ def cmd_frobenius(args) -> int:
     epset.bounded(epset.conductor_bound(gens), "conductor bound")
     closure = nat_closure(normalize(gens))
     p = params(closure)
-    g = epset.gcd_of(normalize(gens))
+    g = math.gcd(*gens)
     conductor = p.c
     gaps = epset.gaps_below(closure, conductor)
     print(f"generators: {', '.join(str(x) for x in sorted(set(gens)))}")

@@ -37,15 +37,18 @@ class CompileReport(_Value):
 
 class _Compiler:
     """Compiles the right sides of a system of k variables; hidden maps the
-    family list of each hidden variable to its index, from k on."""
+    set of families of each hidden variable to its index, from k on, and
+    to the families in the order first seen."""
 
     def __init__(self, k: int):
         self.k, self.notes, self.flags = k, [], []  # flags: enumerated-set usages
-        self.hidden: dict[Tuple[GammaTerm, ...], int] = {}
+        self.hidden: dict[frozenset, Tuple[int, Tuple[GammaTerm, ...]]] = {}
 
     def hide(self, fams: Sequence[GammaTerm]) -> int:
-        """The hidden variable Z = fams, one per distinct family list."""
-        return self.hidden.setdefault(tuple(fams), self.k + len(self.hidden))
+        """The hidden variable Z = fams, one per distinct set of families:
+        a union in another order is the same set."""
+        fams = tuple(fams)
+        return self.hidden.setdefault(frozenset(fams), (self.k + len(self.hidden), fams))[0]
 
     def mul(self, fa: Sequence[GammaTerm], fb: Sequence[GammaTerm]) -> list[GammaTerm]:
         """The families of the product of fa and fb, each once, where it
@@ -122,7 +125,7 @@ def compile_system(sys: PSSystem) -> CompileReport:
     c = _Compiler(len(sys.variables))
     names = list(sys.variables)
     equations = [tuple(c.expr(rhs)) for rhs in sys.right_sides]
-    for fams in c.hidden:
+    for _, fams in c.hidden.values():
         names.append(next(f"_{n}" for n in range(len(names) + 1) if f"_{n}" not in names))
         equations.append(fams)
     return CompileReport(SetSystem(tuple(names), tuple(equations)), tuple(c.notes), tuple(c.flags))

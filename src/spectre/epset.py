@@ -76,8 +76,10 @@ class EPSet:
     finite_part (the members below the threshold) is a sorted tuple,
     built from low on first read and kept.  The algebra reads only the
     masks.  Nothing assigns a field after construction, so the hash is
-    computed once, on first use.
+    computed once, on first use, and so is the least member (_least).
     """
+
+    _min: Optional[int] = None  # the least member, once _least has read it
 
     def __init__(self, low: int, threshold: int, period: Optional[int] = None, res: int = 0):
         self.low, self.threshold, self.period, self.res = low, threshold, period, res
@@ -139,25 +141,40 @@ _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 def _bits(m: int) -> list[int]:
     """Positions of the set bits of m >= 0, ascending. A pass over every
     binary digit, linear in the length of m; but when fewer than about one
-    digit in 16 is set, the set bits are isolated one at a time instead."""
+    digit in 16 is set, the set bits are cleared one at a time from the
+    top, each step as long as the bits left."""
     if 16 * m.bit_count() < m.bit_length() + 64:
         out = []
         while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+            top = m.bit_length() - 1
+            out.append(top)
+            m ^= 1 << top
+        return out[::-1]
     digits = format(m, "b").encode()[::-1].translate(_BIT_DIGITS)
     return list(itertools.compress(range(len(digits)), digits))
 
 
 def _lowest(m: int) -> int:
     """Position of the lowest set bit of m > 0."""
-    return (m & -m).bit_length() - 1
+    return (m ^ m - 1).bit_length() - 1
 
 
-def _mask(elems: Iterable[int], size: int) -> int:
-    """The bitmask with bits elems set, all of them below size."""
+def _least(a: "EPSet") -> int:
+    """The least member of a non-empty a, found on first read and kept."""
+    least = a._min
+    if least is None:
+        least = a._min = _lowest(a.low) if a.low else a.threshold
+    return least
+
+
+def _mask(elems: Sequence[int], size: int) -> int:
+    """The bitmask with bits elems set, all of them below size: a shift
+    per member when they are few, else one digit string of length size."""
+    if 16 * len(elems) < size + 64:
+        m = 0
+        for n in elems:
+            m |= 1 << n
+        return m
     digits = bytearray(b"0") * size
     for n in elems:
         digits[n] = 49  # "1"
@@ -221,6 +238,13 @@ def normalize(finite: Iterable[int], blocks: Iterable[Tuple[int, int]] = ()) -> 
     return _canonical(mask, tails) if tails else EPSet(mask, mask.bit_length())
 
 
+def _cofinite(mask: int, cut: int) -> EPSet:
+    """Canonical EPSet of the bits of mask below cut and every n >= cut:
+    its threshold is one past the last gap below cut."""
+    thr = (~mask & ((1 << cut) - 1)).bit_length()
+    return EPSet(mask & ((1 << thr) - 1), thr, 1, 1)
+
+
 def _canonical(mask: int, tails: Iterable[Tuple[int, int, int]]) -> EPSet:
     """Canonical EPSet of the members of mask together with at least one
     periodic tail (start, period, pattern), as _tail gives them."""
@@ -233,11 +257,8 @@ def _canonical(mask: int, tails: Iterable[Tuple[int, int, int]]) -> EPSet:
     for p, _ in best:
         big = big * p // math.gcd(big, p)
     if big == 1:
-        # one tail, of period 1 from s: its threshold is the start of the
-        # run of members of mask that ends at s
-        ((s, _),) = best.values()
-        thr = (~mask & ((1 << s) - 1)).bit_length()
-        return EPSet(mask & ((1 << thr) - 1), thr, 1, 1)
+        ((s, _),) = best.values()  # one tail, of period 1 from s
+        return _cofinite(mask, s)
     start = max(max(s for s, _ in best.values()), mask.bit_length())
     size = start + big
     for (p, _), (s, pattern) in best.items():
@@ -329,7 +350,7 @@ def member(a: EPSet, n: int) -> bool:
     if n < 0:
         return False
     if n < a.threshold:
-        return bool(a.low >> n & 1)
+        return bool(a.low & 1 << n)
     return a.period is not None and bool(a.res >> n % a.period & 1)
 
 
@@ -387,8 +408,12 @@ def union(*sets: EPSet) -> EPSet:
     low = 0
     for s in sets:
         low |= s.low
-    tails = [_tail(s) for s in sets if s.period is not None]
-    return _canonical(low, tails) if tails else EPSet(low, low.bit_length())
+    tails = [s for s in sets if s.period is not None]
+    if not tails:
+        return EPSet(low, low.bit_length())
+    if all(s.period == 1 for s in tails):  # cofinite from the least threshold
+        return _cofinite(low, min(s.threshold for s in tails))
+    return _canonical(low, [_tail(s) for s in tails])
 
 
 @lru_cache(maxsize=None)
@@ -415,10 +440,21 @@ def sumset(a: EPSet, b: EPSet) -> EPSet:
         return shift(b, a.threshold - 1)
     if b.period is None and not b.low & (b.low - 1):
         return shift(a, b.threshold - 1)
+    if a.period is None and b.period is None:
+        acc = _mask_sum(a.low, b.low)
+        return EPSet(acc, acc.bit_length())
+    if (a.period or 1) == 1 == (b.period or 1):
+        # finite or cofinite: every n from min x + t_y on is a sum, so only
+        # the members below that cut are summed; -(1 << t) has every bit
+        # from t on set, the tail of a cofinite set from t
+        cut = min(_least(a) + (b.threshold if b.period else math.inf),
+                  _least(b) + (a.threshold if a.period else math.inf))
+        below = (1 << cut) - 1
+        ma = (a.low | -(1 << a.threshold) if a.period else a.low) & below
+        mb = (b.low | -(1 << b.threshold) if b.period else b.low) & below
+        return _cofinite(_mask_sum(ma, mb), cut)
     # pairwise sums of the finite parts
     acc = _mask_sum(a.low, b.low)
-    if a.period is None and b.period is None:
-        return EPSet(acc, acc.bit_length())
     # a finite member x adds x + the other set's tail, which the least
     # member of its residue class mod that tail's period already adds
     tails, starts = [], []
@@ -478,32 +514,44 @@ def _scale(m: int, g: int) -> int:
 def _natstar(b: EPSet) -> EPSet:
     """ℕ⋆b without preconditions: {0} for empty or zero-only arguments.
 
-    Computed by an exact reachability bitmask over the gcd-reduced scale.
+    A cofinite b from t <= 2·(its least positive member) is its own
+    closure, with 0 added: b + b lies in its tail. Otherwise ℕ⋆b is
+    computed by an exact reachability bitmask over the gcd-reduced scale.
     The window grows until the top of the window carries a certified run
-    of consecutive members: for finite generators, a run of n1 values
-    (n1 the least reduced generator, so adding n1·g covers everything
-    later); for infinite arguments, a run long enough that a nearby
-    large member can be subtracted from any later value.
+    of n1 consecutive members (n1 the least reduced generator, so adding
+    n1·g covers everything later). For finite generators the first window
+    reaches past twice the largest one, or past Sylvester's bound
+    (n1 - 1)(c - 1) on the conductor of n1 and the least reduced generator
+    c coprime to n1, when that is less and the largest generator is far
+    above n1; for infinite arguments, past a run long enough that a
+    nearby large member can be subtracted from any later value.
     """
     if not has_positive(b):
         return ZERO
-    g = gcd_of(b)
-    n1 = _lowest(_upto(b, b.threshold + (b.period or 0)) & ~1) // g
+    pos = b.low & ~1
+    if b.period == 1 and (not pos or b.threshold <= 2 * _lowest(pos)):
+        return _cofinite(b.low | 1, b.threshold)
     if b.period is None:
-        nk = (b.threshold - 1) // g
-        run_needed = n1
-        limit = 2 * max(n1, nk) + 2
+        members = _bits(pos)
+        g = math.gcd(*members)
+        n1, nk = members[0] // g, members[-1] // g
+        limit = 2 * nk + 2
+        if 2 * nk > n1 * n1:
+            c = next((x // g for x in members if math.gcd(x // g, n1) == 1), None)
+            if c is not None:
+                limit = min(limit, (n1 - 1) * (c - 1) + n1 + 1)
     else:
-        # infinite argument: members beyond the threshold recur with gaps
-        # at most delta, so a covered stretch of tstart + delta values
-        # certifies every later value (subtract a nearby large member)
+        g = gcd_of(b)
+        n1 = _lowest(_upto(b, b.threshold + b.period) & ~1) // g
+        # members beyond the threshold recur with gaps at most delta, so a
+        # covered stretch of tstart + delta values certifies every later
+        # value (subtract a nearby large member)
         tail = [
             x // g
             for x in enumerate_range(b, b.threshold, b.threshold + 2 * b.period)
         ]
         delta = max((y - x for x, y in zip(tail, tail[1:])), default=1)
-        run_needed = tail[0] + delta + 1
-        limit = 2 * max(n1, run_needed) + 2
+        limit = 2 * max(n1, tail[0] + delta + 1) + 2
     while True:
         gens = [x // g for x in _bits(_upto(b, limit * g) & ~1)]
         mask = (1 << (limit + 1)) - 1
@@ -576,7 +624,7 @@ def params(a: EPSet) -> PeriodicityParams:
     """The periodicity parameters (m, q, p, c) of a."""
     if a.is_empty:
         return PeriodicityParams(math.inf, 0, 0, 0)
-    m = _lowest(a.low) if a.low else a.threshold
+    m = _least(a)
     # q divides each member less m; one off the multiples of q at least halves q
     rest = a.low >> m & ~1
     q = _lowest(rest) if rest else 0
@@ -662,9 +710,7 @@ def index_min(j: IndexSet) -> Union[int, float]:
     """The least member of an index set, math.inf when it is empty."""
     if isinstance(j, EnumeratedSet):
         return j.first()
-    if j.is_empty:
-        return math.inf
-    return _lowest(j.low) if j.low else j.threshold
+    return math.inf if j.is_empty else _least(j)
 
 
 def index_member(j: IndexSet, n: int) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 from .epset import (
@@ -69,11 +70,18 @@ class GammaTerm(_Value):
     def __init__(self, base: EPSet, factors: Iterable[Tuple[int, IndexSet]]):
         if base.is_empty:
             raise ValueError("term base must be non-empty")
-        pairs = sorted(((j, e) for j, e in factors if e != ZERO), key=lambda p: p[0])
-        if any(e == EMPTY for _, e in pairs):
-            raise ValueError("exponent sets must be non-empty")
-        if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
-            raise ValueError("a variable is listed twice")
+        pairs = [p for p in factors if p[1] != ZERO]
+        ordered, last = True, -1
+        for j, e in pairs:
+            if e == EMPTY:
+                raise ValueError("exponent sets must be non-empty")
+            if j <= last:
+                ordered = False
+            last = j
+        if not ordered:  # sort, then look for a repeat
+            pairs.sort(key=itemgetter(0))
+            if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
+                raise ValueError("a variable is listed twice")
         super().__init__(base, tuple(pairs))
 
     @cached_property
@@ -486,7 +494,8 @@ def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSyst
     units: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
     for i, eq in enumerate(sys.equations):
         for t in eq:
-            t = GammaTerm(t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors])
+            if any(not minima[j] for j, _ in t.factors):
+                t = GammaTerm(t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors])
             if not member(t.base, 0) or t.min_weight() >= 2:
                 rest[i].append(t)
                 continue

@@ -433,6 +433,17 @@ class TestSizeBound:
         assert time.perf_counter() - start < 5.0
         assert report.system.equations == ((GammaTerm(singleton(99999999), ()),),)
 
+    def test_members_just_below_the_bound(self, capsys, tmp_path):
+        # a lone large member is a few shifts, and the closure's window
+        # starts at Sylvester's bound for 4 and 9
+        spec = tmp_path / "member.spec"
+        spec.write_text("vars Y; mode sets; Y = {99999999};")
+        start = time.perf_counter()
+        assert run(capsys, "solve", str(spec)) == (0, "Y = {99999999}   [CertifiedLinear]\n", "")
+        code, out, _ = run(capsys, "frobenius", "4", "6", "9", "99999999")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and "conductor: 12\n" in out and "closure: {0,4,6,8,9,10} | 12+1*N\n" in out
+
     def test_below_the_bound(self):
         assert epset.bounded(epset.SIZE_BOUND - 1, "period") == epset.SIZE_BOUND - 1
         # a large generator with a small coprime pair beside it keeps a
@@ -618,6 +629,24 @@ class TestHatNote:
         code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
         assert "note:" not in out
 
+    def test_note_on_a_construct_argument_with_a_constant_term(self, capsys, tmp_path):
+        # Seq(1 + Y) has no linear part at the origin, but compile translates
+        # it: solve and params note that and answer, in text and in JSON
+        spec = tmp_path / "seq.spec"
+        spec.write_text("vars Y; mode series; Y = x + x*Seq(1 + Y);\n")
+        note = (
+            "note: linear part at the origin: Seq argument has a non-zero constant"
+            " term; reporting the least solution of the direct translation\n"
+        )
+        assert run(capsys, "solve", str(spec)) == (
+            0, note + "Y = 1+1*N   [CertifiedDoubling]\n", ""
+        )
+        code, out, _ = run(capsys, "params", str(spec))
+        assert code == 0 and out.startswith(note)
+        code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
+        assert code == 0 and "note:" not in out
+        assert json.loads(out)["solution"][0]["closed_form"] == "1+1*N"
+
     @pytest.mark.parametrize("command", ["solve", "params"])
     def test_no_note_before_a_refusal(self, capsys, tmp_path, command):
         # M is singular, and the direct translation is refused: its
@@ -667,6 +696,14 @@ class TestOriginWalks:
         assert code == 0
         bluered = dsl.parse((FIXTURES / "bluered.spec").read_text())
         assert walks == list(bluered.right_sides)
+
+    def test_json_solve_walks_nothing(self, capsys, monkeypatch):
+        # the note is printed only in text, so JSON solve never reads the
+        # linear part
+        walks = []
+        monkeypatch.setattr(pseries, "_origin", lambda expr, y0: walks.append(expr))
+        code, _, _ = run(capsys, "solve", fx("bluered.spec"), "--format", "json")
+        assert (code, walks) == (0, [])
 
 
 class TestEnumeratedExponents:

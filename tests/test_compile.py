@@ -216,6 +216,20 @@ class TestHiddenVariables:
         )
         assert dsl.parse(dsl.print_system(compiled)) == compiled
 
+    def test_one_per_set_of_families(self):
+        # 1 + Y + 1 + Y and Y + 1 are the one union {0} | Y, in another
+        # order: both read the same hidden variable, printed as first seen
+        sys_ = dsl.parse(
+            "vars Y; mode series;"
+            " Y = x + x*Seq[{1,2}](1 + Y + 1 + Y) + x*Seq[{1,2}](Y + 1);"
+        )
+        compiled = compile_system(sys_).system
+        assert compiled.variables == ("Y", "_0")
+        assert compiled.equations == (
+            (term(ONE), term(ONE, e1=normalize([1, 2]))),
+            (term(ZERO), term(ZERO, e0=ONE)),
+        )
+
     def test_random_composite_arguments(self):
         # solve on the compiled system against Kleene iteration on [0, 120],
         # and against the support of the coefficients where coeffs answers

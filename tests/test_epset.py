@@ -49,6 +49,15 @@ def epsets(draw, max_elem=30, max_period=8):
     return normalize(fins, blocks)
 
 
+@st.composite
+def finite_or_cofinite(draw, max_elem=30):
+    """A finite set, or a cofinite one: finite members and every n from a
+    start on (a block of period 1)."""
+    fins = draw(st.lists(st.integers(0, max_elem), max_size=6))
+    starts = draw(st.lists(st.integers(0, max_elem), max_size=1))
+    return normalize(fins, [(s, 1) for s in starts])
+
+
 def nonempty(draw_result):
     assume(not draw_result.is_empty)
     return draw_result
@@ -342,6 +351,68 @@ class TestOracle:
         assert vec(nat_closure(b), h) == oracle.brute_set_op(
             "natstar", None, vec(b, h), h
         )
+
+
+class TestCofinite:
+    """Operands that are finite or cofinite take the cut paths of sumset,
+    union and ℕ⋆; each result must match the oracle and be canonical: its
+    threshold least, and equal to normalize of its own finite part and
+    blocks."""
+
+    H = 128
+
+    @staticmethod
+    def canonical(a: EPSet) -> EPSet:
+        # no stored bit past the threshold, and no lower threshold: a tail
+        # from 1 starts after a gap, and a finite set ends at its largest
+        assert a.low >> a.threshold == 0
+        if a.period == 1:
+            assert a.res == 1 and (a.threshold == 0 or not member(a, a.threshold - 1))
+        elif a.period is None:
+            assert a.res == 0 and a.low.bit_length() == a.threshold
+        assert a == normalize(a.finite_part, epset._blocks(a))
+        return a
+
+    @given(finite_or_cofinite(), finite_or_cofinite(), finite_or_cofinite())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_and_union(self, a, b, c):
+        h = self.H
+        va, vb, vc = vec(a, h), vec(b, h), vec(c, h)
+        assert vec(self.canonical(sumset(a, b)), h) == oracle.brute_set_op("sum", va, vb, h)
+        vab = oracle.brute_set_op("union", va, vb, h)
+        assert vec(self.canonical(union(a, b)), h) == vab
+        assert vec(self.canonical(union(a, b, c)), h) == oracle.brute_set_op("union", vab, vc, h)
+
+    @given(finite_or_cofinite(max_elem=12), finite_or_cofinite())
+    @settings(max_examples=60, deadline=None)
+    def test_star(self, a, b):
+        h = self.H
+        va = vec(a, h)
+        if a.period is not None and member(b, 0):
+            va[h] = True  # as in TestOracle.test_star
+        got = oracle.brute_set_op("star", va, vec(b, h), h)
+        assert vec(self.canonical(star(a, b)), h) == got
+
+    @given(finite_or_cofinite(max_elem=40))
+    @settings(max_examples=150, deadline=None)
+    def test_nat_closure(self, b):
+        assume(epset.has_positive(b))
+        h = self.H
+        got = oracle.brute_set_op("natstar", None, vec(b, h), h)
+        assert vec(self.canonical(nat_closure(b)), h) == got
+
+    def test_closure_with_a_far_generator(self):
+        # the window starts at Sylvester's bound for 4 and 9, not past
+        # twice the largest generator
+        closure = nat_closure(normalize([4, 6, 9, 99999999]))
+        assert closure == normalize([0, 4, 6, 8, 9, 10], [(12, 1)])
+
+    def test_closure_of_a_tail_from_twice_its_least_member(self):
+        # b + b lies in the tail from 10, so b is closed but for 0
+        b = normalize([5, 7], [(10, 1)])
+        assert nat_closure(b) == normalize([0, 5, 7], [(10, 1)])
+        # from 11 on, 5 + 5 = 10 joins
+        assert nat_closure(normalize([5, 7], [(11, 1)])) == normalize([0, 5, 7], [(10, 1)])
 
 
 class TestStarOverManyMembers:
