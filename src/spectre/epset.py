@@ -625,6 +625,10 @@ def params(a: EPSet) -> PeriodicityParams:
     if a.is_empty:
         return PeriodicityParams(math.inf, 0, 0, 0)
     m = _least(a)
+    if a.period == 1:
+        # cofinite from t: t and t + 1 are members, so q = 1, and t - 1 is
+        # not (or t = 0), so c = t
+        return PeriodicityParams(m, 1, 1, a.threshold)
     # q divides each member less m; one off the multiples of q at least halves q
     rest = a.low >> m & ~1
     q = _lowest(rest) if rest else 0

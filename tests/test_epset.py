@@ -355,9 +355,9 @@ class TestOracle:
 
 class TestCofinite:
     """Operands that are finite or cofinite take the cut paths of sumset,
-    union and ℕ⋆; each result must match the oracle and be canonical: its
-    threshold least, and equal to normalize of its own finite part and
-    blocks."""
+    union and ℕ⋆, and params reads a cofinite set off its threshold; each
+    result must match the oracle and be canonical: its threshold least,
+    and equal to normalize of its own finite part and blocks."""
 
     H = 128
 
@@ -400,6 +400,24 @@ class TestCofinite:
         h = self.H
         got = oracle.brute_set_op("natstar", None, vec(b, h), h)
         assert vec(self.canonical(nat_closure(b)), h) == got
+
+    @given(finite_or_cofinite())
+    @settings(max_examples=150, deadline=None)
+    def test_params(self, a):
+        # read off the members below H, past every start drawn: a cofinite
+        # set has period 1 and its onset one past its last gap
+        h = self.H
+        found = [n for n in range(h) if member(a, n)]
+        if not found:
+            assert params(a) == epset.PeriodicityParams(math.inf, 0, 0, 0)
+            return
+        m = found[0]
+        q = math.gcd(*(x - m for x in found))
+        if found[-1] == h - 1:
+            c = max((n + 1 for n in range(h) if not member(a, n)), default=0)
+            assert params(a) == epset.PeriodicityParams(m, q, 1, c)
+        else:
+            assert params(a) == epset.PeriodicityParams(m, q, 0, found[-1] + 1)
 
     def test_closure_with_a_far_generator(self):
         # the window starts at Sylvester's bound for 4 and 9, not past
