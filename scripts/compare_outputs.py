@@ -6,12 +6,12 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, seven systems with large answers or many variables, eleven
+and linear part, seven systems with large answers or many variables, thirteen
 edge cases of the tokenizer, the parser, the certificates, the solver, the
-size bound and compile's hidden variables, --count seeded random series
-systems and as many random set systems, a few frobenius generator lists,
-and a fixed list of command lines for the argument parser: usage errors and
-the option forms it accepts.  Every command runs on each fixture, also with a horizon of 0 and a negative degree, so that the
+size bound, compile's hidden variables and enumerated exponents, --count
+seeded random series systems and as many random set systems, a few
+frobenius generator lists, and a fixed list of command lines for the
+argument parser: usage errors and the option forms it accepts.  Every command runs on each fixture, also with a horizon of 0 and a negative degree, so that the
 refusals are compared too, every applicable command on each other input,
 and solve at a horizon of 8192 on the large ones.  Each runs in process
 through the ``spectre.cli.main`` of one checkout at a time, and its
@@ -115,8 +115,10 @@ LARGE_SYSTEMS = (
 # beside a number in Arabic-Indic digits; 3000 nested parentheses in a
 # set file and in a series file; a cycle of unit rules whose Gamma'
 # copies a family with Primes into another equation; a member past the size
-# bound; and a product that uses Y with Primes and once more, which compile
-# gives a hidden alias W = Y
+# bound; a product that uses Y with Primes and once more, which compile
+# lists as two pairs of Y in one family; the member just below the bound; a
+# power of a construct over Primes, 40 pairs of Y; and a set term that lists
+# Y twice with Primes
 EDGE_SYSTEMS = (
     "vars Y; mode sets; Y = {²};\n",
     "vars Y, W; mode sets; Y = {1} | Y + Y + W; W = {1} + W;\n",
@@ -130,6 +132,8 @@ EDGE_SYSTEMS = (
     "vars Y; mode sets; Y = {1000000000000000};\n",
     "vars Y; mode series; Y = x + x*MSet[Primes](Y)*Y;\n",
     "vars Y; mode sets; Y = {99999999};\n",
+    "vars Y; mode series; Y = x + x*MSet[Primes](Y)^40;\n",
+    "vars Y; mode sets; Y = {1} | {1} + Primes*Y + Primes*Y;\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3", "100003 100019", "4 6 9 99999999")

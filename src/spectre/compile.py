@@ -26,7 +26,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import ONE, GammaTerm, SetSystem, exponent_sum
+from .setsys import ONE, GammaTerm, SetSystem, family
 
 
 class CompileReport(_Value):
@@ -52,22 +52,10 @@ class _Compiler:
 
     def mul(self, fa: Sequence[GammaTerm], fb: Sequence[GammaTerm]) -> list[GammaTerm]:
         """The families of the product of fa and fb, each once, where it
-        first occurs: union is idempotent.  Where exponent_sum cannot sum two
-        exponents of Y, the enumerated one goes to a hidden alias W = Y."""
-        out = []
-        for a in fa:
-            for b in fb:
-                exps = dict(a.factors)
-                for j, e in b.factors:
-                    s = exponent_sum(exps.get(j, ZERO), e)
-                    while s is None:
-                        if not isinstance(e, EnumeratedSet):
-                            e, exps[j] = exps[j], e
-                        j = self.hide([GammaTerm(ZERO, [(j, ONE)])])
-                        s = exponent_sum(exps.get(j, ZERO), e)
-                    exps[j] = s
-                out.append(GammaTerm(sumset(a.base, b.base), exps.items()))
-        return list(dict.fromkeys(out))
+        first occurs: union is idempotent."""
+        return list(dict.fromkeys(
+            family(sumset(a.base, b.base), a.factors + b.factors) for a in fa for b in fb
+        ))
 
     def expr(self, expr: SysExpr) -> list[GammaTerm]:
         if isinstance(expr, Const):

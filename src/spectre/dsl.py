@@ -26,7 +26,6 @@ from .epset import (
     IndexSet,
     POS,
     ZERO,
-    SemanticError,
     bounded,
     format_epset,
     normalize,
@@ -45,7 +44,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import GammaTerm, SetSystem, exponent_sum
+from .setsys import ONE, GammaTerm, SetSystem, family
 
 CONSTRUCT_NAMES = ("Seq", "MSet", "Cycle", "DCycle")
 RESERVED = set(BUILTIN_SETS) | set(ENUMERATED_SETS) | set(CONSTRUCT_NAMES) | {
@@ -312,20 +311,17 @@ class _Parser:
         """One family, or None when its base or an exponent set is {}: such
         a family denotes the empty set."""
         base = ZERO
-        exps: dict[int, IndexSet] = {}
+        pairs = []
         while True:
             t = self.peek()
             if t[1] in self.variables:
                 self.next()
-                j = self.variables.index(t[1])
-                exps[j] = exponent_sum(exps.get(j, ZERO), singleton(1))
+                pairs.append((self.variables.index(t[1]), ONE))
             else:
                 atom = self.parse_setatom()
                 if self.at_punct("*") and self.peek(1)[1] in self.variables:
                     self.next()
-                    vt = self.next()
-                    j = self.variables.index(vt[1])
-                    exps[j] = exponent_sum(exps.get(j, ZERO), atom)
+                    pairs.append((self.variables.index(self.next()[1]), atom))
                 else:
                     if isinstance(atom, EnumeratedSet):
                         raise self.error("enumerated sets may only appear as exponents", t)
@@ -334,11 +330,9 @@ class _Parser:
                 self.next()
                 continue
             break
-        if None in exps.values():  # exponent_sum keeps None once it gives it
-            raise SemanticError("cannot combine an enumerated index set with another exponent")
-        if base == EMPTY or EMPTY in exps.values():
+        if base == EMPTY or any(e == EMPTY for _, e in pairs):
             return None
-        return GammaTerm(base, exps.items())
+        return family(base, pairs)
 
     # -- series expressions
 

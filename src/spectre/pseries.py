@@ -496,9 +496,10 @@ class LinearPart(_Value):
     constant terms, the least y0 = G(0, y0), and jacobian is M = dG/dy at
     x = 0, y = y0 (at y = 0 when y0 is not found).  verdict and inverse are
     neumann_check's on M, None when M = 0.  The system is well posed when
-    y0 settles within k + 1 rounds from 0, no construct argument has a
-    constant term at y0, and M = 0 or (I - M)^-1 exists and is
-    non-negative; refusal says which of these fails."""
+    y0 settles within k + 1 rounds from 0, or else is the exact solution of
+    the linear part at 0 (_limit), no construct argument has a constant
+    term at y0, and M = 0 or (I - M)^-1 exists and is non-negative;
+    refusal says which of these fails."""
 
     constants: Tuple[Fraction, ...]
     jacobian: RatMatrix
@@ -535,7 +536,11 @@ def _linear_part(sys: PSSystem) -> LinearPart:
             refusal = str(e)
             break
     else:
-        refusal = "coefficient 0 of the solution does not settle"
+        walk = _limit(sys.right_sides, origin)
+        if walk is None:
+            refusal = "coefficient 0 of the solution does not settle"
+        else:
+            y0 = tuple(c for c, _ in walk)
     rows = [row for _, row in (origin if refusal else walk)]
     jac = tuple(tuple(Fraction(row.get(j, 0)) for j in range(k)) for row in rows)
     verdict = inverse = None
@@ -545,6 +550,24 @@ def _linear_part(sys: PSSystem) -> LinearPart:
         if refusal is None and verdict != "NonnegInverse":
             refusal = f"origin Jacobian check failed: {verdict}"
     return LinearPart(tuple(map(Fraction, y0)), jac, tuple(diags), verdict, inverse, refusal)
+
+
+def _limit(right_sides: Sequence[SysExpr], origin: list) -> Optional[list]:
+    """The walk at y1 = (I - M0)^-1 c0, where origin is the walk at y = 0
+    with constants c0 and rows M0, when y1 is the least y0 = G(0, y0); None
+    when that is not shown. G(0, y) >= c0 + M0 y on y >= 0, so where
+    (I - M0)^-1 >= 0 every such y0 lies above y1, and y1 is the least once
+    G(0, y1) = y1."""
+    k = len(origin)
+    res = neumann_check(tuple(tuple(Fraction(row.get(j, 0)) for j in range(k)) for _, row in origin))
+    if res.verdict != "NonnegInverse":
+        return None
+    y1 = tuple(_exact(sum(v * c for v, (c, _) in zip(row, origin))) for row in res.inverse)
+    try:
+        walk = [_origin(rhs, y1) for rhs in right_sides]
+    except SemanticError:
+        return None
+    return walk if tuple(c for c, _ in walk) == y1 else None
 
 
 def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:

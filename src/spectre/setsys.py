@@ -3,8 +3,8 @@ exact solving, and the closed-form minimum/gcd parameter formulas."""
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence, Tuple, Union
 
 from .epset import (
@@ -39,29 +39,17 @@ from .epset import (
 ONE = singleton(1)
 
 
-def exponent_sum(a: IndexSet, b: IndexSet) -> IndexSet | None:
-    """Exponent set of one variable in the product of two terms that use
-    it with exponent sets a and b; None, which no index set holds, when an
-    enumerated one meets another exponent, and when a is None."""
-    if a == ZERO:
-        return b
-    if b == ZERO:
-        return a
-    if isinstance(a, EPSet) and isinstance(b, EPSet):
-        return sumset(a, b)
-    return None
-
-
 class GammaTerm(_Value):
-    """One product family: base + E_j*Y_j summed over the variables j it
-    uses.
+    """One product family: base + E*Y_j summed over its pairs (j, E).
 
-    base is the coefficient set; factors holds the pairs (j, E_j), by
-    increasing j, where E_j is the set of admissible repeat counts of
-    variable j. A variable with E_j = {0} is absent, and the constructor
-    leaves its pair out, so every listed E_j has a member >= 1. Bit j of
-    used is set iff j is listed, and of twice iff E_j has a member >= 2;
-    both are computed on first read.
+    base is the coefficient set; in a pair (j, E), E is a set of admissible
+    repeat counts of variable j. A variable has at most one eventually
+    periodic pair, and one more pair per enumerated exponent (see family).
+    Pairs go by increasing j, the periodic one first. The constructor leaves
+    out a pair with E = {0}, which is absent, so every listed E has a member
+    >= 1. Bit j of used is set iff j is listed, and of twice iff Y_j can be
+    used twice: an E of j has a member >= 2, or j is listed twice. Both are
+    computed on first read.
     """
 
     base: EPSet
@@ -78,22 +66,42 @@ class GammaTerm(_Value):
             if j <= last:
                 ordered = False
             last = j
-        if not ordered:  # sort, then look for a repeat
-            pairs.sort(key=itemgetter(0))
-            if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
+        if not ordered:  # sort, then look for two periodic pairs of one variable
+            pairs.sort(key=lambda p: (p[0], p[1].name if isinstance(p[1], EnumeratedSet) else ""))
+            if any(a[0] == b[0] and isinstance(b[1], EPSet) for a, b in zip(pairs, pairs[1:])):
                 raise ValueError("a variable is listed twice")
         super().__init__(base, tuple(pairs))
 
     @cached_property
     def used(self) -> int:
-        return sum(1 << j for j, _ in self.factors)
+        return reduce(or_, (1 << j for j, _ in self.factors), 0)
 
     @cached_property
     def twice(self) -> int:
-        return sum(1 << j for j, e in self.factors if index_reaches(e, 2))
+        bits = seen = 0
+        for j, e in self.factors:
+            if seen >> j & 1 or index_reaches(e, 2):
+                bits |= 1 << j
+            seen |= 1 << j
+        return bits
 
     def min_weight(self) -> int:
         return sum(index_min(e) for _, e in self.factors)
+
+
+def family(base: EPSet, pairs: Iterable[Tuple[int, IndexSet]]) -> GammaTerm:
+    """The family base + E*Y_j over the pairs (j, E), which may list a
+    variable more than once. Its eventually periodic exponents sum into one,
+    since star(A, Y) + star(B, Y) = star(A + B, Y), and each enumerated one
+    keeps a pair of its own: its sum with another exponent is no index set."""
+    periodic: dict[int, EPSet] = {}
+    enumerated = []
+    for j, e in pairs:
+        if isinstance(e, EnumeratedSet):
+            enumerated.append((j, e))
+        else:
+            periodic[j] = sumset(periodic[j], e) if j in periodic else e
+    return GammaTerm(base, [*periodic.items(), *enumerated])
 
 
 class SetSystem(_Value):
@@ -466,7 +474,7 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
         return normalize(e.members_upto(bound), tail) if isinstance(e, EnumeratedSet) else e
 
     eqs = [
-        [GammaTerm(t.base, [(j, cut(e)) for j, e in t.factors]) for t in eq]
+        [family(t.base, [(j, cut(e)) for j, e in t.factors]) for t in eq]
         for eq in sys.equations
     ]
     return SetSystem(sys.variables, tuple(map(tuple, eqs)))
@@ -495,7 +503,7 @@ def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSyst
     for i, eq in enumerate(sys.equations):
         for t in eq:
             if any(not minima[j] for j, _ in t.factors):
-                t = GammaTerm(t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors])
+                t = family(t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors])
             if not member(t.base, 0) or t.min_weight() >= 2:
                 rest[i].append(t)
                 continue

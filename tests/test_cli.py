@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -305,11 +306,13 @@ class TestExitCodes:
         assert "leave the solution open" in err
 
     def test_semantic_error(self, capsys, tmp_path):
-        spec = tmp_path / "enumerated.spec"
-        spec.write_text("vars Y; mode sets; Y = {1} + Primes*Y + Primes*Y;")
-        code, _, err = run(capsys, "solve", str(spec))
-        assert code == 3
-        assert err == "spectre: cannot combine an enumerated index set with another exponent\n"
+        # MSet(1 + Y) has no power series: the empty multiset of its
+        # argument's constant term can be taken any number of times
+        spec = tmp_path / "mset.spec"
+        spec.write_text("vars Y; mode series; Y = x + x*MSet(1 + Y);")
+        code, out, err = run(capsys, "coeffs", str(spec))
+        assert (code, out) == (3, "")
+        assert err == "spectre: MSet argument has a non-zero constant term\n"
 
 
 class TestInputRefusals:
@@ -602,13 +605,39 @@ class TestHatNote:
 
     @pytest.mark.parametrize("command", ["check", "coeffs"])
     def test_constant_and_linear_terms(self, capsys, tmp_path, command):
-        # y0 = 1 + y0/2 is reached only in the limit
+        # y0 = 1 + y0/2 is reached only in the limit, y0 = 2, which the
+        # linear part at 0 gives exactly
         spec = tmp_path / "constant.spec"
         spec.write_text("vars Y;\nmode series;\nY = 1 + x + 1/2*Y;\n")
-        code, _, err = run(capsys, command, str(spec))
-        assert (code, err) == (
-            3, "spectre: coefficient 0 of the solution does not settle\n"
-        )
+        degree = ["--degree", "3"] if command == "coeffs" else []
+        code, out, err = run(capsys, command, str(spec), *degree)
+        assert (code, err) == (0, "")
+        if command == "coeffs":
+            assert out == "Y: [2, 2, 0, 0]\n"
+        else:
+            assert out.endswith(
+                "linear part at the origin: NonnegInverse\nidentically zero: none\n"
+            )
+
+    @pytest.mark.parametrize(
+        "rhs, constants",
+        [
+            ("1/2 + 1/2*Y + x", (1,)),
+            ("1/2*Z + x; Z = 1/2 + 1/2*Y", (Fraction(1, 3), Fraction(2, 3))),
+            # y0 = 1/4 + y0^2 rises to 1/2, and the linear part gives 1/4
+            ("1/4 + Y^2 + x", None),
+        ],
+        ids=["one", "two", "nonlinear"],
+    )
+    def test_constants_reached_in_the_limit(self, rhs, constants):
+        names = "Y, Z" if "Z" in rhs else "Y"
+        sys_ = dsl.parse(f"vars {names};\nmode series;\nY = {rhs};\n")
+        if constants is None:
+            assert sys_.linear_part.refusal == "coefficient 0 of the solution does not settle"
+            return
+        assert (sys_.linear_part.refusal, sys_.linear_part.constants) == (None, constants)
+        series = pseries.fixed_point_solve(sys_, 6)
+        assert tuple(s.coeffs[0] for s in series) == constants
 
     @pytest.mark.parametrize(
         "rhs, verdict", [("x^2 + Y", "Singular"), ("x + 2*Y", "NegativeEntries")]
@@ -708,34 +737,50 @@ class TestOriginWalks:
 
 class TestEnumeratedExponents:
     """An enumerated index set cannot be summed with another exponent of
-    the same variable: a set term refuses it, and a compiled product moves
-    it to a hidden alias W = Y."""
+    the same variable, so a family lists the variable once more for it:
+    star(A, Y) + star(Primes, Y) is the spectrum of K[A](Y)*K[Primes](Y)."""
 
     @pytest.mark.parametrize(
-        "command, text",
-        [("solve", "vars Y; mode sets; Y = {1} + Primes*Y + Primes*Y;")],
-        ids=["set-term"],
+        "text",
+        [
+            "vars Y; mode sets; Y = {1} | {1} + Primes*Y + Primes*Y;",
+            "vars Y; mode sets; Y = {1} | {1} + Y + Primes*Y + Y;",
+            "vars Y, Z; mode sets; Y = {1} | {2} + Primes*Y + Z + Primes*Z;"
+            " Z = {3} | Primes*Y + (2*N)*Y;",
+        ],
+        ids=["set-term", "summed", "two-variables"],
     )
-    def test_semantic_error(self, capsys, tmp_path, command, text):
+    def test_set_term_solves(self, capsys, tmp_path, text):
         spec = tmp_path / "enumerated.spec"
         spec.write_text(text)
-        code, _, err = run(capsys, command, str(spec))
-        assert code == 3
-        assert err == (
-            "spectre: cannot combine an enumerated index set with another exponent\n"
-        )
+        code, out, err = run(capsys, "solve", str(spec))
+        assert (code, err) == (0, "")
+        sys_ = dsl.parse(text)
+        assert dsl.parse(dsl.print_system(sys_)) == sys_
+        brute = oracle.brute_fixpoint(sys_, 120)
+        for v, want in zip(setsys.solve(sys_).variables, brute):
+            assert set(epset.enumerate_range(v.closed_form, 0, 120)) == oracle.vec_members(want)
 
-    def test_series_product_takes_an_alias(self, capsys, tmp_path):
+    def test_series_product_repeats_the_variable(self, capsys, tmp_path):
         spec = tmp_path / "enumerated.spec"
         spec.write_text("vars Y; mode series; Y = x + x*MSet[Primes](Y)*MSet[Primes](Y)*Y;")
         code, out, _ = run(capsys, "compile", str(spec))
         assert code == 0
-        assert out.startswith(
-            "vars Y, _0, _1;\nmode sets;\n"
-            "Y = {1} | {1} + Y + Primes*_0 + Primes*_1;\n_0 = Y;\n_1 = _0;\n"
-        )
+        assert out.startswith("vars Y;\nmode sets;\nY = {1} | {1} + Y + Primes*Y + Primes*Y;\n")
         # 1 + p + q + y for primes p, q and y in Y starts at 1 + 2 + 2 + 1
         assert run(capsys, "solve", str(spec)) == (0, "Y = {1} | 6+1*N   [CertifiedDoubling]\n", "")
+
+    def test_a_power_adds_no_variable(self, capsys, tmp_path):
+        # the 40 factors are 40 pairs of Y in one family, not a chain of
+        # 39 hidden variables that each copy it
+        text = "vars Y; mode series; Y = x + x*MSet[Primes](Y)^40;"
+        assert compile_mod.compile_system(dsl.parse(text)).system.variables == ("Y",)
+        spec = tmp_path / "power.spec"
+        spec.write_text(text)
+        start = time.perf_counter()
+        result = run(capsys, "solve", str(spec))
+        assert time.perf_counter() - start < 0.1
+        assert result == (0, "Y = {1} | 81+1*N   [CertifiedDoubling]\n", "")
 
 
 class TestParameterInvariants:

@@ -8,6 +8,7 @@ from spectre import dsl, epset, pseries, setsys
 from spectre.compile import compile_system
 from spectre.epset import POS, ZERO, SemanticError, format_epset, normalize, singleton
 from spectre.pseries import Construct, PSSystem, Series, Var, X, evaluate
+from spectre.setsys import GammaTerm
 
 import oracle
 from conftest import fixture_text, random_series_system, script, term
@@ -210,10 +211,11 @@ class TestHiddenVariables:
             " _2 = x*MSet(x + _2) + MSet[Primes](_0)*_0;"
         )
         compiled = compile_system(sys_).system
-        assert compiled.variables == ("_0", "_2", "_1", "_3", "_4")
-        assert compiled.equations[2:] == (
-            (term(ONE, e0=ONE),), (term(ONE), term(ZERO, e1=ONE)), (term(ZERO, e0=ONE),)
-        )
+        assert compiled.variables == ("_0", "_2", "_1", "_3")
+        assert compiled.equations[2:] == ((term(ONE, e0=ONE),), (term(ONE), term(ZERO, e1=ONE)))
+        # MSet[Primes](_0)*_0 lists _0 twice, and takes no hidden variable
+        primes = epset.ENUMERATED_SETS["Primes"]
+        assert compiled.equations[1][1] == GammaTerm(ZERO, [(0, primes), (0, ONE)])
         assert dsl.parse(dsl.print_system(compiled)) == compiled
 
     def test_one_per_set_of_families(self):

@@ -89,10 +89,11 @@ class TestCompareOutputs:
         # each, the six large set systems 7 each and the large series one
         # 10, the first five edge systems 6 each, the two nested ones 6 + 9,
         # the unit-rule cycle 6, the member past the size bound 6, the
-        # product with Primes 9 and the member just below the bound 6, three
-        # series systems 9 each, three set systems 6 each, 8 frobenius lines
-        # and 20 parser lines
-        assert capsys.readouterr().out == "292 command lines, 0 differ\n"
+        # product with Primes 9, the member just below the bound 6, the
+        # power of a construct over Primes 9 and the set term with Primes
+        # twice 6, three series systems 9 each, three set systems 6 each, 8
+        # frobenius lines and 20 parser lines
+        assert capsys.readouterr().out == "307 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}

@@ -122,6 +122,34 @@ def test_family_lists_the_variables_it_uses():
     assert GammaTerm(ONE, [(0, ZERO)]) == term(ONE)
 
 
+def test_a_family_repeats_a_variable_per_enumerated_exponent():
+    # one periodic pair per variable, first, then one pair per enumerated
+    # exponent; used and twice OR their bits
+    primes = ENUMERATED_SETS["Primes"]
+    t = GammaTerm(ONE, [(1, primes), (2, ONE), (1, POS), (1, primes)])
+    assert t.factors == ((1, POS), (1, primes), (1, primes), (2, ONE))
+    assert t == GammaTerm(ONE, [(2, ONE), (1, primes), (1, primes), (1, POS)])
+    assert (t.used, t.twice, t.min_weight()) == (0b110, 0b010, 6)
+    with pytest.raises(ValueError, match="a variable is listed twice"):
+        GammaTerm(ONE, [(0, primes), (0, ONE), (0, POS)])
+
+
+def test_family_sums_the_periodic_exponents():
+    primes = ENUMERATED_SETS["Primes"]
+    t = setsys.family(ONE, [(1, primes), (0, ONE), (1, ONE), (0, POS), (1, primes), (2, ZERO)])
+    assert t == GammaTerm(ONE, [(0, sumset(ONE, POS)), (1, ONE), (1, primes), (1, primes)])
+    assert setsys.family(ZERO, [(0, ONE), (0, ONE)]) == term(ZERO, e0=normalize([2]))
+    # a cut Primes merges with the other exponents of its variable
+    cut = setsys._cut(SetSystem(("Y", "Z"), ((t,), (term(ONE),))), 5, [])
+    assert cut.equations[0] == (
+        term(ONE, e0=normalize([], [(2, 1)]), e1=normalize([5, 6, 7, 8, 9, 11])),
+    )
+    # and so does down(Primes) = N on a nullable variable
+    sys_ = sets_system("Y = {1} + Z + Primes*Z + Primes*Z;", "Z = {0} | {1};")
+    flat = setsys._normal_form(sys_, min_vector(sys_))
+    assert flat.equations == ((term(ONE, e1=NAT),), (term(ONE),))
+
+
 class TestClassify:
     def test_binary(self):
         cls = classify(binary_system())
@@ -687,6 +715,34 @@ class TestWithoutUnits:
             for v, b in zip(sol.variables, oracle.brute_fixpoint(sys_, h)):
                 assert members(v.closed_form, h) == oracle.vec_members(b), sys_
         assert solved >= 30
+
+    def test_random_systems_with_repeated_primes(self):
+        # families that list a variable once more per Primes exponent, on
+        # systems with unit rules and nullable variables
+        rng = random.Random(2011)
+        primes = ENUMERATED_SETS["Primes"]
+        h = 160
+        solved = repeated = 0
+
+        def more(t: GammaTerm, k: int) -> GammaTerm:
+            extra = [(rng.randrange(k), primes) for _ in range(rng.randint(0, 2))]
+            return GammaTerm(t.base, [*t.factors, *extra])
+
+        for _ in range(40):
+            base = random_unit_system(rng, rng.randint(1, 3))
+            eqs = tuple(tuple(more(t, base.k) for t in eq) for eq in base.equations)
+            sys_ = SetSystem(base.variables, eqs)
+            repeated += any(len(t.factors) > t.used.bit_count() for eq in eqs for t in eq)
+            assert dsl.parse(dsl.print_system(sys_)) == sys_
+            try:
+                sol = solve(sys_, horizon=64)
+            except SemanticError as e:
+                assert "leave the solution open" in str(e)
+                continue
+            solved += 1
+            for v, b in zip(sol.variables, oracle.brute_fixpoint(sys_, h)):
+                assert members(v.closed_form, h) == oracle.vec_members(b), sys_
+        assert solved >= 30 and repeated >= 20, (solved, repeated)
 
     def test_families_grow_polynomially(self):
         # a w-wide family with 0 in its base splits by its first factor not
