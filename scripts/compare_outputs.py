@@ -6,7 +6,7 @@
 OLD and NEW are the roots of two checkouts.  The inputs are the bundled
 fixtures of this script's checkout, a few systems with a zero period, a few
 series systems that reach every verdict on the solution's constant terms
-and linear part, seven systems with large answers or many variables, thirteen
+and linear part, seven systems with large answers or many variables, fourteen
 edge cases of the tokenizer, the parser, the certificates, the solver, the
 size bound, compile's hidden variables and enumerated exponents, --count
 seeded random series systems and as many random set systems, a few
@@ -134,6 +134,7 @@ EDGE_SYSTEMS = (
     "vars Y; mode sets; Y = {99999999};\n",
     "vars Y; mode series; Y = x + x*MSet[Primes](Y)^40;\n",
     "vars Y; mode sets; Y = {1} | {1} + Primes*Y + Primes*Y;\n",
+    "vars Y; mode series; Y = x^1000000000000;\n",
 )
 HIGH_HORIZON = ["solve", "--horizon", "8192"]
 FROBENIUS = ("3 5", "4 6", "6 10 15", "7", "12 18 27", "0 3", "100003 100019", "4 6 9 99999999")

@@ -41,7 +41,6 @@ from .pseries import (
     Series,
     fixed_point_solve,
     neumann_check,
-    zero_components,
 )
 from .compile import compile_system
 from .dsl import ParseError, parse, print_system

@@ -57,20 +57,21 @@ def _as_set_system(system) -> SetSystem:
 
 
 def _ill_posed_note(system) -> str:
-    """The note for solve and params on a series system whose linear part
-    M at the solution's constant terms has no non-negative (I - M)^-1, or
-    that has no linear part because a construct's argument has a non-zero
-    constant term; else ''."""
+    """The note for solve and params on a series system that check and
+    coeffs refuse as ill posed: it names the Neumann verdict when that is
+    what fails, else the refusal; '' on a well-posed system."""
     if not isinstance(system, PSSystem):
         return ""
     try:
-        verdict = system.linear_part.verdict
+        linear = system.linear_part
+        failed = linear.verdict in ("Singular", "NegativeEntries")
+        reason = linear.verdict if failed else linear.refusal
     except SemanticError as e:
-        verdict = str(e)
-    if verdict in (None, "NonnegInverse"):
+        reason = str(e)
+    if not reason:
         return ""
     return (
-        f"note: linear part at the origin: {verdict}; reporting the least "
+        f"note: linear part at the origin: {reason}; reporting the least "
         "solution of the direct translation"
     )
 
@@ -92,8 +93,10 @@ def cmd_check(args) -> int:
             print("elementary: yes")
         if linear.verdict:
             print(f"linear part at the origin: {linear.verdict}")
-        zeros = sorted(pseries.zero_components(system))
-        names = ", ".join(system.variables[i] for i in zeros) or "none"
+        linear.require_well_posed()
+        # compile's hidden variables follow the user's
+        empties = setsys.classify(_as_set_system(system)).empties
+        names = ", ".join(v for i, v in enumerate(system.variables) if i in empties) or "none"
         print(f"identically zero: {names}")
         return EXIT_OK
     print(f"mode: sets  variables: {', '.join(system.variables)}")

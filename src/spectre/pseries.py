@@ -1,5 +1,5 @@
 """Truncated exact power series, fixed points of non-negative systems
-y = G(x,y), origin data with the Neumann test, and zero components.
+y = G(x,y), and origin data with the Neumann test.
 
 One order-by-order engine evaluates expressions and solves systems.  A
 system whose linear part M at the solution's constant terms is nonzero is
@@ -8,7 +8,6 @@ y_d = (I - M)^-1 r_d, so no polynomial rewrite is needed and constructs
 may appear anywhere."""
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -21,7 +20,6 @@ from .epset import (
     _Value,
     index_member,
     index_members,
-    index_min,
     index_parts,
 )
 
@@ -657,53 +655,6 @@ def neumann_check(m: RatMatrix) -> NeumannResult:
     if any(v < 0 for row in inv for v in row):
         return NeumannResult("NegativeEntries", inv)
     return NeumannResult("NonnegInverse", inv)
-
-
-# ---------------------------------------------------------------------------
-# zero components
-
-
-def _min_degree(expr: SysExpr, d: Sequence[Optional[int]]) -> Optional[int]:
-    """Lowest degree of expr when variable j has lowest degree d[j]
-    (None meaning the zero series)."""
-    if isinstance(expr, Const):
-        return 0 if expr.value else None
-    if isinstance(expr, X):
-        return 1
-    if isinstance(expr, Var):
-        return d[expr.index]
-    if isinstance(expr, Add):
-        vals = [v for v in (_min_degree(t, d) for t in expr.terms) if v is not None]
-        return min(vals) if vals else None
-    if isinstance(expr, Mul):
-        total = 0
-        for f in expr.factors:
-            v = _min_degree(f, d)
-            if v is None:
-                return None
-            total += v
-        return total
-    if isinstance(expr, Pow):
-        v = _min_degree(expr.base, d)
-        if v is None:
-            return None if expr.exp else 0
-        return v * expr.exp
-    if isinstance(expr, Construct):
-        va = _min_degree(expr.arg, d)
-        jmin = index_min(expr.index)
-        if va is None or jmin == math.inf:
-            return 0 if jmin == 0 else None
-        return jmin * va
-    raise TypeError(repr(expr))
-
-
-def zero_components(sys: PSSystem) -> set[int]:
-    """Indices whose solution series is identically zero."""
-    sys.linear_part.require_well_posed()
-    d: list[Optional[int]] = [None] * sys.k
-    for _ in range(sys.k):
-        d = [_min_degree(rhs, d) for rhs in sys.right_sides]
-    return {i for i in range(sys.k) if d[i] is None}
 
 
 def format_coeff(c: Fraction) -> str:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from spectre import compile as compile_mod
-from spectre import dsl, epset, pseries, setsys
+from spectre import cli, dsl, epset, pseries, setsys
 from spectre.epset import (
     EMPTY,
     NAT,
@@ -286,16 +286,24 @@ def test_criterion_09_random_systems_vs_brute_fixpoint():
     assert nullable >= 30
 
 
-def test_criterion_10_series_set_commutation():
+def test_criterion_10_series_set_commutation(capsys, tmp_path):
+    # every non-empty component has its least member on [0, n], so check's
+    # zero components are the series that vanish there
     rng = random.Random(101010)
     n = 64
+    spec = tmp_path / "series.spec"
     for _ in range(50):
         sys_ = random_series_system(rng, rng.randint(1, 3))
         rep = oracle.spectral_equivalence_check(sys_, n)
         assert rep.ok, sys_
         compiled = compile_mod.compile_system(sys_).system
-        m = setsys.min_vector(compiled)
-        assert pseries.zero_components(sys_) == {i for i, v in enumerate(m) if v == math.inf}
+        assert all(v <= n for v in setsys.min_vector(compiled) if v != math.inf), sys_
+        spec.write_text(dsl.print_system(sys_))
+        assert cli.main(["check", str(spec)]) == 0
+        named = capsys.readouterr().out.splitlines()[-1]
+        series = pseries.fixed_point_solve(sys_, n)
+        zero = [v for v, s in zip(sys_.variables, series) if not any(s.coeffs)]
+        assert named == f"identically zero: {', '.join(zero) or 'none'}", sys_
 
 
 def test_criterion_11_neumann_vs_spectral_radius():

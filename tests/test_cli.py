@@ -425,11 +425,16 @@ class TestSizeBound:
         )
 
     def test_huge_power(self, capsys, tmp_path):
-        # the set side refuses an exponent past the bound, which check and
-        # coeffs never expand; one below it takes about log2 of it products
+        # the set side, check included, refuses an exponent past the bound,
+        # which coeffs never expands; one below it takes about log2 of it
+        # products
         spec = tmp_path / "power.spec"
         spec.write_text("vars Y; mode series; Y = x^1000000000000;")
-        assert run(capsys, "check", str(spec))[0] == 0
+        assert run(capsys, "check", str(spec)) == (
+            3,
+            "mode: series  variables: Y\nelementary: yes\n",
+            "spectre: exponent 1000000000000 is not below the size bound 100000000\n",
+        )
         assert run(capsys, "coeffs", str(spec), "--degree", "3") == (0, "Y: [0, 0, 0, 0]\n", "")
         start = time.perf_counter()
         report = compile_mod.compile_system(dsl.parse("vars Y; mode series; Y = x^99999999;"))
@@ -675,6 +680,37 @@ class TestHatNote:
         code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
         assert code == 0 and "note:" not in out
         assert json.loads(out)["solution"][0]["closed_form"] == "1+1*N"
+
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("vars Y; mode series; Y = 1 + Y^2;", "coefficient 0 of the solution does not settle"),
+            (
+                "vars A1, A2; mode series; A1 = 1;"
+                " A2 = 2*x*A1^2 + x*A2*A2^2 + 2*x*Cycle[P](A1);",
+                "Cycle argument has a non-zero constant term",
+            ),
+        ],
+        ids=["unsettled", "construct-at-y0"],
+    )
+    def test_note_on_every_refusal(self, capsys, tmp_path, text, refusal):
+        # M is 0 at y = 0, so there is no verdict; the note names what check
+        # and coeffs refuse
+        spec = tmp_path / "ill.spec"
+        spec.write_text(text)
+        failed = f"spectre: {refusal}\n"
+        code, _, err = run(capsys, "check", str(spec))
+        assert (code, err) == (3, failed)
+        assert run(capsys, "coeffs", str(spec)) == (3, "", failed)
+        note = (
+            f"note: linear part at the origin: {refusal}; reporting the least"
+            " solution of the direct translation\n"
+        )
+        for command in ("solve", "params"):
+            code, out, _ = run(capsys, command, str(spec))
+            assert code == 0 and out.startswith(note)
+        code, out, _ = run(capsys, "solve", str(spec), "--format", "json")
+        assert code == 0 and "note:" not in out
 
     @pytest.mark.parametrize("command", ["solve", "params"])
     def test_no_note_before_a_refusal(self, capsys, tmp_path, command):

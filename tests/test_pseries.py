@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectre import dsl, pseries
+from spectre import cli, dsl, pseries
 from spectre.epset import (
     EMPTY,
     ENUMERATED_SETS,
@@ -30,7 +30,6 @@ from spectre.pseries import (
     fixed_point_solve,
     mat_inverse,
     neumann_check,
-    zero_components,
 )
 
 import oracle
@@ -541,24 +540,38 @@ class TestDirectLinearSolve:
 
 
 class TestZeroComponents:
-    def test_mutually_zero(self):
+    """check names the variables whose series is identically zero: the
+    empty components of the compiled system, once the system is well
+    posed."""
+
+    @staticmethod
+    def check(capsys, tmp_path, sys_):
+        spec = tmp_path / "zero.spec"
+        spec.write_text(dsl.print_system(sys_))
+        code = cli.main(["check", str(spec)])
+        out, err = capsys.readouterr()
+        return code, out.splitlines()[-1], err
+
+    def test_mutually_zero(self, capsys, tmp_path):
         sys_ = PSSystem(
             ("Y1", "Y2"),
             (Mul((X(), Var(1))), Mul((X(), Var(1)))),
         )
-        assert zero_components(sys_) == {0, 1}
+        assert self.check(capsys, tmp_path, sys_) == (0, "identically zero: Y1, Y2", "")
 
-    def test_none_zero(self):
-        assert zero_components(binary_tree_system()) == set()
+    def test_none_zero(self, capsys, tmp_path):
+        assert self.check(capsys, tmp_path, binary_tree_system()) == (
+            0, "identically zero: none", ""
+        )
 
-    def test_requires_elementary(self):
+    def test_requires_elementary(self, capsys, tmp_path):
         # y = x + 2y: (I - J)^-1 = -1
         sys_ = PSSystem(("Y",), (Add((X(), Mul((Const(F(2)), Var(0))))),))
-        with pytest.raises(SemanticError, match="check failed: NegativeEntries"):
-            zero_components(sys_)
+        code, _, err = self.check(capsys, tmp_path, sys_)
+        assert code == 3 and "check failed: NegativeEntries" in err
 
     @pytest.mark.parametrize("kind", ["Seq", "MSet", "Cycle"])
-    def test_construct_over_empty_index_set(self, kind):
+    def test_construct_over_empty_index_set(self, capsys, tmp_path, kind):
         # no index, no object: x*Theta[{}](x) is zero, and so is Y2 = Y1;
         # x*Theta[{0}](x) is x
         sys_ = PSSystem(
@@ -569,7 +582,7 @@ class TestZeroComponents:
                 Mul((X(), Construct(kind, ZERO, X()))),
             ),
         )
-        assert zero_components(sys_) == {0, 1}
+        assert self.check(capsys, tmp_path, sys_) == (0, "identically zero: Y1, Y2", "")
 
 
 # ---------------------------------------------------------------------------
