@@ -26,7 +26,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import ONE, GammaTerm, SetSystem, family
+from .setsys import ONE, GammaTerm, SetSystem
 
 
 class CompileReport(_Value):
@@ -54,7 +54,7 @@ class _Compiler:
         """The families of the product of fa and fb, each once, where it
         first occurs: union is idempotent."""
         return list(dict.fromkeys(
-            family(sumset(a.base, b.base), a.factors + b.factors) for a in fa for b in fb
+            GammaTerm(sumset(a.base, b.base), a.factors + b.factors) for a in fa for b in fb
         ))
 
     def expr(self, expr: SysExpr) -> list[GammaTerm]:

@@ -44,7 +44,7 @@ from .pseries import (
     Var,
     X,
 )
-from .setsys import ONE, GammaTerm, SetSystem, family
+from .setsys import ONE, GammaTerm, SetSystem
 
 CONSTRUCT_NAMES = ("Seq", "MSet", "Cycle", "DCycle")
 RESERVED = set(BUILTIN_SETS) | set(ENUMERATED_SETS) | set(CONSTRUCT_NAMES) | {
@@ -332,7 +332,7 @@ class _Parser:
             break
         if base == EMPTY or any(e == EMPTY for _, e in pairs):
             return None
-        return family(base, pairs)
+        return GammaTerm(base, pairs)
 
     # -- series expressions
 

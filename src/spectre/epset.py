@@ -601,19 +601,35 @@ def _closure(table: dict, b: EPSet) -> EPSet:
 
 
 def star(a: EPSet, b: EPSet, table: Optional[dict] = None) -> EPSet:
-    """⋃_{x in a} x-fold sumset of b. The n-fold sums and closures of b
-    are read from table and kept there (see _power and _closure); a fresh
-    table by default."""
+    """⋃_{x in a} x-fold sumset of b, kept in table under (a, b) with the
+    n-fold sums and closures of b that it reads (see _power and _closure);
+    a fresh table by default.
+
+    Over b = {s} it is a scaled by s, kept nowhere: x·{s} = {x·s}. Scaling
+    keeps a canonical form canonical: a period d of the scaled tail is a
+    multiple of s, so the least one is s times a's, and the threshold, the
+    first member of the tail, scales with it."""
     if a.is_empty:
         return EMPTY
     if b.is_empty:
         return ZERO if member(a, 0) else EMPTY
+    if b.period is None and not b.low & (b.low - 1):
+        s = b.threshold - 1
+        if s == 0:
+            return ZERO
+        if a.period is None:
+            return EPSet(_scale(a.low, s), (a.threshold - 1) * s + 1)
+        return EPSet(_scale(a.low, s), a.threshold * s, a.period * s, _scale(a.res, s))
     if table is None:
         table = {}
-    parts = [_power(table, x, b) for x in _bits(a.low)]
-    for s, r in _blocks(a):
-        parts.append(sumset(_power(table, s, b), _closure(table, _power(table, r, b))))
-    return union(*parts)
+    key = (a, b)
+    value = table.get(key)
+    if value is None:
+        parts = [_power(table, x, b) for x in _bits(a.low)]
+        for s, r in _blocks(a):
+            parts.append(sumset(_power(table, s, b), _closure(table, _power(table, r, b))))
+        value = table[key] = union(*parts)
+    return value
 
 
 def is_subset(a: EPSet, b: EPSet) -> bool:

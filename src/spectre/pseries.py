@@ -18,6 +18,7 @@ from .epset import (
     POS,
     SemanticError,
     _Value,
+    bounded,
     index_member,
     index_members,
     index_parts,
@@ -579,6 +580,7 @@ def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
     degree, 0 included, is checked against the right sides."""
     if n < 0:
         raise SemanticError("degree must be non-negative")
+    bounded(n, "degree")
     linear = sys.linear_part
     linear.require_well_posed()
     ys = [[_exact(c)] + [0] * n for c in linear.constants]
@@ -606,18 +608,6 @@ def fixed_point_solve(sys: PSSystem, n: int) -> Tuple[Series, ...]:
 
 # ---------------------------------------------------------------------------
 # matrices and the Neumann test
-
-
-def mat_identity(k: int) -> RatMatrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(k)) for i in range(k)
-    )
-
-
-def mat_sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def mat_inverse(m: RatMatrix) -> Optional[RatMatrix]:
@@ -649,7 +639,7 @@ def neumann_check(m: RatMatrix) -> NeumannResult:
         for v in row:
             if v < 0:
                 raise ValueError("matrix must be entrywise non-negative")
-    inv = mat_inverse(mat_sub(mat_identity(len(m)), m))
+    inv = mat_inverse([[Fraction(i == j) - v for j, v in enumerate(r)] for i, r in enumerate(m)])
     if inv is None:
         return NeumannResult("Singular", None)
     if any(v < 0 for row in inv for v in row):

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .epset import (
     EMPTY,
+    NAT,
     ZERO,
     EPSet,
     EnumeratedSet,
@@ -16,7 +17,6 @@ from .epset import (
     PeriodicityParams,
     SemanticError,
     _bits,
-    _closure,
     _Value,
     format_epset,
     index_down,
@@ -43,8 +43,10 @@ class GammaTerm(_Value):
     """One product family: base + E*Y_j summed over its pairs (j, E).
 
     base is the coefficient set; in a pair (j, E), E is a set of admissible
-    repeat counts of variable j. A variable has at most one eventually
-    periodic pair, and one more pair per enumerated exponent (see family).
+    repeat counts of variable j. The pairs given may list a variable more
+    than once. Its eventually periodic exponents sum into one pair, since
+    star(A, Y) + star(B, Y) = star(A + B, Y), and each enumerated one keeps
+    a pair of its own: its sum with another exponent is no index set.
     Pairs go by increasing j, the periodic one first. The constructor leaves
     out a pair with E = {0}, which is absent, so every listed E has a member
     >= 1. Bit j of used is set iff j is listed, and of twice iff Y_j can be
@@ -66,10 +68,16 @@ class GammaTerm(_Value):
             if j <= last:
                 ordered = False
             last = j
-        if not ordered:  # sort, then look for two periodic pairs of one variable
+        if not ordered:
+            periodic: dict[int, EPSet] = {}
+            enumerated = []
+            for j, e in pairs:
+                if isinstance(e, EnumeratedSet):
+                    enumerated.append((j, e))
+                else:
+                    periodic[j] = sumset(periodic[j], e) if j in periodic else e
+            pairs = [*periodic.items(), *enumerated]
             pairs.sort(key=lambda p: (p[0], p[1].name if isinstance(p[1], EnumeratedSet) else ""))
-            if any(a[0] == b[0] and isinstance(b[1], EPSet) for a, b in zip(pairs, pairs[1:])):
-                raise ValueError("a variable is listed twice")
         super().__init__(base, tuple(pairs))
 
     @cached_property
@@ -87,21 +95,6 @@ class GammaTerm(_Value):
 
     def min_weight(self) -> int:
         return sum(index_min(e) for _, e in self.factors)
-
-
-def family(base: EPSet, pairs: Iterable[Tuple[int, IndexSet]]) -> GammaTerm:
-    """The family base + E*Y_j over the pairs (j, E), which may list a
-    variable more than once. Its eventually periodic exponents sum into one,
-    since star(A, Y) + star(B, Y) = star(A + B, Y), and each enumerated one
-    keeps a pair of its own: its sum with another exponent is no index set."""
-    periodic: dict[int, EPSet] = {}
-    enumerated = []
-    for j, e in pairs:
-        if isinstance(e, EnumeratedSet):
-            enumerated.append((j, e))
-        else:
-            periodic[j] = sumset(periodic[j], e) if j in periodic else e
-    return GammaTerm(base, [*periodic.items(), *enumerated])
 
 
 class SetSystem(_Value):
@@ -152,11 +145,15 @@ def classify(sys: SetSystem) -> SystemClassification:
 
 class Digraph(_Value):
     """Dependency digraph with transitive closure and strong components:
-    bit j of reach[i] is set iff i ->+ j."""
+    bit j of adj[i] is set iff i -> j, and of reach[i] iff i ->+ j."""
 
     n: int
-    edges: frozenset[Tuple[int, int]]
+    adj: Tuple[int, ...]
     reach: Tuple[int, ...]
+
+    @property
+    def edges(self) -> frozenset[Tuple[int, int]]:
+        return frozenset((i, j) for i, a in enumerate(self.adj) for j in _bits(a))
 
     def closure(self, i: int) -> int:
         """The mask of {j : i ->* j}."""
@@ -190,8 +187,7 @@ def dependency(sys: SetSystem) -> Digraph:
         for i, r in enumerate(reach):
             if r >> mid & 1:
                 reach[i] = r | row
-    edges = frozenset((i, j) for i, a in enumerate(adj) for j in _bits(a))
-    return Digraph(sys.k, edges, tuple(reach))
+    return Digraph(sys.k, tuple(adj), tuple(reach))
 
 
 def digraph_dot(sys: SetSystem) -> str:
@@ -220,22 +216,7 @@ def digraph_dot(sys: SetSystem) -> str:
 # integer formulas
 
 
-# The star table of a solve: (index set, value) -> star(index set, value),
-# with the n-fold sums (n, value) -> n·value and the closures (NAT, value)
-# that the stars and _solve_linear build and read (epset._power, _closure).
-Stars = dict
-
-
-def _star(stars: Stars, e: EPSet, v: EPSet) -> EPSet:
-    """star(e, v), computed once per table."""
-    key = (e, v)
-    value = stars.get(key)
-    if value is None:
-        value = stars[key] = star(e, v, stars)
-    return value
-
-
-def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None) -> list[EPSet]:
+def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: dict | None = None) -> list[EPSet]:
     """One application of Gamma to a vector of EPSets; stars is the star
     table of the solve it belongs to, a fresh one by default."""
     if sys.enumerated:
@@ -248,7 +229,7 @@ def gamma_eval(sys: SetSystem, vec: Sequence[EPSet], stars: Stars | None = None)
         for t in eq:
             v = t.base
             for j, e in t.factors:
-                v = sumset(v, _star(stars, e, vec[j]))
+                v = sumset(v, star(e, vec[j], stars))
                 if v.is_empty:
                     break
             values.append(v)
@@ -303,14 +284,11 @@ def _q_report(sys: SetSystem, m: Sequence[int], dg: Digraph) -> QReport:
     ]
     # q is one value per strong component: the gcd of its own entries and
     # of the q of the components it reads, which come before it
-    succ = [0] * sys.k
-    for i, j in dg.edges:
-        succ[i] |= 1 << j
     q = per_eq[:]
     for comp in dg.components():
         reads = 0
         for i in comp:
-            reads |= succ[i]
+            reads |= dg.adj[i]
         g = math.gcd(*(per_eq[i] for i in comp), *(q[j] for j in _bits(reads)))
         for i in comp:
             q[i] = g
@@ -352,7 +330,7 @@ class SpectrumSolution(_Value):
     classification: SystemClassification
 
 
-def _solve_linear(c: list[dict[int, EPSet]], d: list[EPSet], stars: Stars) -> list[EPSet]:
+def _solve_linear(c: list[dict[int, EPSet]], d: list[EPSet], stars: dict) -> list[EPSet]:
     """Least solution of X_i = d_i | U_j (c_ij + X_j) over the (union, sum,
     closure) algebra, where row c[i] holds the non-empty c_ij; consumes c
     and d, and reads the closures from the star table. Gaussian
@@ -362,7 +340,7 @@ def _solve_linear(c: list[dict[int, EPSet]], d: list[EPSet], stars: Stars) -> li
     for i, row in enumerate(c):
         loop = row.pop(i, None)
         if loop is not None:
-            clo = _closure(stars, loop)
+            clo = star(NAT, loop, stars)
             d[i] = sumset(clo, d[i])
             for j, e in row.items():
                 row[j] = sumset(clo, e)
@@ -381,7 +359,7 @@ def _solve_linear(c: list[dict[int, EPSet]], d: list[EPSet], stars: Stars) -> li
     return d
 
 
-def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[dict[int, EPSet]]:
+def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: dict) -> list[dict[int, EPSet]]:
     """Row i maps j to entry (i, j) when it is non-empty: the union, over
     the families of equation i that use Y_j, of the base, the other factors
     at nu and (E_j - 1)*nu_j, where E_j - 1 = {x - 1 : x in E_j, x >= 1}."""
@@ -389,9 +367,9 @@ def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[dict[in
     for eq in sys.equations:
         row: dict[int, EPSet] = {}
         for t in eq:
-            factors = {j: _star(stars, e, nu[j]) for j, e in t.factors}
+            factors = {j: star(e, nu[j], stars) for j, e in t.factors}
             for j, e in t.factors:
-                v = sumset(t.base, _star(stars, unshift(e, 1), nu[j]))
+                v = sumset(t.base, star(unshift(e, 1), nu[j], stars))
                 for l, f in factors.items():
                     if l != j:
                         v = sumset(v, f)
@@ -401,7 +379,7 @@ def _jacobian(sys: SetSystem, nu: Sequence[EPSet], stars: Stars) -> list[dict[in
     return c
 
 
-def _newton(sys: SetSystem, stars: Stars) -> list[EPSet]:
+def _newton(sys: SetSystem, stars: dict) -> list[EPSet]:
     """Least solution of a system without enumerated index sets.
 
     Each step replaces nu by the least solution of X = Gamma(nu) | J(nu) X,
@@ -421,7 +399,7 @@ def _newton(sys: SetSystem, stars: Stars) -> list[EPSet]:
 
 
 def _component_system(
-    sys: SetSystem, comp: Sequence[int], values: Sequence[EPSet], stars: Stars
+    sys: SetSystem, comp: Sequence[int], values: Sequence[EPSet], stars: dict
 ) -> SetSystem:
     """The equations of comp alone, with the values of the variables
     outside it folded into the family bases; sys itself when comp is every
@@ -439,7 +417,7 @@ def _component_system(
                 if j in pos:
                     inner.append((pos[j], e))
                 else:
-                    base = sumset(base, _star(stars, e, values[j]))
+                    base = sumset(base, star(e, values[j], stars))
             if not base.is_empty:
                 terms.append(GammaTerm(base, inner))
         eqs.append(tuple(terms))
@@ -474,7 +452,7 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
         return normalize(e.members_upto(bound), tail) if isinstance(e, EnumeratedSet) else e
 
     eqs = [
-        [family(t.base, [(j, cut(e)) for j, e in t.factors]) for t in eq]
+        [GammaTerm(t.base, [(j, cut(e)) for j, e in t.factors]) for t in eq]
         for eq in sys.equations
     ]
     return SetSystem(sys.variables, tuple(map(tuple, eqs)))
@@ -503,7 +481,9 @@ def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSyst
     for i, eq in enumerate(sys.equations):
         for t in eq:
             if any(not minima[j] for j, _ in t.factors):
-                t = family(t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors])
+                t = GammaTerm(
+                    t.base, [(j, e if minima[j] else index_down(e)) for j, e in t.factors]
+                )
             if not member(t.base, 0) or t.min_weight() >= 2:
                 rest[i].append(t)
                 continue
@@ -553,7 +533,7 @@ def _least(flat: SetSystem, dg: Digraph, horizon: int) -> list[EPSet]:
     with it weighs >= 2 and stays whole; its cuts keep flat in normal form.
 
     Every star is computed once, in one table for the whole call."""
-    stars: Stars = {}
+    stars: dict = {}
     comps = dg.components()
     nu = [EMPTY] * flat.k
     bound = 2

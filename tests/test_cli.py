@@ -383,8 +383,13 @@ class TestSizeBound:
                 "vars Y; mode series; Y = x^1000000000000;",
                 "exponent 1000000000000 is not below the size bound 100000000",
             ),
+            (
+                ["coeffs", "{spec}", "--degree", "100000000"],
+                "vars Y; mode series; Y = x + Y^2;",
+                "degree 100000000 is not below the size bound 100000000",
+            ),
         ],
-        ids=["member", "frobenius", "exponent"],
+        ids=["member", "frobenius", "exponent", "degree"],
     )
     def test_refused_under_a_memory_cap(self, tmp_path, argv, text, err):
         # each exited 4 with MemoryError under a cap of 2 GB before the bound

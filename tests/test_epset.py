@@ -149,6 +149,8 @@ class TestOps:
         assert star(EMPTY, b) == EMPTY
         assert star(normalize([0, 4]), EMPTY) == ZERO
         assert star(normalize([4]), EMPTY) == EMPTY
+        assert star(normalize([1], [(4, 3)]), ZERO) == ZERO
+        assert star(normalize([1], [(4, 3)]), singleton(2)) == normalize([2], [(8, 6)])
 
     def test_nat_closure(self):
         assert nat_closure(normalize([3, 5])) == FROB35
@@ -343,6 +345,20 @@ class TestOracle:
         got = oracle.brute_set_op("star", va, vec(b, h), h)
         assert vec(star(a, b), h) == got
 
+    @given(epsets(max_elem=12), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_star_over_one_member(self, a, s):
+        # over {s}, star scales a by s into a canonical form
+        h = self.H
+        va = vec(a, h)
+        if a.period is not None and s == 0:
+            va[h] = True  # as in test_star
+        got = oracle.brute_set_op("star", va, vec(singleton(s), h), h)
+        assert vec(star(a, singleton(s)), h) == got
+        if s:
+            blocks = [(t * s, p * s) for t, p in epset._blocks(a)]
+            assert star(a, singleton(s)) == normalize([x * s for x in a.finite_part], blocks)
+
     @given(epsets(max_elem=20))
     @settings(max_examples=40, deadline=None)
     def test_natstar(self, b):
@@ -452,11 +468,22 @@ class TestStarOverManyMembers:
 
     @pytest.mark.parametrize(
         "b",
-        [singleton(1), normalize([3, 5]), normalize([0, 7]), ODDS, normalize([2], [(7, 3)])],
-        ids=["one", "three-five", "zero-seven", "odds", "two-and-7+3N"],
+        [
+            singleton(1), ZERO, singleton(3), normalize([3, 5]), normalize([0, 7]), ODDS,
+            normalize([2], [(7, 3)]),
+        ],
+        ids=["one", "zero", "three", "three-five", "zero-seven", "odds", "two-and-7+3N"],
     )
     def test_primes(self, b):
         self.check(self.PRIMES, b)
+
+    def test_cut_primes_over_one_member_keeps_nothing(self):
+        # keeping n·{1} for every prime n of the bracket's cut would make
+        # the table quadratic in the cut
+        table = {}
+        cut = normalize(self.PRIMES, [(101, 1)])
+        assert star(cut, singleton(1), table) == cut
+        assert not any(isinstance(key[0], int) for key in table)
 
 
 @given(epsets(max_elem=40, max_period=12), st.integers(0, 50))
