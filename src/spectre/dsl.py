@@ -43,6 +43,7 @@ from .pseries import (
     SysExpr,
     Var,
     X,
+    format_coeff,
 )
 from .setsys import ONE, GammaTerm, SetSystem
 
@@ -141,6 +142,13 @@ class _Parser:
     def at_punct(self, text: str, ahead: int = 0) -> bool:
         return self.peek(ahead)[1] == text
 
+    def accept(self, text: str) -> bool:
+        """Take the next token when it reads text."""
+        if self.at_punct(text):
+            self.next()
+            return True
+        return False
+
     def group(self, parse):
         """parse() between ( and ), at most MAX_NESTING groups deep."""
         t = self.expect("(")
@@ -160,8 +168,7 @@ class _Parser:
             if t[1] == "vars":
                 self.next()
                 self.variables.append(self._name("variable name"))
-                while self.at_punct(","):
-                    self.next()
+                while self.accept(","):
                     self.variables.append(self._name("variable name"))
                 self.expect(";")
             elif t[1] == "mode":
@@ -231,24 +238,24 @@ class _Parser:
 
     # -- set expressions (pure, no variables)
 
-    def parse_setexpr(self) -> EPSet:
-        acc = self.parse_setatom(allow_enumerated=False)
-        while self.at_punct("|"):
-            self.next()
+    def parse_setexpr(self, allow_enumerated: bool = False) -> IndexSet:
+        """A |-union of set atoms. With allow_enumerated, as in a
+        construct's bracket, an enumerated set may stand alone; no union
+        follows it."""
+        acc = self.parse_setatom(allow_enumerated)
+        while isinstance(acc, EPSet) and self.accept("|"):
             acc = union(acc, self.parse_setatom(allow_enumerated=False))
         return acc
 
-    def parse_setatom(self, allow_enumerated: bool = True) -> IndexSet:
+    def parse_setatom(self, allow_enumerated: bool) -> IndexSet:
         t = self.peek()
         if self.at_punct("("):
             return self.group(self.parse_setexpr)
-        if self.at_punct("{"):
-            self.next()
+        if self.accept("{"):
             elems = []
             if not self.at_punct("}"):
                 elems.append(bounded(self._int(), "set member"))
-                while self.at_punct(","):
-                    self.next()
+                while self.accept(","):
                     elems.append(bounded(self._int(), "set member"))
             self.expect("}")
             return normalize(elems)
@@ -302,8 +309,7 @@ class _Parser:
 
     def parse_set_equation_rhs(self) -> Tuple[GammaTerm, ...]:
         terms = [self.parse_set_term()]
-        while self.at_punct("|"):
-            self.next()
+        while self.accept("|"):
             terms.append(self.parse_set_term())
         return tuple(t for t in terms if t is not None)
 
@@ -318,7 +324,7 @@ class _Parser:
                 self.next()
                 pairs.append((self.variables.index(t[1]), ONE))
             else:
-                atom = self.parse_setatom()
+                atom = self.parse_setatom(allow_enumerated=True)
                 if self.at_punct("*") and self.peek(1)[1] in self.variables:
                     self.next()
                     pairs.append((self.variables.index(self.next()[1]), atom))
@@ -326,10 +332,8 @@ class _Parser:
                     if isinstance(atom, EnumeratedSet):
                         raise self.error("enumerated sets may only appear as exponents", t)
                     base = sumset(base, atom)
-            if self.at_punct("+"):
-                self.next()
-                continue
-            break
+            if not self.accept("+"):
+                break
         if base == EMPTY or any(e == EMPTY for _, e in pairs):
             return None
         return GammaTerm(base, pairs)
@@ -338,22 +342,19 @@ class _Parser:
 
     def parse_series_expr(self) -> SysExpr:
         terms = [self.parse_series_product()]
-        while self.at_punct("+"):
-            self.next()
+        while self.accept("+"):
             terms.append(self.parse_series_product())
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def parse_series_product(self) -> SysExpr:
         factors = [self.parse_series_power()]
-        while self.at_punct("*"):
-            self.next()
+        while self.accept("*"):
             factors.append(self.parse_series_power())
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def parse_series_power(self) -> SysExpr:
         base = self.parse_series_atom()
-        if self.at_punct("^"):
-            self.next()
+        if self.accept("^"):
             return Pow(base, self._int())
         return base
 
@@ -363,8 +364,7 @@ class _Parser:
             return self.group(self.parse_series_expr)
         if t[0] == "INT":
             num = self._int()
-            if self.at_punct("/"):
-                self.next()
+            if self.accept("/"):
                 den = self._int()
                 if den == 0:
                     raise self.error("zero denominator", t)
@@ -376,14 +376,8 @@ class _Parser:
                 return X()
             if name in CONSTRUCT_NAMES:
                 index: IndexSet = POS
-                if self.at_punct("["):
-                    self.next()
-                    atom = self.parse_setatom()
-                    while isinstance(atom, EPSet) and self.at_punct("|"):
-                        self.next()
-                        nxt = self.parse_setatom(allow_enumerated=False)
-                        atom = union(atom, nxt)
-                    index = atom
+                if self.accept("["):
+                    index = self.parse_setexpr(allow_enumerated=True)
                     self.expect("]")
                 return Construct(name, index, self.group(self.parse_series_expr))
             if name in self.variables:
@@ -435,9 +429,7 @@ def print_set_system(sys: SetSystem) -> str:
 def _fmt_series(e: SysExpr, vars: Tuple[str, ...], prec: int = 0) -> str:
     # precedence: 0 add, 1 mul, 2 pow, 3 atom
     if isinstance(e, Const):
-        v = e.value
-        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return s
+        return format_coeff(e.value)
     if isinstance(e, X):
         return "x"
     if isinstance(e, Var):

@@ -751,6 +751,12 @@ def index_reaches(j: IndexSet, n: int) -> bool:
     return j.low.bit_length() > n
 
 
+def index_from(j: IndexSet, n: int) -> IndexSet:
+    """The members of j from n on: all of an enumerated set for n up to its
+    least member."""
+    return shift(unshift(j, n), n) if index_min(j) < n else j
+
+
 def index_parts(j: IndexSet, hi: int) -> Tuple[list[int], list[Tuple[int, int]]]:
     """The members up to hi outside the progressions of an index set, and
     its progressions (start, step); an enumerated set has none."""

@@ -19,6 +19,7 @@ from .epset import (
     SemanticError,
     _Value,
     bounded,
+    index_from,
     index_member,
     index_members,
     index_parts,
@@ -363,7 +364,7 @@ class _Engine:
         if va > n:
             return self._sum(empty)
         ac = a.c
-        if j == POS:
+        if index_from(j, 1) == POS:
             # exp(sum_m a(x^m)/m) - 1 by the log-derivative recurrence
             # d*b_d = sum_i q_i*b_{d-i} with b_0 = 1, q_i = sum_{e|i} e*a_e
             if self._divisors is None:
@@ -382,7 +383,7 @@ class _Engine:
 
                 return step
 
-            return self._new(va, a.touch, step_of)
+            return self._sum(empty + [self._new(va, a.touch, step_of)])
         # h[t] counts multisets of exactly t parts:
         # t*h_t = sum_{m=1..t} a(x^m) * h_{t-m}, with h_0 = 1 and h_1 = a
         wanted = [t for t in index_members(j, n // va) if t >= 1]

@@ -20,6 +20,7 @@ from .epset import (
     _Value,
     format_epset,
     index_down,
+    index_from,
     index_member,
     index_min,
     index_q,
@@ -28,7 +29,6 @@ from .epset import (
     member,
     normalize,
     params,
-    shift,
     singleton,
     star,
     sumset,
@@ -173,21 +173,23 @@ class Digraph(_Value):
         return sorted(c for c in self.components() if self.reach[c[0]] >> c[0] & 1)
 
 
-def dependency(sys: SetSystem) -> Digraph:
-    """Edges i -> j for every family of equation i that uses Y_j, closed
-    by Warshall's algorithm on row masks."""
-    adj = [0] * sys.k
-    for i, eq in enumerate(sys.equations):
-        for t in eq:
-            adj[i] |= t.used
-    reach = adj[:]
+def _warshall(adj: Sequence[int]) -> list[int]:
+    """The transitive closure of a digraph given by row masks, bit j of
+    adj[i] set iff i -> j, by Warshall's algorithm."""
+    reach = list(adj)
     for mid, row in enumerate(reach):
         if not row:
             continue  # ORing 0 into a row changes nothing
         for i, r in enumerate(reach):
             if r >> mid & 1:
                 reach[i] = r | row
-    return Digraph(sys.k, tuple(adj), tuple(reach))
+    return reach
+
+
+def dependency(sys: SetSystem) -> Digraph:
+    """Edges i -> j for every family of equation i that uses Y_j."""
+    adj = tuple(reduce(or_, (t.used for t in eq), 0) for eq in sys.equations)
+    return Digraph(sys.k, adj, tuple(_warshall(adj)))
 
 
 def digraph_dot(sys: SetSystem) -> str:
@@ -458,11 +460,6 @@ def _cut(sys: SetSystem, bound: int, tail: list) -> SetSystem:
     return SetSystem(sys.variables, tuple(map(tuple, eqs)))
 
 
-def _from(e: IndexSet, n: int) -> IndexSet:
-    """The members of e from n on: all of Primes for n <= 2."""
-    return shift(unshift(e, n), n) if index_min(e) < n else e
-
-
 def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSystem:
     """Gamma+: Gamma with its empty and unit rules eliminated, as for a
     grammar (Hopcroft & Ullman, 1979), for the positive parts Y+ of its
@@ -477,7 +474,7 @@ def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSyst
     positive Y for bit n, so Y+ is its one positive fixed point.
     """
     rest: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
-    units: list[list[GammaTerm]] = [[] for _ in range(sys.k)]
+    units = [0] * sys.k  # bit j of units[i] is set iff Y_i >= Y_j is a unit rule
     for i, eq in enumerate(sys.equations):
         for t in eq:
             if any(not minima[j] for j, _ in t.factors):
@@ -488,27 +485,24 @@ def _normal_form(sys: SetSystem, minima: Sequence[Union[int, float]]) -> SetSyst
                 rest[i].append(t)
                 continue
             if t.base != ZERO:
-                rest[i].append(GammaTerm(_from(t.base, 1), t.factors))
+                rest[i].append(GammaTerm(index_from(t.base, 1), t.factors))
             for n, (j, e) in enumerate(t.factors):
                 later = t.factors[n + 1:]
-                first = GammaTerm(ZERO, [(j, _from(e, 1)), *later])
+                first = GammaTerm(ZERO, [(j, index_from(e, 1)), *later])
                 if first.min_weight() > 1:
                     rest[i].append(first)
                 else:
-                    units[i].append(GammaTerm(ZERO, [(j, ONE)]))
+                    units[i] |= 1 << j
                     if index_reaches(e, 2):
-                        rest[i].append(GammaTerm(ZERO, [(j, _from(e, 2)), *later]))
+                        rest[i].append(GammaTerm(ZERO, [(j, index_from(e, 2)), *later]))
                     rest[i] += [
-                        GammaTerm(ZERO, [(j, ONE), (l, _from(f, 1)), *later[m + 1:]])
+                        GammaTerm(ZERO, [(j, ONE), (l, index_from(f, 1)), *later[m + 1:]])
                         for m, (l, f) in enumerate(later)
                     ]
                 if not index_member(e, 0):
                     break
-    dg = dependency(SetSystem(sys.variables, tuple(map(tuple, units))))
-    eqs = [
-        tuple(t for j in _bits(dg.closure(i)) for t in rest[j])
-        for i in range(sys.k)
-    ]
+    reach = _warshall(units)
+    eqs = [tuple(t for j in _bits(reach[i] | 1 << i) for t in rest[j]) for i in range(sys.k)]
     return SetSystem(sys.variables, tuple(eqs))
 
 

@@ -180,6 +180,23 @@ class TestCoeffs:
         assert (code, out) == (3, "")
         assert "degree must be non-negative" in err
 
+    def test_mset_over_every_count_is_quadratic(self, capsys, tmp_path):
+        # MSet[N] = 1 + MSet[N+] takes the log-derivative recurrence, not
+        # the cubic one per part count, which takes about a second here
+        spec = tmp_path / "mset.spec"
+        spec.write_text("vars Y; mode series; Y = x + x*MSet[N](Y);")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "coeffs", str(spec), "--degree", "160", "--format", "json")
+        assert time.perf_counter() - start < 0.1
+        assert (code, err) == (0, "")
+        n = 12
+        y = [0] * (n + 1)
+        for _ in range(n):  # each round fixes one more coefficient
+            e = oracle.naive_euler(y, n - 1)
+            y = [0, 1 + e[0], *e[1:]]
+        got = json.loads(out)["series"]["Y"]
+        assert len(got) == 161 and got[: n + 1] == [str(c) for c in y]
+
 
 def _digit_limit():
     """The interpreter's int <-> str digit limit, None where it has none."""

@@ -91,10 +91,10 @@ class TestCompareOutputs:
         # the unit-rule cycle 6, the member past the size bound 6, the
         # product with Primes 9, the member just below the bound 6, the
         # power of a construct over Primes 9, the set term with Primes twice
-        # 6 and the series power past the bound 9, three series systems 9
-        # each, three set systems 6 each, 8 frobenius lines and 20 parser
-        # lines
-        assert capsys.readouterr().out == "316 command lines, 0 differ\n"
+        # 6, the series power past the bound 9, Primes on a nullable variable
+        # 6 and MSet over every count 9, three series systems 9 each, three
+        # set systems 6 each, 8 frobenius lines and 20 parser lines
+        assert capsys.readouterr().out == "331 command lines, 0 differ\n"
 
     def test_a_changed_output_is_reported(self):
         case = {"code": 0, "stdout": "Y = {1}\n", "stderr": "", "spec": "vars Y;\n"}

@@ -10,6 +10,7 @@ from spectre import cli, dsl, pseries
 from spectre.epset import (
     EMPTY,
     ENUMERATED_SETS,
+    NAT,
     POS,
     ZERO,
     SemanticError,
@@ -614,6 +615,14 @@ class TestProperties:
         want = oracle.naive_euler(a.coeffs, n)
         want[0] -= 1  # drop the empty multiset
         assert list(got.coeffs) == want
+
+    @given(nonneg_series)
+    @settings(max_examples=60, deadline=None)
+    def test_mset_over_every_count_vs_oracle(self, a):
+        # MSet[N] is 1 + MSet[N+]: the empty multiset stays
+        n = 10
+        got = evaluate(Construct("MSet", NAT, Var(0)), (a,), n)
+        assert list(got.coeffs) == oracle.naive_euler(a.coeffs, n)
 
     @given(nonneg_series, st.sets(st.integers(1, 6), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)

@@ -649,7 +649,7 @@ class TestWithoutUnits:
             for v, b in zip(nu, oracle.brute_fixpoint(sys_, h)):
                 assert members(v, h) == oracle.vec_members(b), sys_
             nullable += not classify(sys_).is_basic
-            pos = [setsys._from(v, 1) for v in nu]
+            pos = [epset.index_from(v, 1) for v in nu]
             flat = self.flat(sys_)
             assert setsys.gamma_eval(flat, pos) == pos, sys_
             i = rng.randrange(sys_.k)
@@ -663,7 +663,7 @@ class TestWithoutUnits:
             image = setsys.gamma_eval(sys_, y)
             while image != y and all(map(epset.is_subset, y, image)):
                 y, image = image, setsys.gamma_eval(sys_, image)
-            fixed, y = image == y, [setsys._from(v, 1) for v in y]
+            fixed, y = image == y, [epset.index_from(v, 1) for v in y]
             if fixed and y != pos:
                 assert setsys.gamma_eval(flat, y) != y, sys_
                 non_least += 1
@@ -686,6 +686,18 @@ class TestWithoutUnits:
             GammaTerm(singleton(3), [(1, normalize([0, 1]))]),
         )
         assert [format_epset(v.closed_form) for v in solve(sys_).variables] == ["0+3*N"] * 2
+
+    def test_primes_on_a_finite_nullable_variable_is_every_count(self):
+        # Z = {0,1} is finite, so only down(Primes) = N closes Y's bracket:
+        # each cut of Primes leaves Y finite, and its tail makes Y cofinite
+        sys_ = sets_system("Y = Primes*Z;", "Z = {0} | {1};")
+        assert not self.flat(sys_).enumerated
+        sol = solve(sys_)
+        assert [format_epset(v.closed_form) for v in sol.variables] == ["0+1*N", "{0,1}"]
+        assert [v.certificate for v in sol.variables] == [
+            "CertifiedFiniteConvergence",
+            "CertifiedLinear",
+        ]
 
     def test_cut_commutes_with_unit_elimination(self):
         # solve cuts Gamma+ for the bracket on Primes, not Gamma; a basic
@@ -1027,11 +1039,11 @@ class TestExactSolve:
 
     @pytest.mark.parametrize("name", ["paths", "structured"])
     def test_one_rewrite_and_two_digraphs(self, monkeypatch, name):
-        # Gamma' is built once, and the digraphs are the system's and its
-        # unit rules', however many bounds the bracket on Primes takes
+        # Gamma' is built once, and the digraphs closed are the system's and
+        # its unit rules', however many bounds the bracket on Primes takes
         built, rewritten = [], []
-        dependency_, normal_form = setsys.dependency, setsys._normal_form
-        monkeypatch.setattr(setsys, "dependency", lambda s: built.append(s) or dependency_(s))
+        warshall, normal_form = setsys._warshall, setsys._normal_form
+        monkeypatch.setattr(setsys, "_warshall", lambda adj: built.append(adj) or warshall(adj))
         monkeypatch.setattr(
             setsys, "_normal_form", lambda s, m: rewritten.append(s) or normal_form(s, m)
         )
